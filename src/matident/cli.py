@@ -336,6 +336,8 @@ def cmd_check_cert(args: argparse.Namespace) -> int:
         doc = json.loads(_load_text(args.certificate))
     except json.JSONDecodeError as exc:
         raise ValueError(f"certificate file is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"certificate document must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("type")
     if kind == "equivalence":
         cert = rewrite.equivalence_from_dict(doc, group)
@@ -344,7 +346,8 @@ def cmd_check_cert(args: argparse.Namespace) -> int:
         cert = rewrite.membership_from_dict(doc, group, field)
         result = rewrite.check_membership_certificate(grading, cert.input, cert)
     elif kind == "membership-bundle":
-        result = _check_bundle(grading, field, doc)
+        bundle = rewrite.bundle_from_dict(doc, group, field)
+        result = rewrite.check_membership_bundle(grading, bundle)
     else:
         raise ValueError(f"unknown certificate type {kind!r}")
     payload = {"valid": result.ok}
@@ -354,35 +357,6 @@ def cmd_check_cert(args: argparse.Namespace) -> int:
     if not result.ok and args.strict:
         return EXIT_NEGATIVE
     return EXIT_OK
-
-
-def _check_bundle(grading: Grading, field: Field, doc: dict) -> rewrite.CheckResult:
-    group = grading.group
-    try:
-        poly = parse_polynomial(doc["input"], group, field)
-    except (KeyError, ValueError) as exc:
-        return rewrite.CheckResult(False, f"bundle input: {exc}")
-    components = multihomogeneous_components(poly)
-    items = doc.get("components", [])
-    if len(items) != len(components):
-        return rewrite.CheckResult(
-            False,
-            f"bundle has {len(items)} components, input decomposes into {len(components)}",
-        )
-    by_text = {format_polynomial(group, comp): comp for comp in components}
-    for idx, item in enumerate(items):
-        if not item.get("identity", False):
-            return rewrite.CheckResult(False, f"component {idx} is marked as a non-identity")
-        comp = by_text.get(item.get("component"))
-        if comp is None:
-            return rewrite.CheckResult(
-                False, f"component {idx} does not match any multihomogeneous part"
-            )
-        cert = rewrite.membership_from_dict(item["certificate"], group, field)
-        result = rewrite.check_membership_certificate(grading, comp, cert)
-        if not result.ok:
-            return rewrite.CheckResult(False, f"component {idx}: {result.reason}")
-    return rewrite.CheckResult(True)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -175,10 +175,6 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
 class Poly:
     """Immutable sparse polynomial over a fixed coefficient field."""
 

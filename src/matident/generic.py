@@ -117,12 +117,12 @@ def generic_matrix(grading: Grading, field: Field, h: Element, index: int) -> Ge
     One variable y[h;index;k] per row k whose degree-h unit exists; the
     zero matrix exactly when the degree-h component vanishes.
     """
-    grading.group.check(h)
+    table = grading.step_table(h)
     if index < 1:
         raise ValueError(f"generic index must be >= 1, got {index}")
     entries: dict = {}
     for k in range(1, grading.n + 1):
-        s = grading.step(k, h)
+        s = table[k]
         if s is not None:
             entries[(k, s)] = Poly.variable(field, YVar(h, index, k))
     return GenericMatrix(field, grading.n, entries)
@@ -164,13 +164,29 @@ def word_product_closed(grading: Grading, field: Field, word: Word) -> GenericMa
 
 
 def evaluate(grading: Grading, f: FreePoly) -> GenericMatrix:
-    """Substitute generic matrices for the variables of f."""
-    result = GenericMatrix.zero(f.field, grading.n)
+    """Substitute generic matrices for the variables of f.
+
+    Every term's word product is added in place into one position ->
+    monomial -> coefficient accumulator.  Only valid for gradings whose
+    tuple entries are pairwise distinct: on other tuples a generic matrix
+    needs more than one variable per row, so they raise
+    DistinctTupleError.
+    """
+    require_distinct(grading)
+    field = f.field
+    acc: dict = {}
     for word, coeff in f.terms.items():
         if not word:
             raise ValueError("polynomial has a term with the empty word")
-        result = result + word_product_closed(grading, f.field, word).scale(coeff)
-    return result
+        for pos, p in word_product_closed(grading, field, word).entries.items():
+            terms = acc.setdefault(pos, {})
+            for mono, c in p.terms.items():
+                total = field.add(terms.get(mono, field.zero), field.mul(coeff, c))
+                if field.is_zero(total):
+                    terms.pop(mono, None)
+                else:
+                    terms[mono] = total
+    return GenericMatrix(field, grading.n, {pos: Poly(field, t) for pos, t in acc.items()})
 
 
 def is_graded_identity(grading: Grading, f: FreePoly) -> bool:
@@ -179,7 +195,6 @@ def is_graded_identity(grading: Grading, f: FreePoly) -> bool:
     Only valid for gradings whose tuple entries are pairwise distinct;
     other gradings raise DistinctTupleError.
     """
-    require_distinct(grading)
     return evaluate(grading, f).is_zero()
 
 

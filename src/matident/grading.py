@@ -6,6 +6,14 @@ computes the degree map, the support, homogeneous component dimensions,
 and the chain structure of matrix-unit products: for a degree sequence
 (h_1, ..., h_q), the starting rows k from which a nonzero product of units
 of those degrees exists, together with the row path it traces.
+
+Chains are walked through per-degree step tables.  The table for degree h
+maps each row to the next row of a degree-h unit, or to None where the
+chain dies; it is built with n group operations the first time the
+grading sees h and reused from then on.  Tables are keyed by element
+value, and a dict key cannot tell 1, True and 1.0 apart, so
+`step_table` validates its degree on every call, before the lookup: each
+letter of a sequence is checked once, instead of once per row.
 """
 
 from __future__ import annotations
@@ -118,33 +126,46 @@ class Grading:
             count += self._entry_count.get(target, 0)
         return count
 
-    def step(self, pos: int, h: Element) -> Optional[int]:
-        """Next row after leaving row `pos` through a degree-h unit.
+    @cached_property
+    def _step_tables(self) -> dict[Element, tuple[Optional[int], ...]]:
+        return {}
 
-        Returns the least position j with g_j = g_pos * h, or None when the
-        product leaves the tuple's value set.
+    def step_table(self, h: Element) -> tuple[Optional[int], ...]:
+        """Row-to-row step table of degree h, indexed by 1-based row.
+
+        Entry `pos` is the least row j with g_j = g_pos * h, or None when
+        that product leaves the tuple's value set; entry 0 is unused.  The
+        degree is validated on every call, the table is built on the first.
         """
-        target = self.group.op(self.entry(pos), h)
-        return self._least_index.get(target)
+        self.group.check(h)
+        table = self._step_tables.get(h)
+        if table is None:
+            least = self._least_index
+            op = self.group.op
+            table = (None,) + tuple(least.get(op(g, h)) for g in self.entries)
+            self._step_tables[h] = table
+        return table
 
     def lset(self, hseq: Sequence[Element]) -> LSet:
-        """Start rows whose unit chains survive the whole degree sequence."""
-        hseq = tuple(hseq)
-        if not hseq:
+        """Start rows whose unit chains survive the whole degree sequence.
+
+        Each degree is validated once through `step_table`; the walk from
+        every start row then only reads the tables.
+        """
+        tables = [self.step_table(h) for h in hseq]
+        if not tables:
             raise ValueError("degree sequence must be nonempty")
-        for h in hseq:
-            self.group.check(h)
         starts: list[int] = []
         paths: dict[int, tuple[int, ...]] = {}
         for k in range(1, self.n + 1):
             path = [k]
             pos: Optional[int] = k
-            for h in hseq:
-                pos = self.step(pos, h)
+            for table in tables:
+                pos = table[pos]
                 if pos is None:
                     break
                 path.append(pos)
-            if pos is not None:
+            else:
                 starts.append(k)
                 paths[k] = tuple(path)
         return LSet(starts=tuple(starts), paths=paths)

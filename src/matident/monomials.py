@@ -26,11 +26,9 @@ def is_monomial_identity(grading: Grading, hseq: Sequence[Element]) -> bool:
 
 def transition(grading: Grading, state: State, h: Element) -> State:
     """One automaton step: advance every surviving row through degree h."""
-    out = set()
-    for pos in state:
-        nxt = grading.step(pos, h)
-        if nxt is not None:
-            out.add(nxt)
+    table = grading.step_table(h)
+    out = {table[pos] for pos in state}
+    out.discard(None)
     return frozenset(out)
 
 

@@ -28,6 +28,7 @@ from .freealg import (
     format_polynomial,
     format_word,
     is_multihomogeneous,
+    multihomogeneous_components,
     parse_polynomial,
     parse_word,
     word_degree,
@@ -401,6 +402,55 @@ def check_membership_certificate(
     return CheckResult(True)
 
 
+@dataclass(frozen=True)
+class BundleComponent:
+    """One listed part of a membership bundle.
+
+    `certificate` is None for a part the bundle marks as a non-identity.
+    """
+
+    component: FreePoly
+    certificate: Optional[MembershipCertificate]
+
+
+@dataclass(frozen=True)
+class MembershipBundle:
+    """Certificates for the multihomogeneous parts of one polynomial."""
+
+    input: FreePoly
+    components: tuple[BundleComponent, ...]
+
+
+def check_membership_bundle(grading: Grading, bundle: MembershipBundle) -> CheckResult:
+    """Accept only when the listed components cover the input's
+    multihomogeneous parts one to one, each with a valid certificate."""
+    parts = multihomogeneous_components(bundle.input)
+    if len(bundle.components) != len(parts):
+        return CheckResult(
+            False,
+            f"bundle has {len(bundle.components)} components, "
+            f"input decomposes into {len(parts)}",
+        )
+    covered: set[int] = set()
+    for idx, item in enumerate(bundle.components):
+        if item.certificate is None:
+            return CheckResult(False, f"component {idx} is marked as a non-identity")
+        part = next((k for k, p in enumerate(parts) if p == item.component), None)
+        if part is None:
+            return CheckResult(
+                False, f"component {idx} does not match any multihomogeneous part"
+            )
+        if part in covered:
+            return CheckResult(
+                False, f"component {idx} repeats a multihomogeneous part already covered"
+            )
+        covered.add(part)
+        result = check_membership_certificate(grading, parts[part], item.certificate)
+        if not result.ok:
+            return CheckResult(False, f"component {idx}: {result.reason}")
+    return CheckResult(True)
+
+
 # ---------------------------------------------------------------------------
 # serialization (stable schema, format 1)
 
@@ -409,11 +459,34 @@ def step_to_dict(step: RewriteStep) -> dict:
     return {"rule": step.rule, "split": list(step.split)}
 
 
+_REQUIRED = object()
+
+
+def _get(obj: Any, key: str, kind: type, what: str, default: Any = _REQUIRED) -> Any:
+    """Read `obj[key]`, checking that obj is an object and the value's type.
+
+    Bools are rejected where an int is expected.  With a default, a
+    missing key gives the default instead of an error.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        if default is not _REQUIRED:
+            return default
+        raise ValueError(f"{what} is missing the {key!r} key")
+    value = obj[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{what}: {key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def step_from_dict(obj: dict) -> RewriteStep:
-    try:
-        return RewriteStep(obj["rule"], tuple(obj["split"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed rewrite step: {exc}") from None
+    what = "rewrite step"
+    rule = _get(obj, "rule", str, what)
+    split = _get(obj, "split", list, what)
+    if not all(isinstance(c, int) and not isinstance(c, bool) for c in split):
+        raise ValueError(f"{what}: 'split' must be a list of integers, got {split!r}")
+    return RewriteStep(rule, tuple(split))
 
 
 def equivalence_to_dict(cert: EquivalenceCertificate, group: Group) -> dict:
@@ -427,12 +500,13 @@ def equivalence_to_dict(cert: EquivalenceCertificate, group: Group) -> dict:
 
 
 def equivalence_from_dict(obj: dict, group: Group) -> EquivalenceCertificate:
-    if obj.get("type") != "equivalence":
+    what = "equivalence certificate"
+    if _get(obj, "type", str, what) != "equivalence":
         raise ValueError("not an equivalence certificate document")
     return EquivalenceCertificate(
-        start=parse_word(obj["start"], group),
-        steps=tuple(step_from_dict(s) for s in obj.get("steps", [])),
-        end=parse_word(obj["end"], group),
+        start=parse_word(_get(obj, "start", str, what), group),
+        steps=tuple(step_from_dict(s) for s in _get(obj, "steps", list, what, [])),
+        end=parse_word(_get(obj, "end", str, what), group),
     )
 
 
@@ -444,7 +518,10 @@ def justification_to_dict(j: Justification) -> dict:
 
 
 def justification_from_dict(obj: dict) -> Justification:
-    return Justification(kind=obj["kind"], letter=obj.get("letter"))
+    what = "justification"
+    return Justification(
+        kind=_get(obj, "kind", str, what), letter=_get(obj, "letter", int, what, None)
+    )
 
 
 def membership_to_dict(cert: MembershipCertificate, group: Group) -> dict:
@@ -473,26 +550,51 @@ def membership_to_dict(cert: MembershipCertificate, group: Group) -> dict:
 
 
 def membership_from_dict(obj: dict, group: Group, field: Field) -> MembershipCertificate:
-    if obj.get("type") != "membership":
+    what = "membership certificate"
+    if _get(obj, "type", str, what) != "membership":
         raise ValueError("not a membership certificate document")
     residual = tuple(
         ResidualTerm(
-            word=parse_word(item["word"], group),
-            coefficient=field.parse(item["coefficient"]),
-            justification=justification_from_dict(item["justification"]),
+            word=parse_word(_get(item, "word", str, "residual term"), group),
+            coefficient=field.parse(_get(item, "coefficient", str, "residual term")),
+            justification=justification_from_dict(
+                _get(item, "justification", dict, "residual term")
+            ),
         )
-        for item in obj.get("residual", [])
+        for item in _get(obj, "residual", list, what, [])
     )
     pairings = tuple(
         Pairing(
-            target=item["target"],
-            source=item["source"],
-            certificate=equivalence_from_dict(item["certificate"], group),
+            target=_get(item, "target", int, "pairing"),
+            source=_get(item, "source", int, "pairing"),
+            certificate=equivalence_from_dict(_get(item, "certificate", dict, "pairing"), group),
         )
-        for item in obj.get("pairings", [])
+        for item in _get(obj, "pairings", list, what, [])
     )
     return MembershipCertificate(
-        input=parse_polynomial(obj["input"], group, field),
+        input=parse_polynomial(_get(obj, "input", str, what), group, field),
         pairings=pairings,
         residual=residual,
+    )
+
+
+def bundle_from_dict(obj: dict, group: Group, field: Field) -> MembershipBundle:
+    what = "membership bundle"
+    if _get(obj, "type", str, what) != "membership-bundle":
+        raise ValueError("not a membership bundle document")
+    components = []
+    for item in _get(obj, "components", list, what):
+        identity = _get(item, "identity", bool, "bundle component")
+        cert = _get(item, "certificate", dict, "bundle component") if identity else None
+        components.append(
+            BundleComponent(
+                component=parse_polynomial(
+                    _get(item, "component", str, "bundle component"), group, field
+                ),
+                certificate=None if cert is None else membership_from_dict(cert, group, field),
+            )
+        )
+    return MembershipBundle(
+        input=parse_polynomial(_get(obj, "input", str, what), group, field),
+        components=tuple(components),
     )

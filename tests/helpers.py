@@ -80,6 +80,35 @@ def sequence_vanishes_by_units(grading: Grading, hseq) -> bool:
     return True
 
 
+def naive_step(grading: Grading, pos: int, h) -> Optional[int]:
+    """Least row j with g_j = g_pos * h: one group op and a scan of the tuple."""
+    target = grading.group.op(grading.entry(pos), h)
+    return next((j for j in range(1, grading.n + 1) if grading.entry(j) == target), None)
+
+
+def naive_lset(grading: Grading, hseq) -> tuple[tuple[int, ...], dict]:
+    """Chain starts and row paths, walking every row with a group op per letter."""
+    starts: list[int] = []
+    paths: dict = {}
+    for k in range(1, grading.n + 1):
+        path = [k]
+        for h in hseq:
+            nxt = naive_step(grading, path[-1], h)
+            if nxt is None:
+                break
+            path.append(nxt)
+        else:
+            starts.append(k)
+            paths[k] = tuple(path)
+    return tuple(starts), paths
+
+
+def naive_transition(grading: Grading, state, h) -> frozenset:
+    return frozenset(
+        nxt for nxt in (naive_step(grading, pos, h) for pos in state) if nxt is not None
+    )
+
+
 # ---------------------------------------------------------------------------
 # random generators (all deterministic through an explicit Random)
 

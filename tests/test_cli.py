@@ -207,3 +207,150 @@ def test_usage_errors(capsys, z4_path, tmp_path):
     code, _, err = run(capsys, ["is-identity", z4_path, str(bad_field), "--field", "fp:4"])
     assert code == 2
     assert "not prime" in err
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text(
+        json.dumps({"group": {"type": "cyclic", "order": 2}, "n": 3, "tuple": [0, 0, 1]}),
+        encoding="utf-8",
+    )
+    poly = tmp_path / "neutral.txt"
+    poly.write_text("x[0;1]\n", encoding="utf-8")
+    code, out, err = run(capsys, ["eval", str(repeated), str(poly)])
+    assert code == 2
+    assert out == "" and "repeated entries" in err
+
+
+FORGEABLE = "x[1;1]*x[3;3]*x[1;2] - x[1;2]*x[3;3]*x[1;1] + x[0;5]\n"
+
+
+def _write_json(tmp_path, name, doc) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_bundle_must_cover_each_component_once(capsys, z4_path, tmp_path):
+    poly = tmp_path / "forgeable.txt"
+    poly.write_text(FORGEABLE, encoding="utf-8")
+    code, out, _ = run(capsys, ["is-identity", z4_path, str(poly)])
+    assert out.strip() == "not an identity"
+    code, out, _ = run(capsys, ["certify", z4_path, str(poly), "--json"])
+    bundle = json.loads(out)
+    assert [item["identity"] for item in bundle["components"]] == [False, True]
+    # forgery: the certified component listed twice, x[0;5] left out
+    bundle["components"][0] = bundle["components"][1]
+    bundle["identity"] = True
+    path = _write_json(tmp_path, "forged.json", bundle)
+    code, out, _ = run(capsys, ["check-cert", z4_path, path, "--strict"])
+    assert code == 1
+    assert out.startswith("invalid: component 1 repeats")
+
+
+def _malformed(kind: str, edit):
+    return pytest.param(kind, edit, id=edit.__name__)
+
+
+def top_level_list(doc):
+    return [doc]
+
+
+def membership_without_input(doc):
+    return {"type": "membership"}
+
+
+def bundle_item_without_certificate(doc):
+    del doc["components"][0]["certificate"]
+    return doc
+
+
+def string_split(doc):
+    # as many characters as cut points, so only the element type is wrong
+    doc["steps"][0]["split"] = "abcd"[: len(doc["steps"][0]["split"])]
+    return doc
+
+
+def bool_cut_point(doc):
+    doc["steps"][0]["split"][0] = False
+    return doc
+
+
+def float_cut_point(doc):
+    doc["steps"][0]["split"][1] = float(doc["steps"][0]["split"][1])
+    return doc
+
+
+def steps_not_a_list(doc):
+    doc["steps"] = doc["steps"][0]
+    return doc
+
+
+def bool_pairing_index(doc):
+    doc["pairings"][0]["target"] = False
+    return doc
+
+
+def float_pairing_index(doc):
+    doc["pairings"][0]["source"] = float(doc["pairings"][0]["source"])
+    return doc
+
+
+def pairing_without_certificate(doc):
+    del doc["pairings"][0]["certificate"]
+    return doc
+
+
+def numeric_word(doc):
+    doc["start"] = 5
+    return doc
+
+
+def component_not_a_string(doc):
+    doc["components"][0]["component"] = [doc["components"][0]["component"]]
+    return doc
+
+
+def identity_flag_not_bool(doc):
+    doc["components"][0]["identity"] = "yes"
+    return doc
+
+
+@pytest.mark.parametrize(
+    "kind, edit",
+    [
+        _malformed("equivalence", top_level_list),
+        _malformed("membership", membership_without_input),
+        _malformed("membership-bundle", bundle_item_without_certificate),
+        _malformed("equivalence", string_split),
+        _malformed("equivalence", bool_cut_point),
+        _malformed("equivalence", float_cut_point),
+        _malformed("equivalence", steps_not_a_list),
+        _malformed("membership", bool_pairing_index),
+        _malformed("membership", float_pairing_index),
+        _malformed("membership", pairing_without_certificate),
+        _malformed("equivalence", numeric_word),
+        _malformed("membership-bundle", component_not_a_string),
+        _malformed("membership-bundle", identity_flag_not_bool),
+    ],
+)
+def test_malformed_certificate_is_a_usage_error(capsys, z4_path, poly2_path, tmp_path, kind, edit):
+    target = tmp_path / "m.txt"
+    source = tmp_path / "n.txt"
+    target.write_text("x[1;1]*x[3;3]*x[1;2]\n", encoding="utf-8")
+    source.write_text("x[1;2]*x[3;3]*x[1;1]\n", encoding="utf-8")
+    _, out, _ = run(capsys, ["equiv", z4_path, str(target), str(source), "--json"])
+    equivalence = json.loads(out)
+    _, out, _ = run(capsys, ["certify", z4_path, poly2_path, "--json"])
+    bundle = json.loads(out)
+    genuine = {
+        "equivalence": equivalence,
+        "membership": bundle["components"][0]["certificate"],
+        "membership-bundle": bundle,
+    }
+    assert genuine[kind]["type"] == kind
+    path = _write_json(tmp_path, "doc.json", genuine[kind])
+    assert run(capsys, ["check-cert", z4_path, path, "--strict"])[:2] == (0, "valid\n")
+
+    path = _write_json(tmp_path, "doc.json", edit(genuine[kind]))
+    code, out, err = run(capsys, ["check-cert", z4_path, path, "--strict"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -142,6 +142,8 @@ def test_identity_decision_requires_distinct_tuple():
     repeated = Grading(Z2, 2, (0, 0))
     with pytest.raises(DistinctTupleError):
         is_graded_identity(repeated, parse_polynomial("x[0;1]", Z2, RATIONALS))
+    with pytest.raises(DistinctTupleError):
+        evaluate(repeated, parse_polynomial("x[0;1]", Z2, RATIONALS))
     # other operations stay available on repeated tuples
     assert not word_product_closed(repeated, RATIONALS, parse_word("x[0;1]", Z2)).is_zero()
 

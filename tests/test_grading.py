@@ -1,11 +1,30 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matident import CyclicGroup, Grading, grading_from_config
-from matident.groups import IntegerGroup
+from matident.groups import IntegerGroup, ProductGroup
+from matident.monomials import transition
 
-from helpers import s3_group, suite_gradings, z2z2_group
+from helpers import naive_lset, naive_transition, s3_group, suite_gradings, z2z2_group
+
+# Chain-walk oracle suite: the acceptance gradings, infinite and mixed
+# product groups, and a repeated tuple (where a step takes the least row).
+ORACLE_GRADINGS = suite_gradings() + [
+    Grading(IntegerGroup(), 5, (0, 1, 3, 9, 20)),
+    Grading(IntegerGroup(), 3, (-2, 0, 5)),
+    Grading(ProductGroup([CyclicGroup(2), CyclicGroup(3)]), 4, ((0, 0), (1, 0), (0, 2), (1, 1))),
+    Grading(ProductGroup([IntegerGroup(), CyclicGroup(2)]), 3, ((0, 0), (1, 1), (3, 0))),
+    Grading(CyclicGroup(4), 3, (0, 0, 1)),
+]
+
+
+def _oracle_alphabet(grading: Grading) -> list:
+    """The support and its pairwise products, which reach outside it."""
+    support = grading.support()
+    return sorted(set(support) | {grading.group.op(a, b) for a in support for b in support})
 
 
 @pytest.fixture
@@ -120,6 +139,36 @@ def test_lset_prefix_monotonicity():
             whole = set(grading.lset(hseq).starts)
             prefix = set(grading.lset(hseq[:cut]).starts)
             assert whole <= prefix
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_step_tables_match_naive_walk(data):
+    grading = data.draw(st.sampled_from(ORACLE_GRADINGS))
+    alphabet = _oracle_alphabet(grading)
+    hseq = data.draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=8))
+    ls = grading.lset(hseq)
+    assert (ls.starts, ls.paths) == naive_lset(grading, hseq)
+    state = data.draw(st.frozensets(st.integers(1, grading.n)))
+    for h in hseq:
+        assert transition(grading, state, h) == naive_transition(grading, state, h)
+
+
+def test_lset_validates_degrees_after_caching(z4_01):
+    # 1.0 and True hash and compare equal to the cached degree 1
+    assert z4_01.lset((1,)).starts == (1,)
+    for bad in (True, 1.0, 4, -1, "1"):
+        with pytest.raises(ValueError):
+            z4_01.lset((bad,))
+        with pytest.raises(ValueError):
+            z4_01.lset((1, bad))
+        with pytest.raises(ValueError):
+            transition(z4_01, frozenset({1, 2}), bad)
+    v4 = Grading(z2z2_group(), 4, ((0, 0), (0, 1), (1, 0), (1, 1)))
+    assert v4.lset(((1, 0),)).starts == (1, 2, 3, 4)
+    for bad in ((True, 0), (1.0, 0), (2, 0), [1, 0]):
+        with pytest.raises(ValueError):
+            v4.lset((bad,))
 
 
 def test_neutral_report_examples():
