@@ -1,0 +1,35 @@
+"""Record the golden corpus: run every case in cases.json, store its exit
+code there and its exact stdout in expected/<name>.out.
+
+    python tests/golden/record.py
+
+Run it only when a change of output is intended.  `tests/test_golden.py`
+replays the same cases and never rewrites these files.
+"""
+
+import json
+import os
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent.parent / "src"), str(HERE.parent)]
+
+from helpers import run_cli  # noqa: E402
+
+
+def main() -> None:
+    cases = json.loads((HERE / "cases.json").read_text(encoding="utf-8"))
+    expected = HERE / "expected"
+    expected.mkdir(exist_ok=True)
+    os.chdir(HERE / "inputs")
+    for case in cases:
+        case["exit"], out, _ = run_cli(case["argv"])
+        (expected / f"{case['name']}.out").write_text(out, encoding="utf-8", newline="")
+    with open(HERE / "cases.json", "w", encoding="utf-8") as f:
+        json.dump(cases, f, indent=1)
+        f.write("\n")
+
+
+if __name__ == "__main__":
+    main()

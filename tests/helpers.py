@@ -7,6 +7,8 @@ by exhaustive matrix-unit substitution.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import random
 from typing import Optional
@@ -19,6 +21,7 @@ from matident import (
     GVar,
     ProductGroup,
 )
+from matident.cli import main
 from matident.generic import GenericMatrix, word_product_direct
 
 
@@ -47,6 +50,14 @@ def suite_gradings() -> list[Grading]:
     s3 = s3_group()
     gradings.append(Grading(s3, 6, tuple(range(6))))
     return gradings
+
+
+def run_cli(argv) -> tuple[int, str, str]:
+    """Run `matident.cli.main` in process; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 # ---------------------------------------------------------------------------
