@@ -23,12 +23,10 @@ from .generic import (
     DistinctTupleError,
     GenericMatrix,
     evaluate,
-    generic_matrix,
     is_graded_identity,
     matching_entry,
     matching_permutation,
     word_product_closed,
-    word_product_direct,
 )
 from .grading import Grading, grading_from_config
 from .groups import (

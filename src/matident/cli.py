@@ -39,6 +39,7 @@ from .grading import Grading, grading_from_config
 from .groups import split_top_level
 from .monomials import (
     enumerate_monomial_identities,
+    is_minimal_identity,
     length_bounds,
     shortest_monomial_identity,
 )
@@ -179,8 +180,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     fmt = _fmt(grading)
     unfiltered = enumerate_monomial_identities(grading, args.max_len)
     if args.minimal:
-        from .monomials import is_minimal_identity
-
         found = [seq for seq in unfiltered if is_minimal_identity(grading, seq)]
     else:
         found = unfiltered

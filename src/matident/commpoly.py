@@ -5,7 +5,8 @@ machinery uses `YVar` triples (degree label, generic index, row).  Monomials
 are canonical sorted tuples of (variable, exponent) pairs, polynomials are
 canonical monomial -> coefficient maps with no zero coefficients stored.
 All arithmetic is exact: Fraction coefficients over the rationals, residues
-over a prime field.
+over a prime field.  The sparse-map core, `SparsePoly`, is shared with the
+free algebra's `FreePoly`, which keys its terms by words instead.
 """
 
 from __future__ import annotations
@@ -175,18 +176,126 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-class Poly:
-    """Immutable sparse polynomial over a fixed coefficient field."""
+def accumulate(field: Field, terms: dict, key: Any, c: Coefficient) -> None:
+    """Add c into terms[key], dropping the key when the sum cancels."""
+    total = field.add(terms.get(key, field.zero), c)
+    if field.is_zero(total):
+        terms.pop(key, None)
+    else:
+        terms[key] = total
+
+
+class SparsePoly:
+    """Immutable sparse key -> coefficient map over a fixed field.
+
+    No zero coefficient is stored, so equal polynomials have equal maps.
+    Subclasses fix the key product (`key_mul`) and the display order of
+    keys (`sort_key`); the empty key is the unit.
+    """
 
     __slots__ = ("field", "terms")
+
+    key_mul: Callable[[Any, Any], Any]
+    sort_key: Callable[[Any], Any]
 
     def __init__(self, field: Field, terms: dict):
         self.field = field
         self.terms = terms
 
     @classmethod
-    def zero(cls, field: Field) -> "Poly":
+    def zero(cls, field: Field):
         return cls(field, {})
+
+    @classmethod
+    def from_terms(cls, field: Field, items: Iterable[tuple[Any, Coefficient]]):
+        terms: dict = {}
+        for key, c in items:
+            accumulate(field, terms, tuple(key), c)
+        return cls(field, terms)
+
+    def _require_same_field(self, other: "SparsePoly") -> None:
+        if self.field != other.field:
+            raise ValueError(f"field mismatch: {self.field} vs {other.field}")
+
+    def __add__(self, other):
+        self._require_same_field(other)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            accumulate(self.field, terms, key, c)
+        return type(self)(self.field, terms)
+
+    def __neg__(self):
+        f = self.field
+        return type(self)(f, {key: f.neg(c) for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        self._require_same_field(other)
+        f = self.field
+        terms: dict = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                accumulate(f, terms, self.key_mul(k1, k2), f.mul(c1, c2))
+        return type(self)(f, terms)
+
+    def scale(self, value: Coefficient):
+        f = self.field
+        if f.is_zero(value):
+            return self.zero(f)
+        return type(self)(f, {key: f.mul(value, c) for key, c in self.terms.items()})
+
+    def scale_int(self, value: int):
+        return self.scale(self.field.from_int(value))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def sorted_terms(self) -> list[tuple[Any, Coefficient]]:
+        return sorted(self.terms.items(), key=lambda t: self.sort_key(t[0]))
+
+    def render(self, render_key: Callable[[Any], str]) -> str:
+        """Signed sum such as "2 - 3/4*a + b", in `sorted_terms` order.
+
+        `render_key` writes one nonempty key; a coefficient of 1 is left
+        out in front of a key, and the unit key shows its coefficient only.
+        """
+        chunks: list[str] = []
+        for key, c in self.sorted_terms():
+            coeff_text = self.field.format(c)
+            negative = coeff_text.startswith("-")
+            magnitude = coeff_text[1:] if negative else coeff_text
+            if not key:
+                piece = magnitude
+            elif magnitude == "1":
+                piece = render_key(key)
+            else:
+                piece = f"{magnitude}*{render_key(key)}"
+            if not chunks:
+                chunks.append(f"-{piece}" if negative else piece)
+            else:
+                chunks.append(f"- {piece}" if negative else f"+ {piece}")
+        return " ".join(chunks) or "0"
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.field == other.field and self.terms == other.terms
+
+    __hash__ = None  # mutable dict inside; equality by content only
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.field}, {self.sorted_terms()!r})"
+
+
+class Poly(SparsePoly):
+    """Commutative polynomial: keys are monomials, in canonical order."""
+
+    __slots__ = ()
+
+    key_mul = staticmethod(monomial_mul)
+    sort_key = staticmethod(lambda mono: mono)
 
     @classmethod
     def constant(cls, field: Field, value: int) -> "Poly":
@@ -201,79 +310,6 @@ class Poly:
     def monomial(cls, field: Field, mono: Monomial, coeff: int = 1) -> "Poly":
         c = field.from_int(coeff)
         return cls(field, {} if field.is_zero(c) else {tuple(mono): c})
-
-    @classmethod
-    def from_terms(cls, field: Field, items: Iterable[tuple[Monomial, Coefficient]]) -> "Poly":
-        terms: dict = {}
-        for mono, c in items:
-            acc = field.add(terms.get(mono, field.zero), c)
-            if field.is_zero(acc):
-                terms.pop(mono, None)
-            else:
-                terms[mono] = acc
-        return cls(field, terms)
-
-    def _require_same_field(self, other: "Poly") -> None:
-        if self.field != other.field:
-            raise ValueError(f"field mismatch: {self.field} vs {other.field}")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._require_same_field(other)
-        f = self.field
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            acc = f.add(terms.get(mono, f.zero), c)
-            if f.is_zero(acc):
-                terms.pop(mono, None)
-            else:
-                terms[mono] = acc
-        return Poly(f, terms)
-
-    def __neg__(self) -> "Poly":
-        f = self.field
-        return Poly(f, {mono: f.neg(c) for mono, c in self.terms.items()})
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        self._require_same_field(other)
-        f = self.field
-        terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = monomial_mul(m1, m2)
-                acc = f.add(terms.get(mono, f.zero), f.mul(c1, c2))
-                if f.is_zero(acc):
-                    terms.pop(mono, None)
-                else:
-                    terms[mono] = acc
-        return Poly(f, terms)
-
-    def scale(self, value: Coefficient) -> "Poly":
-        f = self.field
-        if f.is_zero(value):
-            return Poly.zero(f)
-        return Poly(f, {mono: f.mul(value, c) for mono, c in self.terms.items()})
-
-    def scale_int(self, value: int) -> "Poly":
-        return self.scale(self.field.from_int(value))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self) -> list[tuple[Monomial, Coefficient]]:
-        return sorted(self.terms.items(), key=lambda t: t[0])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.field == other.field and self.terms == other.terms
-
-    __hash__ = None  # mutable dict inside; equality by content only
-
-    def __repr__(self) -> str:
-        return f"Poly({self.field}, {self.sorted_terms()!r})"
 
 
 def render_yvar(var: YVar, degree_fmt: Callable[[Any], str]) -> str:
@@ -292,23 +328,4 @@ def render_monomial(mono: Monomial, degree_fmt: Callable[[Any], str]) -> str:
 
 
 def render_poly(poly: Poly, degree_fmt: Callable[[Any], str]) -> str:
-    if poly.is_zero():
-        return "0"
-    f = poly.field
-    chunks: list[str] = []
-    for mono, c in poly.sorted_terms():
-        coeff_text = f.format(c)
-        negative = coeff_text.startswith("-")
-        magnitude = coeff_text[1:] if negative else coeff_text
-        body = render_monomial(mono, degree_fmt)
-        if mono and magnitude == "1":
-            piece = body
-        elif mono:
-            piece = f"{magnitude}*{body}"
-        else:
-            piece = magnitude
-        if not chunks:
-            chunks.append(f"-{piece}" if negative else piece)
-        else:
-            chunks.append(f"- {piece}" if negative else f"+ {piece}")
-    return " ".join(chunks)
+    return poly.render(lambda mono: render_monomial(mono, degree_fmt))

@@ -17,11 +17,12 @@ Element literals follow the group's own syntax ("3", "(1,0)", labels).
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from fractions import Fraction
-from typing import Any, Iterable, NamedTuple
+from typing import Any, NamedTuple
 
-from .commpoly import RATIONALS, Coefficient, Field
+from .commpoly import RATIONALS, Coefficient, Field, SparsePoly
 from .groups import Element, Group
 
 MUL_PATTERN = "*"
@@ -54,98 +55,19 @@ def multidegree(word: Word) -> tuple:
     return tuple(sorted(Counter(word).items()))
 
 
-class FreePoly:
-    """Immutable polynomial in the free graded algebra."""
+class FreePoly(SparsePoly):
+    """Immutable polynomial in the free graded algebra: keys are words,
+    multiplied by concatenation and listed shortest first."""
 
-    __slots__ = ("field", "terms")
+    __slots__ = ()
 
-    def __init__(self, field: Field, terms: dict):
-        self.field = field
-        self.terms = terms
-
-    @classmethod
-    def zero(cls, field: Field) -> "FreePoly":
-        return cls(field, {})
+    key_mul = staticmethod(operator.add)
+    sort_key = staticmethod(lambda word: (len(word), word))
 
     @classmethod
     def word(cls, field: Field, word: Word, coeff: int = 1) -> "FreePoly":
         c = field.from_int(coeff)
         return cls(field, {} if field.is_zero(c) else {tuple(word): c})
-
-    @classmethod
-    def from_terms(cls, field: Field, items: Iterable[tuple[Word, Coefficient]]) -> "FreePoly":
-        terms: dict = {}
-        for word, c in items:
-            word = tuple(word)
-            acc = field.add(terms.get(word, field.zero), c)
-            if field.is_zero(acc):
-                terms.pop(word, None)
-            else:
-                terms[word] = acc
-        return cls(field, terms)
-
-    def _require_same_field(self, other: "FreePoly") -> None:
-        if self.field != other.field:
-            raise ValueError(f"field mismatch: {self.field} vs {other.field}")
-
-    def __add__(self, other: "FreePoly") -> "FreePoly":
-        self._require_same_field(other)
-        f = self.field
-        terms = dict(self.terms)
-        for word, c in other.terms.items():
-            acc = f.add(terms.get(word, f.zero), c)
-            if f.is_zero(acc):
-                terms.pop(word, None)
-            else:
-                terms[word] = acc
-        return FreePoly(f, terms)
-
-    def __neg__(self) -> "FreePoly":
-        f = self.field
-        return FreePoly(f, {w: f.neg(c) for w, c in self.terms.items()})
-
-    def __sub__(self, other: "FreePoly") -> "FreePoly":
-        return self + (-other)
-
-    def __mul__(self, other: "FreePoly") -> "FreePoly":
-        """Concatenation product, extended bilinearly."""
-        self._require_same_field(other)
-        f = self.field
-        terms: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                word = w1 + w2
-                acc = f.add(terms.get(word, f.zero), f.mul(c1, c2))
-                if f.is_zero(acc):
-                    terms.pop(word, None)
-                else:
-                    terms[word] = acc
-        return FreePoly(f, terms)
-
-    def scale(self, value: Coefficient) -> "FreePoly":
-        f = self.field
-        if f.is_zero(value):
-            return FreePoly.zero(f)
-        return FreePoly(f, {w: f.mul(value, c) for w, c in self.terms.items()})
-
-    def scale_int(self, value: int) -> "FreePoly":
-        return self.scale(self.field.from_int(value))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self) -> list[tuple[Word, Coefficient]]:
-        return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FreePoly):
-            return NotImplemented
-        return self.field == other.field and self.terms == other.terms
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"FreePoly({self.field}, {self.sorted_terms()!r})"
 
 
 def is_multihomogeneous(f: FreePoly) -> bool:
@@ -187,26 +109,7 @@ def format_word(group: Group, word: Word) -> str:
 
 
 def format_polynomial(group: Group, f: FreePoly) -> str:
-    if f.is_zero():
-        return "0"
-    fld = f.field
-    chunks: list[str] = []
-    for word, c in f.sorted_terms():
-        coeff_text = fld.format(c)
-        negative = coeff_text.startswith("-")
-        magnitude = coeff_text[1:] if negative else coeff_text
-        body = format_word(group, word) if word else None
-        if body is None:
-            piece = magnitude
-        elif magnitude == "1":
-            piece = body
-        else:
-            piece = f"{magnitude}*{body}"
-        if not chunks:
-            chunks.append(f"-{piece}" if negative else piece)
-        else:
-            chunks.append(f"- {piece}" if negative else f"+ {piece}")
-    return " ".join(chunks)
+    return f.render(lambda word: format_word(group, word))
 
 
 # ---------------------------------------------------------------------------

@@ -317,12 +317,17 @@ def validate_cayley(
     return None
 
 
+_LABEL_SEPARATORS = ";,()"
+
+
 @dataclass(frozen=True)
 class CayleyGroup(Group):
     """Finite group given by labels and a validated multiplication table.
 
     Elements are label indices 0..n-1; the label text is used only for
-    parsing and formatting.
+    parsing and formatting.  Labels must be nonempty and free of
+    whitespace, ';', ',', '(' and ')', so that they read back from every
+    literal that holds them: x[label;i], product tuples, degree lists.
     """
 
     names: tuple[str, ...]
@@ -330,6 +335,12 @@ class CayleyGroup(Group):
 
     def __init__(self, names: Sequence[str], table: Sequence[Sequence[int]]) -> None:
         names = tuple(str(x) for x in names)
+        for label in names:
+            if not label or any(ch.isspace() or ch in _LABEL_SEPARATORS for ch in label):
+                raise ValueError(
+                    f"cayley label {label!r} would not read back: labels must be "
+                    f"nonempty, without whitespace or any of {_LABEL_SEPARATORS!r}"
+                )
         table = tuple(tuple(row) for row in table)
         violation = validate_cayley(names, table)
         if violation is not None:

@@ -77,15 +77,14 @@ def _distance_to_dead(table: dict[State, dict[Element, State]]) -> dict[State, i
 
 
 def enumerate_monomial_identities(
-    grading: Grading, max_len: int, minimal_only: bool = False
+    grading: Grading, max_len: int
 ) -> list[tuple[Element, ...]]:
     """Identity degree sequences over the support, up to max_len.
 
     Depth-first over the support alphabet with exact pruning: an identity
     prefix subsumes all of its extensions, and subtrees from which the dead
     state is out of reach within the remaining budget are skipped.  Output
-    is in lexicographic order.  With minimal_only, sequences failing the
-    minimality filter (see `is_minimal_identity`) are dropped.
+    is in lexicographic order.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
@@ -109,8 +108,6 @@ def enumerate_monomial_identities(
     start = initial_state(grading)
     if dist.get(start, max_len + 1) <= max_len:
         walk(start, ())
-    if minimal_only:
-        out = [seq for seq in out if is_minimal_identity(grading, seq)]
     return out
 
 

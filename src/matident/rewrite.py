@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Union
 
-from .commpoly import RATIONALS, Field, Poly
+from .commpoly import Field, Poly
 from .freealg import (
     FreePoly,
     Word,
@@ -148,13 +148,13 @@ def check_equivalence_certificate(grading: Grading, cert: EquivalenceCertificate
     current = tuple(cert.start)
     if not current:
         return CheckResult(False, "start word is empty")
-    reference = word_product_closed(grading, RATIONALS, current)
+    reference = word_product_closed(grading, current)
     for idx, step in enumerate(cert.steps):
         try:
             current = apply_step(group, current, step)
         except StepError as exc:
             return CheckResult(False, f"step {idx}: {exc}")
-        if word_product_closed(grading, RATIONALS, current) != reference:
+        if word_product_closed(grading, current) != reference:
             return CheckResult(False, f"step {idx}: generic evaluation changed")
     if current != tuple(cert.end):
         return CheckResult(False, "replayed word does not match the recorded end")
@@ -220,8 +220,7 @@ def derive_equivalence(grading: Grading, m: Word, n: Word) -> EquivalenceCertifi
         match = matching_entry(grading, msuf, nsuf)
         if match is None:
             raise AssertionError("shared entry lost while stripping aligned letters")
-        perm = matching_permutation(grading, msuf, nsuf, match.position)
-        sigma = perm.sigma
+        sigma = matching_permutation(grading, msuf, nsuf, match.position)
         a = sigma.index(1) + 1
         side, step = _alignment_step(group, msuf, nsuf, sigma, a)
         step = step.shifted(p)
@@ -333,11 +332,7 @@ def certify_membership(
     pairings: list[Pairing] = []
     while True:
         target = next(
-            (
-                idx
-                for idx, (word, _) in enumerate(work)
-                if not word_product_closed(grading, field, word).is_zero()
-            ),
+            (idx for idx, (word, _) in enumerate(work) if word_product_closed(grading, word)),
             None,
         )
         if target is None:

@@ -1,8 +1,9 @@
 """Shared fixtures: gradings, random generators, and independent oracles.
 
-The oracles here deliberately avoid the chain-based evaluation path: matrix
-products are computed entry by entry, and monomial identities are decided
-by exhaustive matrix-unit substitution.
+The oracles here deliberately avoid the chain-based evaluation path: chains
+are walked with one group operation per step instead of the grading's step
+tables, generic matrices are multiplied entry by entry, and monomial
+identities are decided by exhaustive matrix-unit substitution.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from matident import (
     ProductGroup,
 )
 from matident.cli import main
-from matident.generic import GenericMatrix, word_product_direct
+from matident.commpoly import Poly, YVar
+from matident.freealg import word_degree
+from matident.generic import GenericMatrix, word_product_closed
 
 
 def s3_group() -> CayleyGroup:
@@ -64,12 +67,99 @@ def run_cli(argv) -> tuple[int, str, str]:
 # independent oracles
 
 
-def evaluate_direct(grading: Grading, f: FreePoly) -> GenericMatrix:
+class OracleMatrix(GenericMatrix):
+    """A generic matrix with the ring operations of the direct-product oracle."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, field, n: int) -> "OracleMatrix":
+        return cls(field, n, {})
+
+    def entry(self, i: int, j: int) -> Poly:
+        return self.entries.get((i, j), Poly.zero(self.field))
+
+    def __add__(self, other: "OracleMatrix") -> "OracleMatrix":
+        if self.n != other.n or self.field != other.field:
+            raise ValueError("matrix shape or field mismatch")
+        entries = dict(self.entries)
+        for pos, p in other.entries.items():
+            acc = entries.get(pos)
+            entries[pos] = p if acc is None else acc + p
+        return OracleMatrix(self.field, self.n, entries)
+
+    def __matmul__(self, other: "OracleMatrix") -> "OracleMatrix":
+        if self.n != other.n or self.field != other.field:
+            raise ValueError("matrix shape or field mismatch")
+        by_row: dict = {}
+        for (k, j), q in other.entries.items():
+            by_row.setdefault(k, []).append((j, q))
+        entries: dict = {}
+        for (i, k), p in self.entries.items():
+            for j, q in by_row.get(k, ()):
+                acc = entries.get((i, j))
+                prod = p * q
+                entries[(i, j)] = prod if acc is None else acc + prod
+        return OracleMatrix(self.field, self.n, entries)
+
+    def scale(self, value) -> "OracleMatrix":
+        return OracleMatrix(
+            self.field, self.n, {pos: p.scale(value) for pos, p in self.entries.items()}
+        )
+
+
+def generic_matrix(grading: Grading, field, h, index: int) -> OracleMatrix:
+    """The degree-h generic matrix with generic index `index`.
+
+    One variable y[h;index;k] at (k, s) per row k whose degree-h unit
+    E_{k,s} exists, found by `naive_step`; the zero matrix exactly when
+    the degree-h component vanishes.
+    """
+    if index < 1:
+        raise ValueError(f"generic index must be >= 1, got {index}")
+    entries: dict = {}
+    for k in range(1, grading.n + 1):
+        s = naive_step(grading, k, h)
+        if s is not None:
+            entries[(k, s)] = Poly.variable(field, YVar(h, index, k))
+    return OracleMatrix(field, grading.n, entries)
+
+
+def word_product_direct(grading: Grading, field, word) -> OracleMatrix:
+    """Left-to-right product of the letters' generic matrices."""
+    if not word:
+        raise ValueError("cannot evaluate the empty word")
+    result = generic_matrix(grading, field, word[0].degree, word[0].index)
+    for v in word[1:]:
+        result = result @ generic_matrix(grading, field, v.degree, v.index)
+    return result
+
+
+def closed_matrix(grading: Grading, field, word) -> OracleMatrix:
+    """The engine's closed-form word evaluation as a matrix of one-term polynomials."""
+    closed = word_product_closed(grading, word)
+    return OracleMatrix(
+        field, grading.n, {pos: Poly.monomial(field, mono) for pos, mono in closed.items()}
+    )
+
+
+def evaluate_direct(grading: Grading, f: FreePoly) -> OracleMatrix:
     """Evaluation through plain matrix products (no chain shortcuts)."""
-    result = GenericMatrix.zero(f.field, grading.n)
+    result = OracleMatrix.zero(f.field, grading.n)
     for word, coeff in f.terms.items():
         result = result + word_product_direct(grading, f.field, word).scale(coeff)
     return result
+
+
+def alpha_checks(grading: Grading, m, n, sigma) -> tuple[bool, ...]:
+    """The degree condition of a letter matching n = (m permuted by sigma),
+    position by position: n's first l-1 letters have the degree of m's
+    first sigma(l)-1 letters."""
+    group = grading.group
+    return tuple(
+        word_degree(group, n[: l - 1]) == word_degree(group, m[: sigma[l - 1] - 1])
+        for l in range(1, len(n) + 1)
+    )
 
 
 def units_of_degree(grading: Grading, h) -> list[tuple[int, int]]:

@@ -16,14 +16,10 @@ from matident import (
     PrimeField,
 )
 from matident.freealg import is_multihomogeneous, multihomogeneous_components
-from matident.generic import (
-    evaluate,
-    is_graded_identity,
-    word_product_closed,
-    word_product_direct,
-)
+from matident.generic import evaluate, is_graded_identity
 from matident.monomials import (
     enumerate_monomial_identities,
+    is_minimal_identity,
     length_bounds,
     shortest_monomial_identity,
 )
@@ -37,6 +33,7 @@ from matident.rewrite import (
 )
 
 from helpers import (
+    closed_matrix,
     evaluate_direct,
     random_chain_word,
     random_neutral_word,
@@ -46,6 +43,7 @@ from helpers import (
     s3_group,
     sequence_vanishes_by_units,
     suite_gradings,
+    word_product_direct,
     z2z2_group,
 )
 
@@ -108,7 +106,7 @@ def test_c2_closed_form_matches_direct_products():
     for grading in suite_gradings():
         for _ in range(1000):
             w = random_word(rng, grading, 6)
-            if word_product_closed(grading, RATIONALS, w) != word_product_direct(
+            if closed_matrix(grading, RATIONALS, w) != word_product_direct(
                 grading, RATIONALS, w
             ):
                 failures.append(f"{grading.group}: mismatch on {w}")
@@ -132,7 +130,11 @@ def test_c4_partial_support_shortest_and_minimal_set():
     grading = Grading(CyclicGroup(4), 2, (0, 1))
     if shortest_monomial_identity(grading) != (2, (1, 1)):
         failures.append("shortest is not length 2 with witness (1,1)")
-    minimal = enumerate_monomial_identities(grading, 2, minimal_only=True)
+    minimal = [
+        seq
+        for seq in enumerate_monomial_identities(grading, 2)
+        if is_minimal_identity(grading, seq)
+    ]
     if minimal != [(1, 1), (3, 3)]:
         failures.append(f"minimal length-2 set is {minimal}")
     for seq in minimal:

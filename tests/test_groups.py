@@ -10,6 +10,7 @@ from matident import (
     group_from_config,
     validate_cayley,
 )
+from matident.freealg import GVar, format_word, parse_word
 from matident.groups import element_from_json
 
 from helpers import s3_group, z2z2_group
@@ -101,6 +102,21 @@ def test_validate_dimension_mismatch_raises():
 def test_cayley_constructor_rejects_bad_table():
     with pytest.raises(ValueError, match="identity"):
         CayleyGroup(list("abc"), [[1, 2, 0], [0, 1, 2], [2, 0, 1]])
+
+
+@pytest.mark.parametrize("label", ["a;b", " a", "a ", "a b", "a\tb", "a,b", "(a", "a)", ""])
+def test_cayley_rejects_labels_that_do_not_read_back(label):
+    with pytest.raises(ValueError, match="would not read back"):
+        CayleyGroup(["e", label], [[0, 1], [1, 0]])
+
+
+def test_cayley_labels_read_back_from_words_and_products():
+    z2 = CayleyGroup(["e", "g[1]*"], [[0, 1], [1, 0]])
+    word = (GVar(1, 1), GVar(0, 2))
+    assert format_word(z2, word) == "x[g[1]*;1]*x[e;2]"
+    assert parse_word(format_word(z2, word), z2) == word
+    pair = ProductGroup([z2, z2])
+    assert pair.parse(pair.format((1, 0))) == (1, 0)
 
 
 @pytest.mark.parametrize(
