@@ -9,17 +9,20 @@ zero matrix (for gradings with pairwise-distinct tuple entries).
 
 A word's evaluation is read off the chain structure, never multiplied
 out: `word_product_closed` gives one monomial, with coefficient 1, at
-(start row, end row) for every surviving chain.  `evaluate`, the identity
-decision, `matching_entry` and the certificate code are built on that
-map.  The direct matrix-product oracle that checks it is in
-`tests/helpers.py`.
+(start row, end row) for every surviving chain.  `evaluate` and the
+identity decision sum those maps through `sum_evaluations`, which the
+certificate code shares.  Two words carry the same monomial at a position
+exactly when a letter matching pairs their letters row by row along the
+two chains from that start row; `first_shared_entry` tests that on the
+chains alone, without building monomials.  The direct matrix-product
+oracle that checks all of this is in `tests/helpers.py`.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .commpoly import Field, Monomial, Poly, YVar, accumulate, render_poly
+from .commpoly import Coefficient, Field, Monomial, Poly, YVar, accumulate, render_poly
 from .freealg import FreePoly, Word, degree_sequence
 from .grading import Grading
 
@@ -76,6 +79,15 @@ class GenericMatrix:
         return f"GenericMatrix(n={self.n}, entries={len(self.entries)})"
 
 
+def _chain_monomial(word: Word, path: Sequence[int]) -> Monomial:
+    """The monomial collecting one variable per letter along a row path."""
+    exps: dict = {}
+    for v, row in zip(word, path):
+        var = YVar(v.degree, v.index, row)
+        exps[var] = exps.get(var, 0) + 1
+    return tuple(sorted(exps.items()))
+
+
 def word_product_closed(grading: Grading, word: Word) -> dict[tuple[int, int], Monomial]:
     """A word's generic evaluation as {(start row, end row): monomial}.
 
@@ -88,15 +100,22 @@ def word_product_closed(grading: Grading, word: Word) -> dict[tuple[int, int], M
     if not word:
         raise ValueError("cannot evaluate the empty word")
     ls = grading.lset(degree_sequence(word))
-    entries: dict = {}
-    for k in ls.starts:
-        path = ls.paths[k]
-        exps: dict = {}
-        for v, row in zip(word, path):
-            var = YVar(v.degree, v.index, row)
-            exps[var] = exps.get(var, 0) + 1
-        entries[(k, path[-1])] = tuple(sorted(exps.items()))
-    return entries
+    return {(k, ls.paths[k][-1]): _chain_monomial(word, ls.paths[k]) for k in ls.starts}
+
+
+def sum_evaluations(
+    field: Field, n: int, weighted: Iterable[tuple[dict, Coefficient]]
+) -> GenericMatrix:
+    """Add each coefficient at every monomial of its word evaluation.
+
+    `weighted` yields (word_product_closed map, coefficient) pairs; the
+    result is the n x n generic matrix of their sum.
+    """
+    acc: dict = {}
+    for entries, coeff in weighted:
+        for pos, mono in entries.items():
+            accumulate(field, acc.setdefault(pos, {}), mono, coeff)
+    return GenericMatrix(field, n, {pos: Poly(field, t) for pos, t in acc.items()})
 
 
 def evaluate(grading: Grading, f: FreePoly) -> GenericMatrix:
@@ -108,14 +127,13 @@ def evaluate(grading: Grading, f: FreePoly) -> GenericMatrix:
     variable per row, so they raise DistinctTupleError.
     """
     require_distinct(grading)
-    field = f.field
-    acc: dict = {}
-    for word, coeff in f.terms.items():
-        if not word:
-            raise ValueError("polynomial has a term with the empty word")
-        for pos, mono in word_product_closed(grading, word).items():
-            accumulate(field, acc.setdefault(pos, {}), mono, coeff)
-    return GenericMatrix(field, grading.n, {pos: Poly(field, t) for pos, t in acc.items()})
+    if () in f.terms:
+        raise ValueError("polynomial has a term with the empty word")
+    return sum_evaluations(
+        f.field,
+        grading.n,
+        ((word_product_closed(grading, word), coeff) for word, coeff in f.terms.items()),
+    )
 
 
 def is_graded_identity(grading: Grading, f: FreePoly) -> bool:
@@ -125,6 +143,58 @@ def is_graded_identity(grading: Grading, f: FreePoly) -> bool:
     other gradings raise DistinctTupleError.
     """
     return evaluate(grading, f).is_zero()
+
+
+def _letter_matching(
+    m: Word, n: Word, path_m: Sequence[int], path_n: Sequence[int]
+) -> Optional[tuple[int, ...]]:
+    """The lexicographically least letter matching along two chains.
+
+    Returns sigma with `sigma[l-1]` the 1-based position in m of n's l-th
+    letter, pairing equal letters on equal chain rows, or None when no
+    such matching exists.  A matching exists exactly when the two chains
+    carry the same monomial.
+    """
+    if len(m) != len(n):
+        return None
+    # n's l-th letter takes the least unused m-position with the same letter
+    # and the same chain row; greedy least choice is lexicographically least.
+    slots: dict[tuple, list[int]] = {}
+    for a in range(len(m), 0, -1):
+        slots.setdefault((m[a - 1], path_m[a - 1]), []).append(a)
+    sigma: list[int] = []
+    for key in zip(n, path_n):
+        bucket = slots.get(key)
+        if not bucket:
+            return None
+        sigma.append(bucket.pop())
+    return tuple(sigma)
+
+
+class SharedEntry(NamedTuple):
+    position: tuple[int, int]
+    path: tuple[int, ...]  # the first word's chain from the entry's start row
+    sigma: tuple[int, ...]
+
+
+def first_shared_entry(grading: Grading, m: Word, n: Word) -> Optional[SharedEntry]:
+    """Row-major first position where m and n carry the same monomial.
+
+    Each word's chain set is computed once.  A start row is tried only
+    when both chains survive it and end in the same column, and it is
+    decided by the letter matching there, so no monomial is built.
+    """
+    ls_m = grading.lset(degree_sequence(m))
+    ls_n = grading.lset(degree_sequence(n))
+    for k in ls_m.starts:
+        path_m = ls_m.paths[k]
+        path_n = ls_n.paths.get(k)
+        if path_n is None or path_n[-1] != path_m[-1]:
+            continue
+        sigma = _letter_matching(m, n, path_m, path_n)
+        if sigma is not None:
+            return SharedEntry(position=(k, path_m[-1]), path=path_m, sigma=sigma)
+    return None
 
 
 class MatchingEntry(NamedTuple):
@@ -139,12 +209,10 @@ def matching_entry(grading: Grading, m: Word, n: Word) -> Optional[MatchingEntry
     """
     if not m or not n:
         raise ValueError("matching entries are defined for nonempty words only")
-    em = word_product_closed(grading, m)
-    en = word_product_closed(grading, n)
-    for pos in sorted(em.keys() & en.keys()):
-        if em[pos] == en[pos]:
-            return MatchingEntry(position=pos, monomial=em[pos])
-    return None
+    shared = first_shared_entry(grading, m, n)
+    if shared is None:
+        return None
+    return MatchingEntry(position=shared.position, monomial=_chain_monomial(m, shared.path))
 
 
 def matching_permutation(
@@ -169,18 +237,7 @@ def matching_permutation(
         raise ValueError(f"chains from row {k} do not end in column {col}")
     if len(m) != len(n):
         raise ValueError("words with a shared entry must have equal length")
-
-    # n's l-th letter must match an unused m-position with the same letter
-    # and the same chain row; greedy least choice is lexicographically least.
-    slots: dict[tuple, list[int]] = {}
-    for a in range(len(m), 0, -1):
-        key = (m[a - 1], path_m[a - 1])
-        slots.setdefault(key, []).append(a)
-    sigma: list[int] = []
-    for l in range(1, len(n) + 1):
-        key = (n[l - 1], path_n[l - 1])
-        bucket = slots.get(key)
-        if not bucket:
-            raise ValueError(f"letter {l} of the second word has no partner in the first")
-        sigma.append(bucket.pop())
-    return tuple(sigma)
+    sigma = _letter_matching(m, n, path_m, path_n)
+    if sigma is None:
+        raise ValueError(f"the words carry different monomials at ({k},{col})")
+    return sigma

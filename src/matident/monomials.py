@@ -10,8 +10,9 @@ pruning for the exhaustive enumerator.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .grading import Grading
 from .groups import Element
@@ -189,9 +190,28 @@ def shortest_monomial_identity(
     return None
 
 
+MAX_PRINTED_DIGITS = 4300
+
+
 class LengthBounds(NamedTuple):
-    support_bound: int  # 4*s^(2s+2) with s = |support|
-    size_bound: int     # 4*n^(4*(n^2+1))
+    """Each cap is an int when it has at most MAX_PRINTED_DIGITS decimal
+    digits, and otherwise its power form as text, such as "4*28^3140"."""
+
+    support_bound: Union[int, str]  # 4*s^(2s+2) with s = |support|
+    size_bound: Union[int, str]     # 4*n^(4*(n^2+1))
+
+
+def _four_times_power(base: int, exponent: int) -> Union[int, str]:
+    """4*base^exponent, exact when short enough to print, else its text.
+
+    The digit count is read from a float logarithm, so an integer too long
+    to print is never built.  Both caps grow with s and n, and the ones
+    nearest the limit (s = 747 and 748, n = 27 and 28) lie 0.9 or more
+    from it on the log10 scale, far beyond float error.
+    """
+    if math.log10(4) + exponent * math.log10(base) >= MAX_PRINTED_DIGITS:
+        return f"4*{base}^{exponent}"
+    return 4 * base**exponent
 
 
 def length_bounds(grading: Grading) -> LengthBounds:
@@ -199,6 +219,6 @@ def length_bounds(grading: Grading) -> LengthBounds:
     s = len(grading.support())
     n = grading.n
     return LengthBounds(
-        support_bound=4 * s ** (2 * s + 2),
-        size_bound=4 * n ** (4 * (n * n + 1)),
+        support_bound=_four_times_power(s, 2 * s + 2),
+        size_bound=_four_times_power(n, 4 * (n * n + 1)),
     )

@@ -13,10 +13,17 @@ terms through equivalence certificates until every remaining term is a
 monomial identity on its own.  Verifiers recompute every side condition
 and every evaluation from scratch, so checking is independent of how a
 certificate was produced.
+
+Certifying evaluates each term once and finds every pairing by lookup in
+an index of evaluation entries, and each derivation step computes one
+chain set per word suffix.  Apart from the working-list rebuild that
+`_merge_terms` shares with the checker, certify cost is linear in the
+term count plus the derivations.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Union
 
@@ -34,10 +41,10 @@ from .freealg import (
     word_degree,
 )
 from .generic import (
-    evaluate,
+    first_shared_entry,
     matching_entry,
-    matching_permutation,
     require_distinct,
+    sum_evaluations,
     word_product_closed,
 )
 from .grading import Grading
@@ -198,9 +205,11 @@ def derive_equivalence(grading: Grading, m: Word, n: Word) -> EquivalenceCertifi
 
     Requires a shared nonzero entry (and a distinct-entry grading).  The
     derivation aligns one letter at a time: recover the letter matching of
-    the unaligned suffixes, rotate whichever side the matching dictates so
-    the leading letters agree, and strip.  Rotations applied to the m side
-    are appended to the certificate inverted, so the replay runs n to m.
+    the unaligned suffixes at their row-major first shared entry (one chain
+    set per suffix and step), rotate whichever side the matching dictates
+    so the leading letters agree, and strip.  Rotations applied to the m
+    side are appended to the certificate inverted, so the replay runs n to
+    m.
     """
     require_distinct(grading)
     m = tuple(m)
@@ -217,10 +226,10 @@ def derive_equivalence(grading: Grading, m: Word, n: Word) -> EquivalenceCertifi
             p += 1
             continue
         msuf, nsuf = m_cur[p:], n_cur[p:]
-        match = matching_entry(grading, msuf, nsuf)
-        if match is None:
+        shared = first_shared_entry(grading, msuf, nsuf)
+        if shared is None:
             raise AssertionError("shared entry lost while stripping aligned letters")
-        sigma = matching_permutation(grading, msuf, nsuf, match.position)
+        sigma = shared.sigma
         a = sigma.index(1) + 1
         side, step = _alignment_step(group, msuf, nsuf, sigma, a)
         step = step.shifted(p)
@@ -280,11 +289,11 @@ class NonIdentityWitness:
 
 
 def _justify_zero_word(grading: Grading, word: Word) -> Justification:
+    """Why a word whose evaluation is empty vanishes: a letter of a degree
+    outside the support, or else an empty chain set."""
     for idx, letter in enumerate(word, start=1):
         if grading.component_dimension(letter.degree) == 0:
             return Justification(JUSTIFY_OUTSIDE_SUPPORT, letter=idx)
-    if not grading.lset(degree_sequence(word)).is_empty:
-        raise AssertionError("term does not vanish; nothing to justify")
     return Justification(JUSTIFY_EMPTY_LSET)
 
 
@@ -305,51 +314,80 @@ def _merge_terms(
     return out
 
 
+def _least_live_after(carriers: list[int], target: int, alive: list[bool]) -> Optional[int]:
+    """The least live term id above the target in a descending id list.
+
+    Ids at or below the target, and dead ones, can never be chosen again
+    (the target only moves up), so they are popped for good.
+    """
+    while carriers and (carriers[-1] <= target or not alive[carriers[-1]]):
+        carriers.pop()
+    return carriers[-1] if carriers else None
+
+
 def certify_membership(
     grading: Grading, f: FreePoly
 ) -> Union[MembershipCertificate, NonIdentityWitness]:
     """Certify a multihomogeneous identity, or witness the failure.
 
     When f evaluates to zero the cancellation loop runs: take the first
-    term whose own evaluation is nonzero, find a later term sharing a
-    nonzero entry (one must exist, since the full sum cancels), record the
-    equivalence certificate between the two words, and merge.  Terms left
-    at the end vanish individually and are recorded with their reason.
+    term whose own evaluation is nonzero, find the first later term
+    sharing a nonzero entry (one must exist, since the full sum cancels),
+    record the equivalence certificate between the two words, and merge.
+    Terms left at the end vanish individually and are recorded with their
+    reason.
+
+    Each word is evaluated once, and the zero test and the witness read
+    the same maps.  Terms keep the ids of their sorted order, and an index
+    maps every ((row, end row), monomial) entry to the ids carrying it, so
+    the target is the next live id with a nonempty evaluation and the
+    source the least live id after it under any of its entries.  Pairings
+    record ranks in the working list, which `_merge_terms` keeps exactly
+    as the checker replays it.
     """
     require_distinct(grading)
     if not is_multihomogeneous(f):
         raise ValueError("input must be multihomogeneous; decompose first")
-    for word in f.terms:
+    field = f.field
+    work: list[tuple[Word, Any]] = f.sorted_terms()
+    for word, _ in work:
         if not word:
             raise ValueError("polynomial has a term with the empty word")
-    total = evaluate(grading, f)
+    evals = [word_product_closed(grading, word) for word, _ in work]
+    total = sum_evaluations(field, grading.n, zip(evals, (coeff for _, coeff in work)))
     if not total.is_zero():
         position, entry = total.first_nonzero()
         return NonIdentityWitness(position=position, entry=entry)
 
-    field = f.field
-    work: list[tuple[Word, Any]] = f.sorted_terms()
+    carriers: dict = {}
+    for tid in range(len(evals) - 1, -1, -1):
+        for entry in evals[tid].items():
+            carriers.setdefault(entry, []).append(tid)
+    alive = [True] * len(work)
+    live = list(range(len(work)))  # ids of the working list, in order
     pairings: list[Pairing] = []
+    target = 0
     while True:
-        target = next(
-            (idx for idx, (word, _) in enumerate(work) if word_product_closed(grading, word)),
-            None,
-        )
-        if target is None:
+        while target < len(evals) and not (alive[target] and evals[target]):
+            target += 1
+        if target == len(evals):
             break
-        source = next(
-            (
-                idx
-                for idx in range(target + 1, len(work))
-                if matching_entry(grading, work[target][0], work[idx][0]) is not None
-            ),
-            None,
-        )
+        found = [
+            _least_live_after(carriers[entry], target, alive)
+            for entry in evals[target].items()
+        ]
+        source = min((tid for tid in found if tid is not None), default=None)
         if source is None:
             raise AssertionError("zero sum with an uncancellable term")
-        cert = derive_equivalence(grading, work[target][0], work[source][0])
-        pairings.append(Pairing(target=target, source=source, certificate=cert))
-        work = _merge_terms(field, work, target, source)
+        rt, rs = bisect_left(live, target), bisect_left(live, source)
+        cert = derive_equivalence(grading, work[rt][0], work[rs][0])
+        pairings.append(Pairing(target=rt, source=rs, certificate=cert))
+        work = _merge_terms(field, work, rt, rs)
+        del live[rs]
+        alive[source] = False
+        if len(work) < len(live):  # the merged coefficient vanished
+            del live[rt]
+            alive[target] = False
 
     residual = tuple(
         ResidualTerm(word, coeff, _justify_zero_word(grading, word)) for word, coeff in work

@@ -3,7 +3,10 @@
 The oracles here deliberately avoid the chain-based evaluation path: chains
 are walked with one group operation per step instead of the grading's step
 tables, generic matrices are multiplied entry by entry, and monomial
-identities are decided by exhaustive matrix-unit substitution.
+identities are decided by exhaustive matrix-unit substitution.  The
+certify oracle is the algorithm the indexed loop replaced: linear scans for
+every target and source, and a derivation that recovers each step's letter
+matching through the public matching functions.
 """
 
 from __future__ import annotations
@@ -21,11 +24,32 @@ from matident import (
     Grading,
     GVar,
     ProductGroup,
+    RATIONALS,
 )
 from matident.cli import main
 from matident.commpoly import Poly, YVar
 from matident.freealg import word_degree
-from matident.generic import GenericMatrix, word_product_closed
+from matident.generic import (
+    GenericMatrix,
+    evaluate,
+    matching_entry,
+    matching_permutation,
+    require_distinct,
+    word_product_closed,
+)
+from matident.rewrite import (
+    JUSTIFY_EMPTY_LSET,
+    JUSTIFY_OUTSIDE_SUPPORT,
+    EquivalenceCertificate,
+    Justification,
+    MembershipCertificate,
+    NonIdentityWitness,
+    Pairing,
+    ResidualTerm,
+    _alignment_step,
+    _merge_terms,
+    apply_step,
+)
 
 
 def s3_group() -> CayleyGroup:
@@ -210,6 +234,83 @@ def naive_transition(grading: Grading, state, h) -> frozenset:
     )
 
 
+def derive_equivalence_stepwise(grading: Grading, m, n) -> EquivalenceCertificate:
+    """`derive_equivalence` with the letter matching of every alignment step
+    recovered through the public `matching_entry` and `matching_permutation`
+    (two evaluations and two more chain sets per step)."""
+    require_distinct(grading)
+    m, n = tuple(m), tuple(n)
+    if matching_entry(grading, m, n) is None:
+        raise ValueError("words do not share a nonzero entry; no derivation exists")
+    group = grading.group
+    m_cur, n_cur = m, n
+    m_steps: list = []
+    n_steps: list = []
+    p = 0
+    while p < len(m_cur):
+        if m_cur[p] == n_cur[p]:
+            p += 1
+            continue
+        msuf, nsuf = m_cur[p:], n_cur[p:]
+        match = matching_entry(grading, msuf, nsuf)
+        assert match is not None, "shared entry lost while stripping aligned letters"
+        sigma = matching_permutation(grading, msuf, nsuf, match.position)
+        side, step = _alignment_step(group, msuf, nsuf, sigma, sigma.index(1) + 1)
+        step = step.shifted(p)
+        if side == "n":
+            n_cur = apply_step(group, n_cur, step)
+            n_steps.append(step)
+        else:
+            m_cur = apply_step(group, m_cur, step)
+            m_steps.append(step)
+    assert m_cur == n_cur, "alignment finished on different words"
+    steps = tuple(n_steps) + tuple(s.inverse() for s in reversed(m_steps))
+    return EquivalenceCertificate(start=n, steps=steps, end=m)
+
+
+def certify_membership_linear(grading: Grading, f: FreePoly):
+    """`certify_membership` by linear scans: each pairing re-evaluates the
+    working list up to the first term with a nonzero evaluation (the
+    target) and calls `matching_entry` on every later term until one shares
+    an entry (the source).  The oracle for the indexed loop."""
+    total = evaluate(grading, f)
+    if not total.is_zero():
+        position, entry = total.first_nonzero()
+        return NonIdentityWitness(position=position, entry=entry)
+    work = f.sorted_terms()
+    pairings = []
+    while True:
+        target = next(
+            (idx for idx, (word, _) in enumerate(work) if word_product_closed(grading, word)),
+            None,
+        )
+        if target is None:
+            break
+        source = next(
+            idx
+            for idx in range(target + 1, len(work))
+            if matching_entry(grading, work[target][0], work[idx][0]) is not None
+        )
+        cert = derive_equivalence_stepwise(grading, work[target][0], work[source][0])
+        pairings.append(Pairing(target=target, source=source, certificate=cert))
+        work = _merge_terms(f.field, work, target, source)
+    residual = []
+    for word, coeff in work:
+        assert not naive_lset(grading, [v.degree for v in word])[0]
+        outside = [
+            idx
+            for idx, v in enumerate(word, start=1)
+            if not units_of_degree(grading, v.degree)
+        ]
+        why = (
+            Justification(JUSTIFY_OUTSIDE_SUPPORT, letter=outside[0])
+            if outside
+            else Justification(JUSTIFY_EMPTY_LSET)
+        )
+        residual.append(ResidualTerm(word, coeff, why))
+    return MembershipCertificate(input=f, pairings=tuple(pairings), residual=tuple(residual))
+
+
 # ---------------------------------------------------------------------------
 # random generators (all deterministic through an explicit Random)
 
@@ -311,3 +412,104 @@ def random_swappable_word(rng: random.Random, grading: Grading, index_pool: int 
         )
     tail = random_chain_word(rng, grading, rng.randint(1, 2), start=start, index_pool=index_pool)
     return tuple(itertools.chain.from_iterable(blocks)) + tail
+
+
+def zero_sum(rng: random.Random, count: int) -> list[int]:
+    """`count` nonzero small integers summing to zero (count >= 2)."""
+    while True:
+        coeffs = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(count - 1)]
+        if sum(coeffs):
+            return coeffs + [-sum(coeffs)]
+
+
+def random_swap(rng: random.Random, group, word):
+    """One random neutral or conjugate swap, or the word itself.
+
+    Cut points come from positions of equal prefix degree: blocks between
+    three such positions have neutral degree, and p|u|t|v|q with equal
+    prefixes before u and before v, and after u and after v, is a
+    conjugate factorization.
+    """
+    prefix = [group.identity()]
+    for v in word:
+        prefix.append(group.op(prefix[-1], v.degree))
+    at: dict = {}
+    for pos, value in enumerate(prefix):
+        at.setdefault(value, []).append(pos)
+    pairs = [(i, k) for cuts in at.values() for i in cuts for k in cuts if k - i >= 2]
+    if not pairs:
+        return word
+    i, k = rng.choice(pairs)
+    j = rng.randint(i + 1, k - 1)
+    if prefix[j] == prefix[i]:
+        return word[:i] + word[j:k] + word[i:j] + word[k:]
+    later = [l for l in at[prefix[j]] if l > k]
+    if not later:
+        return word
+    l = rng.choice(later)
+    return word[:i] + word[k:l] + word[j:k] + word[i:j] + word[l:]
+
+
+def swap_class(rng: random.Random, group, word, size: int) -> list:
+    """Up to `size` distinct words reached from `word` by random swaps."""
+    seen = {word}
+    for _ in range(4 * size):
+        word = random_swap(rng, group, word)
+        seen.add(word)
+    found = sorted(seen)
+    rng.shuffle(found)
+    return found[:size]
+
+
+def random_identity_component(
+    rng: random.Random,
+    grading: Grading,
+    field,
+    classes: int,
+    per_class: int,
+    vanishing: int = 0,
+    index_pool: int = 3,
+) -> FreePoly:
+    """A multihomogeneous identity: permutations of one letter multiset.
+
+    Each class is a random permutation with a nonzero evaluation and swap
+    variants of it, with integer coefficients summing to zero (a sum that
+    may also vanish only in the field's characteristic).  Up to
+    `vanishing` permutations with an empty chain set get arbitrary
+    coefficients.  Repeated letters come from the small index pool.
+    """
+    letters = random_swappable_word(rng, grading, index_pool=index_pool)
+    terms: dict = {}
+
+    def permutations():
+        return (tuple(rng.sample(letters, len(letters))) for _ in range(20))
+
+    for _ in range(classes):
+        base = next((w for w in permutations() if word_product_closed(grading, w)), letters)
+        words = swap_class(rng, grading.group, base, per_class)
+        if len(words) >= 2:
+            for word, c in zip(words, zero_sum(rng, len(words))):
+                terms[word] = terms.get(word, 0) + c
+    for _ in range(vanishing):
+        word = next((w for w in permutations() if not word_product_closed(grading, w)), None)
+        if word is not None:
+            terms[word] = terms.get(word, 0) + rng.randint(1, 5)
+    return FreePoly.from_terms(field, ((w, field.from_int(c)) for w, c in terms.items()))
+
+
+def z4_sweep_component(terms: int, seed: int = 7, length: int = 14, per_class: int = 10) -> FreePoly:
+    """A multilinear Z4 (0,1,2,3) identity with about `terms` terms, in
+    classes of `per_class` swap variants of random permutations of one
+    chain word, so that every class has the same shape at every size."""
+    rng = random.Random(seed)
+    grading = Grading(CyclicGroup(4), 4, (0, 1, 2, 3))
+    letters = [
+        GVar(v.degree, idx)
+        for idx, v in enumerate(random_chain_word(rng, grading, length), start=1)
+    ]
+    acc: dict = {}
+    for _ in range(max(1, terms // per_class)):
+        words = swap_class(rng, grading.group, tuple(rng.sample(letters, length)), per_class)
+        for w, c in zip(words, zero_sum(rng, len(words))):
+            acc[w] = acc.get(w, 0) + c
+    return FreePoly.from_terms(RATIONALS, ((w, RATIONALS.from_int(c)) for w, c in acc.items()))

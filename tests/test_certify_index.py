@@ -1,0 +1,91 @@
+"""The indexed certify loop against the linear-scan oracle, and its cost.
+
+`certify_membership` evaluates each term once and picks every target and
+source by lookup; `helpers.certify_membership_linear` picks them by the
+scans it replaced, with derivations that recover each step's letter
+matching through the public matching functions.  Both must produce the
+same certificate, pairing for pairing, on any multihomogeneous input.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from matident import CyclicGroup, FreePoly, Grading, IntegerGroup, PrimeField, RATIONALS
+from matident.generic import word_product_closed
+from matident.rewrite import (
+    MembershipCertificate,
+    NonIdentityWitness,
+    certify_membership,
+    check_membership_certificate,
+)
+
+from helpers import (
+    certify_membership_linear,
+    random_identity_component,
+    s3_group,
+    z2z2_group,
+    z4_sweep_component,
+)
+
+GRADINGS = {
+    "z4": Grading(CyclicGroup(4), 4, (0, 1, 2, 3)),
+    "z4_partial": Grading(CyclicGroup(4), 2, (0, 1)),
+    "z2z2": Grading(z2z2_group(), 4, ((0, 0), (0, 1), (1, 0), (1, 1))),
+    "s3": Grading(s3_group(), 6, tuple(range(6))),
+    "integers": Grading(IntegerGroup(), 3, (0, 1, 3)),
+}
+FIELDS = [RATIONALS, PrimeField(2), PrimeField(3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    name=st.sampled_from(sorted(GRADINGS)),
+    field=st.sampled_from(FIELDS),
+    classes=st.integers(1, 4),
+    per_class=st.integers(2, 5),
+    vanishing=st.integers(0, 3),
+    broken=st.sampled_from([False, False, False, True]),
+)
+def test_certify_matches_linear_scan_oracle(
+    seed, name, field, classes, per_class, vanishing, broken
+):
+    rng = random.Random(seed)
+    grading = GRADINGS[name]
+    f = random_identity_component(rng, grading, field, classes, per_class, vanishing)
+    if broken:
+        # one more copy of a term with a nonzero evaluation breaks the zero sum
+        word = next((w for w in f.terms if word_product_closed(grading, w)), None)
+        if word is not None:
+            f = f + FreePoly.word(field, word)
+    if not f.terms:
+        return
+    got = certify_membership(grading, f)
+    assert got == certify_membership_linear(grading, f)
+    if isinstance(got, MembershipCertificate):
+        assert check_membership_certificate(grading, f, got)
+    else:
+        assert isinstance(got, NonIdentityWitness)
+
+
+def test_certify_chain_set_work_per_term_is_flat(monkeypatch):
+    """Chain-set computations per term stay flat along a Z4 term-count
+    ladder: the index replaces scans whose work grew with the term count."""
+    grading = GRADINGS["z4"]
+    calls = []
+    lset = Grading.lset
+
+    def counting(self, hseq):
+        calls.append(1)
+        return lset(self, hseq)
+
+    monkeypatch.setattr(Grading, "lset", counting)
+    per_term = []
+    for terms in (50, 150, 360):
+        f = z4_sweep_component(terms)
+        calls.clear()
+        assert isinstance(certify_membership(grading, f), MembershipCertificate)
+        per_term.append(len(calls) / len(f.terms))
+    assert per_term[-1] <= 1.2 * per_term[0], per_term

@@ -84,6 +84,28 @@ def test_bounds(capsys, z4_path):
     assert doc == {"support_size": 3, "support_bound": 26244, "size_bound": 4194304}
 
 
+@pytest.mark.parametrize("n", [28, 64])
+def test_bounds_on_large_gradings_print_power_form(capsys, tmp_path, n):
+    path = tmp_path / f"z{n}.json"
+    doc = {"group": {"type": "cyclic", "order": n}, "n": n, "tuple": list(range(n))}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    size = f"4*{n}^{4 * (n * n + 1)}"
+    code, out, err = run(capsys, ["bounds", str(path)])
+    assert (code, err) == (0, "")
+    assert f"size bound 4*n^(4(n^2+1)) = {size}" in out
+    code, out, _ = run(capsys, ["bounds", str(path), "--json"])
+    assert code == 0
+    assert json.loads(out) == {
+        "support_size": n,
+        "support_bound": 4 * n ** (2 * n + 2),
+        "size_bound": size,
+    }
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, ["enumerate-monomials", str(path), "--max-len", "1"] + extra)
+        assert (code, err) == (0, "")
+        assert size in out
+
+
 def test_lset(capsys, z4_path):
     code, out, _ = run(capsys, ["lset", z4_path, "--seq", "1,3,1"])
     assert code == 0

@@ -213,6 +213,27 @@ def test_matching_entry_of_first_letter_strips():
             assert matching_entry(grading, m[1:], n[1:]) is not None
 
 
+def test_matching_entry_agrees_with_compared_evaluations():
+    # the letter matching along two chains decides a shared entry exactly
+    # when the two evaluations carry the same monomial there
+    rng = random.Random(556)
+    for grading in suite_gradings():
+        for _ in range(40):
+            m = random_swappable_word(rng, grading, index_pool=3)
+            n = rng.choice(
+                [
+                    tuple(rng.sample(m, len(m))),
+                    random_rewrite_variant(rng, grading, m),
+                    random_word(rng, grading, len(m), index_pool=3),
+                ]
+            )
+            em, en = word_product_closed(grading, m), word_product_closed(grading, n)
+            shared = sorted(pos for pos in em.keys() & en.keys() if em[pos] == en[pos])
+            want = (shared[0], em[shared[0]]) if shared else None
+            got = matching_entry(grading, m, n)
+            assert (got and tuple(got)) == want
+
+
 def test_matching_permutation_four_letter_example():
     m = parse_word("x[1;1]*x[1;2]*x[1;3]*x[1;4]", Z2)
     n = parse_word("x[1;3]*x[1;4]*x[1;1]*x[1;2]", Z2)

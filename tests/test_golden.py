@@ -3,28 +3,60 @@
 Every case pins the exact stdout and exit code of one command line over the
 fixed documents in tests/golden/inputs.  The expected files are written by
 tests/golden/record.py, never by this test.
+
+The replay needs only the standard library, so it also runs without pytest
+on any installed interpreter:
+
+    python tests/test_golden.py
+
+which prints the cases that differ and exits 1 when there are any.
 """
 
 import json
+import os
+import sys
 from pathlib import Path
 
-from helpers import run_cli
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden"
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+if __name__ == "__main__":
+    sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
+
+from helpers import run_cli  # noqa: E402
 
 
-def test_golden_corpus(monkeypatch):
+def replay() -> tuple[int, list[str]]:
+    """Run every case; returns the case count and the names that differ."""
     cases = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
-    assert len(cases) == len({c["name"] for c in cases})
-    monkeypatch.chdir(GOLDEN / "inputs")
+    assert len(cases) == len({c["name"] for c in cases}), "case names repeat"
     mismatches = []
-    for case in cases:
-        code, out, err = run_cli(case["argv"])
-        expected = (GOLDEN / "expected" / f"{case['name']}.out").read_text(
-            encoding="utf-8"
-        )
-        if (code, out) != (case["exit"], expected):
-            mismatches.append(case["name"])
-        elif code != 2 and err:
-            mismatches.append(f"{case['name']} (unexpected stderr)")
-    assert not mismatches, f"{len(mismatches)} of {len(cases)} cases differ: {mismatches}"
+    cwd = os.getcwd()
+    os.chdir(GOLDEN / "inputs")
+    try:
+        for case in cases:
+            code, out, err = run_cli(case["argv"])
+            expected = (GOLDEN / "expected" / f"{case['name']}.out").read_text(
+                encoding="utf-8"
+            )
+            if (code, out) != (case["exit"], expected):
+                mismatches.append(case["name"])
+            elif code != 2 and err:
+                mismatches.append(f"{case['name']} (unexpected stderr)")
+    finally:
+        os.chdir(cwd)
+    return len(cases), mismatches
+
+
+def test_golden_corpus():
+    total, mismatches = replay()
+    assert not mismatches, f"{len(mismatches)} of {total} cases differ: {mismatches}"
+
+
+if __name__ == "__main__":
+    total, mismatches = replay()
+    for name in mismatches:
+        print(f"differs: {name}")
+    print(f"golden corpus ({sys.version.split()[0]}): "
+          f"{total - len(mismatches)} of {total} cases match")
+    sys.exit(1 if mismatches else 0)

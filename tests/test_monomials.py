@@ -5,6 +5,7 @@ import pytest
 from matident import CyclicGroup, FreePoly, Grading, GVar, RATIONALS
 from matident.generic import is_graded_identity
 from matident.monomials import (
+    _four_times_power,
     enumerate_monomial_identities,
     initial_state,
     is_minimal_identity,
@@ -138,6 +139,15 @@ def test_length_bounds_exact_values():
     b = length_bounds(Grading(CyclicGroup(3), 3, (0, 1, 2)))
     assert b.support_bound == 4 * 3**8
     assert b.size_bound == 4 * 3**40
+
+
+def test_length_bounds_switch_to_power_form_past_the_printable_digits():
+    # the size bound has 4180 digits at n = 27 and 4544 at n = 28; the
+    # support bound has exactly 4300 at s = 747 and 4306 at s = 748
+    assert length_bounds(Grading(CyclicGroup(27), 27, range(27))).size_bound == 4 * 27**2920
+    assert length_bounds(Grading(CyclicGroup(28), 28, range(28))).size_bound == "4*28^3140"
+    assert len(str(_four_times_power(747, 1496))) == 4300
+    assert _four_times_power(748, 1498) == "4*748^1498"
 
 
 def test_enumerate_requires_positive_cap():
