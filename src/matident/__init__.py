@@ -24,8 +24,6 @@ from .generic import (
     GenericMatrix,
     evaluate,
     is_graded_identity,
-    matching_entry,
-    matching_permutation,
     word_product_closed,
 )
 from .grading import Grading, grading_from_config

@@ -124,9 +124,9 @@ def cmd_info(args: argparse.Namespace) -> int:
 def cmd_lset(args: argparse.Namespace) -> int:
     grading = _load_grading(args.grading)
     fmt = _fmt(grading)
-    parts = [p for p in split_top_level(args.seq) if p.strip()]
-    if not parts:
-        raise ValueError("--seq needs a comma-separated nonempty degree sequence")
+    parts = split_top_level(args.seq)
+    if not all(p.strip() for p in parts):
+        raise ValueError(f"--seq needs comma-separated nonempty degree literals, got {args.seq!r}")
     hseq = [grading.group.parse(p) for p in parts]
     ls = grading.lset(hseq)
     payload = {
@@ -424,6 +424,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -19,8 +19,13 @@ Coefficient = Any  # Fraction for Rationals, int residue for PrimeField
 Monomial = tuple  # ((var, exp), ...) sorted by var, exps > 0
 
 
+# The least strong pseudoprime to every base up to 37: Miller-Rabin over
+# those bases decides primality exactly below it.
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_probable_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin; the witness set covers all n < 3.3e24.
+    # Deterministic Miller-Rabin, exact for all n < PRIME_LIMIT.
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -95,6 +100,10 @@ class PrimeField:
     def __post_init__(self) -> None:
         if not isinstance(self.p, int) or isinstance(self.p, bool) or not _is_probable_prime(self.p):
             raise ValueError(f"{self.p!r} is not prime")
+        if self.p >= PRIME_LIMIT:
+            raise ValueError(
+                f"prime fields need p < {PRIME_LIMIT}, where primality is decided exactly"
+            )
 
     characteristic = property(lambda self: self.p)
 

@@ -11,16 +11,22 @@ A word's evaluation is read off the chain structure, never multiplied
 out: `word_product_closed` gives one monomial, with coefficient 1, at
 (start row, end row) for every surviving chain.  `evaluate` and the
 identity decision sum those maps through `sum_evaluations`, which the
-certificate code shares.  Two words carry the same monomial at a position
-exactly when a letter matching pairs their letters row by row along the
-two chains from that start row; `first_shared_entry` tests that on the
-chains alone, without building monomials.  The direct matrix-product
-oracle that checks all of this is in `tests/helpers.py`.
+certificate code shares.
+
+With a distinct tuple, the chain of a word from row k sits before its i-th
+letter at the one row carrying g_k times the word's prefix degree.  The
+monomial at row k therefore fixes the multiset of (letter, prefix degree)
+pairs and the end degree, and those fix every surviving row and its
+monomial: two nonempty word evaluations are either equal or share no
+entry (`tests/test_generic.py::test_shared_entry_means_equal_evaluations`).
+`letter_matching` decides sharing on the chains from one start row, and
+pairs the letters row by row, without building monomials.  The direct
+matrix-product oracle that checks all of this is in `tests/helpers.py`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .commpoly import Coefficient, Field, Monomial, Poly, YVar, accumulate, render_poly
 from .freealg import FreePoly, Word, degree_sequence
@@ -145,17 +151,24 @@ def is_graded_identity(grading: Grading, f: FreePoly) -> bool:
     return evaluate(grading, f).is_zero()
 
 
-def _letter_matching(
-    m: Word, n: Word, path_m: Sequence[int], path_n: Sequence[int]
-) -> Optional[tuple[int, ...]]:
-    """The lexicographically least letter matching along two chains.
+def letter_matching(grading: Grading, m: Word, n: Word) -> Optional[tuple[int, ...]]:
+    """The letter matching of two words that share an evaluation entry.
 
     Returns sigma with `sigma[l-1]` the 1-based position in m of n's l-th
-    letter, pairing equal letters on equal chain rows, or None when no
-    such matching exists.  A matching exists exactly when the two chains
-    carry the same monomial.
+    letter, pairing equal letters on equal chain rows, or None when the
+    evaluations share no entry.  With a distinct tuple two nonempty word
+    evaluations are either equal or disjoint, so only the chains from m's
+    first start row are read.  When repeated letters admit several
+    matchings, the lexicographically least one is returned.
     """
-    if len(m) != len(n):
+    ls_m = grading.lset(degree_sequence(m))
+    ls_n = grading.lset(degree_sequence(n))
+    if len(m) != len(n) or ls_m.is_empty:
+        return None
+    k = ls_m.starts[0]
+    path_m = ls_m.paths[k]
+    path_n = ls_n.paths.get(k)
+    if path_n is None or path_n[-1] != path_m[-1]:
         return None
     # n's l-th letter takes the least unused m-position with the same letter
     # and the same chain row; greedy least choice is lexicographically least.
@@ -169,75 +182,3 @@ def _letter_matching(
             return None
         sigma.append(bucket.pop())
     return tuple(sigma)
-
-
-class SharedEntry(NamedTuple):
-    position: tuple[int, int]
-    path: tuple[int, ...]  # the first word's chain from the entry's start row
-    sigma: tuple[int, ...]
-
-
-def first_shared_entry(grading: Grading, m: Word, n: Word) -> Optional[SharedEntry]:
-    """Row-major first position where m and n carry the same monomial.
-
-    Each word's chain set is computed once.  A start row is tried only
-    when both chains survive it and end in the same column, and it is
-    decided by the letter matching there, so no monomial is built.
-    """
-    ls_m = grading.lset(degree_sequence(m))
-    ls_n = grading.lset(degree_sequence(n))
-    for k in ls_m.starts:
-        path_m = ls_m.paths[k]
-        path_n = ls_n.paths.get(k)
-        if path_n is None or path_n[-1] != path_m[-1]:
-            continue
-        sigma = _letter_matching(m, n, path_m, path_n)
-        if sigma is not None:
-            return SharedEntry(position=(k, path_m[-1]), path=path_m, sigma=sigma)
-    return None
-
-
-class MatchingEntry(NamedTuple):
-    position: tuple[int, int]
-    monomial: Monomial
-
-
-def matching_entry(grading: Grading, m: Word, n: Word) -> Optional[MatchingEntry]:
-    """First position where both word evaluations carry the same monomial.
-
-    Positions are scanned in row-major order.
-    """
-    if not m or not n:
-        raise ValueError("matching entries are defined for nonempty words only")
-    shared = first_shared_entry(grading, m, n)
-    if shared is None:
-        return None
-    return MatchingEntry(position=shared.position, monomial=_chain_monomial(m, shared.path))
-
-
-def matching_permutation(
-    grading: Grading, m: Word, n: Word, position: tuple[int, int]
-) -> tuple[int, ...]:
-    """Recover the letter permutation behind a matching entry.
-
-    Returns sigma with `sigma[l-1]` the 1-based position in m of n's l-th
-    letter.  When repeated letters admit several permutations, the
-    lexicographically least valid one is returned.  Raises if the entry is
-    not actually shared at `position` (which cannot happen when a
-    MatchingEntry was computed).
-    """
-    k, col = position
-    ls_m = grading.lset(degree_sequence(m))
-    ls_n = grading.lset(degree_sequence(n))
-    if k not in ls_m.paths or k not in ls_n.paths:
-        raise ValueError(f"no shared nonzero entry in row {k}")
-    path_m = ls_m.paths[k]
-    path_n = ls_n.paths[k]
-    if path_m[-1] != col or path_n[-1] != col:
-        raise ValueError(f"chains from row {k} do not end in column {col}")
-    if len(m) != len(n):
-        raise ValueError("words with a shared entry must have equal length")
-    sigma = _letter_matching(m, n, path_m, path_n)
-    if sigma is None:
-        raise ValueError(f"the words carry different monomials at ({k},{col})")
-    return sigma

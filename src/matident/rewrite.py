@@ -14,16 +14,18 @@ monomial identity on its own.  Verifiers recompute every side condition
 and every evaluation from scratch, so checking is independent of how a
 certificate was produced.
 
-Certifying evaluates each term once and finds every pairing by lookup in
-an index of evaluation entries, and each derivation step computes one
-chain set per word suffix.  Apart from the working-list rebuild that
-`_merge_terms` shares with the checker, certify cost is linear in the
-term count plus the derivations.
+Certifying evaluates each term once and groups the terms by their whole
+evaluation: with a distinct tuple two nonempty evaluations are equal or
+share no entry, so every pairing is found by lookup in its class.  Each
+derivation step computes one chain set per word suffix, and certify cost
+is linear in the term count plus the derivations.  The checker replays
+the working list on its own, independently of certify's bookkeeping.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Union
 
@@ -40,13 +42,7 @@ from .freealg import (
     parse_word,
     word_degree,
 )
-from .generic import (
-    first_shared_entry,
-    matching_entry,
-    require_distinct,
-    sum_evaluations,
-    word_product_closed,
-)
+from .generic import letter_matching, require_distinct, sum_evaluations, word_product_closed
 from .grading import Grading
 from .groups import Group
 
@@ -205,16 +201,15 @@ def derive_equivalence(grading: Grading, m: Word, n: Word) -> EquivalenceCertifi
 
     Requires a shared nonzero entry (and a distinct-entry grading).  The
     derivation aligns one letter at a time: recover the letter matching of
-    the unaligned suffixes at their row-major first shared entry (one chain
-    set per suffix and step), rotate whichever side the matching dictates
-    so the leading letters agree, and strip.  Rotations applied to the m
-    side are appended to the certificate inverted, so the replay runs n to
-    m.
+    the unaligned suffixes from their chains (one chain set per suffix and
+    step), rotate whichever side the matching dictates so the leading
+    letters agree, and strip.  Rotations applied to the m side are
+    appended to the certificate inverted, so the replay runs n to m.
     """
     require_distinct(grading)
     m = tuple(m)
     n = tuple(n)
-    if matching_entry(grading, m, n) is None:
+    if letter_matching(grading, m, n) is None:
         raise ValueError("words do not share a nonzero entry; no derivation exists")
     group = grading.group
     m_cur, n_cur = m, n
@@ -226,10 +221,9 @@ def derive_equivalence(grading: Grading, m: Word, n: Word) -> EquivalenceCertifi
             p += 1
             continue
         msuf, nsuf = m_cur[p:], n_cur[p:]
-        shared = first_shared_entry(grading, msuf, nsuf)
-        if shared is None:
+        sigma = letter_matching(grading, msuf, nsuf)
+        if sigma is None:
             raise AssertionError("shared entry lost while stripping aligned letters")
-        sigma = shared.sigma
         a = sigma.index(1) + 1
         side, step = _alignment_step(group, msuf, nsuf, sigma, a)
         step = step.shifted(p)
@@ -297,34 +291,6 @@ def _justify_zero_word(grading: Grading, word: Word) -> Justification:
     return Justification(JUSTIFY_EMPTY_LSET)
 
 
-def _merge_terms(
-    field: Field, work: list[tuple[Word, Any]], target: int, source: int
-) -> list[tuple[Word, Any]]:
-    """Fold the source coefficient into the target and drop the source."""
-    merged = field.add(work[target][1], work[source][1])
-    out = []
-    for idx, item in enumerate(work):
-        if idx == source:
-            continue
-        if idx == target:
-            if not field.is_zero(merged):
-                out.append((item[0], merged))
-        else:
-            out.append(item)
-    return out
-
-
-def _least_live_after(carriers: list[int], target: int, alive: list[bool]) -> Optional[int]:
-    """The least live term id above the target in a descending id list.
-
-    Ids at or below the target, and dead ones, can never be chosen again
-    (the target only moves up), so they are popped for good.
-    """
-    while carriers and (carriers[-1] <= target or not alive[carriers[-1]]):
-        carriers.pop()
-    return carriers[-1] if carriers else None
-
-
 def certify_membership(
     grading: Grading, f: FreePoly
 ) -> Union[MembershipCertificate, NonIdentityWitness]:
@@ -338,59 +304,53 @@ def certify_membership(
     reason.
 
     Each word is evaluated once, and the zero test and the witness read
-    the same maps.  Terms keep the ids of their sorted order, and an index
-    maps every ((row, end row), monomial) entry to the ids carrying it, so
-    the target is the next live id with a nonempty evaluation and the
-    source the least live id after it under any of its entries.  Pairings
-    record ranks in the working list, which `_merge_terms` keeps exactly
-    as the checker replays it.
+    the same maps.  Terms keep the ids of their sorted order and are
+    grouped by their whole evaluation, since two nonempty evaluations are
+    equal or share no entry.  The target is the next live id with a
+    nonempty evaluation and the source the next id of its class.
+    Pairings record ranks among the live ids, and coefficients are kept
+    by id until the residual is built at the end.
     """
     require_distinct(grading)
     if not is_multihomogeneous(f):
         raise ValueError("input must be multihomogeneous; decompose first")
     field = f.field
-    work: list[tuple[Word, Any]] = f.sorted_terms()
-    for word, _ in work:
-        if not word:
-            raise ValueError("polynomial has a term with the empty word")
-    evals = [word_product_closed(grading, word) for word, _ in work]
-    total = sum_evaluations(field, grading.n, zip(evals, (coeff for _, coeff in work)))
+    terms = f.sorted_terms()
+    words = [word for word, _ in terms]
+    coeffs = [coeff for _, coeff in terms]
+    if () in words:
+        raise ValueError("polynomial has a term with the empty word")
+    evals = [word_product_closed(grading, word) for word in words]
+    total = sum_evaluations(field, grading.n, zip(evals, coeffs))
     if not total.is_zero():
         position, entry = total.first_nonzero()
         return NonIdentityWitness(position=position, entry=entry)
 
-    carriers: dict = {}
-    for tid in range(len(evals) - 1, -1, -1):
-        for entry in evals[tid].items():
-            carriers.setdefault(entry, []).append(tid)
-    alive = [True] * len(work)
-    live = list(range(len(work)))  # ids of the working list, in order
+    keys = [frozenset(entries.items()) for entries in evals]
+    classes: dict = {}  # evaluation -> its live ids, ascending
+    for tid, key in enumerate(keys):
+        if key:
+            classes.setdefault(key, deque()).append(tid)
+    live = list(range(len(words)))
     pairings: list[Pairing] = []
-    target = 0
-    while True:
-        while target < len(evals) and not (alive[target] and evals[target]):
-            target += 1
-        if target == len(evals):
-            break
-        found = [
-            _least_live_after(carriers[entry], target, alive)
-            for entry in evals[target].items()
-        ]
-        source = min((tid for tid in found if tid is not None), default=None)
-        if source is None:
-            raise AssertionError("zero sum with an uncancellable term")
-        rt, rs = bisect_left(live, target), bisect_left(live, source)
-        cert = derive_equivalence(grading, work[rt][0], work[rs][0])
-        pairings.append(Pairing(target=rt, source=rs, certificate=cert))
-        work = _merge_terms(field, work, rt, rs)
-        del live[rs]
-        alive[source] = False
-        if len(work) < len(live):  # the merged coefficient vanished
-            del live[rt]
-            alive[target] = False
+    for target, key in enumerate(keys):
+        ids = classes.get(key)
+        while ids and ids[0] == target:
+            if len(ids) == 1:
+                raise AssertionError("zero sum with an uncancellable term")
+            source = ids[1]
+            rt, rs = bisect_left(live, target), bisect_left(live, source)
+            cert = derive_equivalence(grading, words[target], words[source])
+            pairings.append(Pairing(target=rt, source=rs, certificate=cert))
+            del ids[1], live[rs]
+            coeffs[target] = field.add(coeffs[target], coeffs[source])
+            if field.is_zero(coeffs[target]):
+                ids.popleft()
+                del live[rt]
 
     residual = tuple(
-        ResidualTerm(word, coeff, _justify_zero_word(grading, word)) for word, coeff in work
+        ResidualTerm(words[tid], coeffs[tid], _justify_zero_word(grading, words[tid]))
+        for tid in live
     )
     return MembershipCertificate(input=f, pairings=tuple(pairings), residual=residual)
 
@@ -413,7 +373,12 @@ def check_membership_certificate(
         sub = check_equivalence_certificate(grading, eq)
         if not sub:
             return CheckResult(False, f"pairing {idx}: {sub.reason}")
-        work = _merge_terms(field, work, t, s)
+        merged = field.add(work[t][1], work[s][1])
+        work[t] = (work[t][0], merged)
+        if field.is_zero(merged):
+            del work[max(t, s)], work[min(t, s)]
+        else:
+            del work[s]
     recorded = [(term.word, term.coefficient) for term in cert.residual]
     if work != recorded:
         return CheckResult(False, "replay does not reach the recorded residual")

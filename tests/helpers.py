@@ -6,7 +6,7 @@ tables, generic matrices are multiplied entry by entry, and monomial
 identities are decided by exhaustive matrix-unit substitution.  The
 certify oracle is the algorithm the indexed loop replaced: linear scans for
 every target and source, and a derivation that recovers each step's letter
-matching through the public matching functions.
+matching by comparing evaluation maps and walking naive chains.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import contextlib
 import io
 import itertools
 import random
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from matident import (
     CayleyGroup,
@@ -29,14 +29,7 @@ from matident import (
 from matident.cli import main
 from matident.commpoly import Poly, YVar
 from matident.freealg import word_degree
-from matident.generic import (
-    GenericMatrix,
-    evaluate,
-    matching_entry,
-    matching_permutation,
-    require_distinct,
-    word_product_closed,
-)
+from matident.generic import GenericMatrix, evaluate, require_distinct, word_product_closed
 from matident.rewrite import (
     JUSTIFY_EMPTY_LSET,
     JUSTIFY_OUTSIDE_SUPPORT,
@@ -47,7 +40,6 @@ from matident.rewrite import (
     Pairing,
     ResidualTerm,
     _alignment_step,
-    _merge_terms,
     apply_step,
 )
 
@@ -234,10 +226,59 @@ def naive_transition(grading: Grading, state, h) -> frozenset:
     )
 
 
+class MatchingEntry(NamedTuple):
+    position: tuple[int, int]
+    monomial: tuple
+
+
+def matching_entry(grading: Grading, m, n) -> Optional[MatchingEntry]:
+    """Row-major first position where both words' evaluations carry the
+    same monomial, found by comparing the two maps position by position."""
+    em, en = word_product_closed(grading, m), word_product_closed(grading, n)
+    shared = sorted(pos for pos in em.keys() & en.keys() if em[pos] == en[pos])
+    return MatchingEntry(shared[0], em[shared[0]]) if shared else None
+
+
+def matching_permutation(grading: Grading, m, n, position) -> tuple[int, ...]:
+    """The lexicographically least letter matching at a shared position.
+
+    Walks both words' `naive_lset` paths from the position's start row;
+    n's l-th letter takes the least unused position in m holding the same
+    letter on the same row.  `sigma[l-1]` is that 1-based position.
+    """
+    k = position[0]
+    path_m = naive_lset(grading, [v.degree for v in m])[1][k]
+    path_n = naive_lset(grading, [v.degree for v in n])[1][k]
+    unused = list(range(1, len(m) + 1))
+    sigma = []
+    for letter, row in zip(n, path_n):
+        a = next((a for a in unused if (m[a - 1], path_m[a - 1]) == (letter, row)), None)
+        if a is None:
+            raise ValueError(f"the words carry different monomials at {position}")
+        unused.remove(a)
+        sigma.append(a)
+    return tuple(sigma)
+
+
+def _merge_terms(field, work: list, target: int, source: int) -> list:
+    """Fold the source coefficient into the target and drop the source."""
+    merged = field.add(work[target][1], work[source][1])
+    out = []
+    for idx, item in enumerate(work):
+        if idx == source:
+            continue
+        if idx == target:
+            if not field.is_zero(merged):
+                out.append((item[0], merged))
+        else:
+            out.append(item)
+    return out
+
+
 def derive_equivalence_stepwise(grading: Grading, m, n) -> EquivalenceCertificate:
     """`derive_equivalence` with the letter matching of every alignment step
-    recovered through the public `matching_entry` and `matching_permutation`
-    (two evaluations and two more chain sets per step)."""
+    recovered through the oracles `matching_entry` and `matching_permutation`
+    (two evaluations and two naive chain walks per step)."""
     require_distinct(grading)
     m, n = tuple(m), tuple(n)
     if matching_entry(grading, m, n) is None:

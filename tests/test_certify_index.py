@@ -1,9 +1,11 @@
 """The indexed certify loop against the linear-scan oracle, and its cost.
 
-`certify_membership` evaluates each term once and picks every target and
-source by lookup; `helpers.certify_membership_linear` picks them by the
-scans it replaced, with derivations that recover each step's letter
-matching through the public matching functions.  Both must produce the
+`certify_membership` evaluates each term once and pairs each target with
+the next term of the same evaluation class; `helpers.certify_membership_linear`
+picks targets and sources by the scans it replaced, with derivations that
+recover each step's letter matching through the independent oracles
+`helpers.matching_entry` (compared evaluation maps) and
+`helpers.matching_permutation` (naive chain walks).  Both must produce the
 same certificate, pairing for pairing, on any multihomogeneous input.
 """
 

@@ -241,6 +241,47 @@ def test_usage_errors(capsys, z4_path, tmp_path):
     assert out == "" and "repeated entries" in err
 
 
+def _one_error_line(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_lset_rejects_empty_sequence_elements(capsys, z4_path):
+    for seq in ("1,,2", "1,", ",1", ""):
+        code, out, err = run(capsys, ["lset", z4_path, "--seq", seq])
+        assert (code, out) == (2, "")
+        assert _one_error_line(err)
+
+
+def test_prime_fields_stop_where_primality_is_exact(capsys, z4_path, poly2_path):
+    # 1287836182261 * 2575672364521 passes Miller-Rabin for every base up to 37
+    argv = ["is-identity", z4_path, poly2_path, "--field"]
+    code, out, err = run(capsys, argv + ["fp:3317044064679887385961981"])
+    assert (code, out) == (2, "")
+    assert _one_error_line(err) and "3317044064679887385961981" in err
+    code, out, _ = run(capsys, argv + [f"fp:{2**61 - 1}"])
+    assert (code, out) == (0, "identity\n")
+
+
+def _nested_group(depth: int) -> dict:
+    group = {"type": "cyclic", "order": 2}
+    for _ in range(depth):
+        group = {"type": "product", "factors": [group]}
+    return group
+
+
+@pytest.mark.parametrize("kind", ["grading_array", "certificate_array", "product_group"])
+def test_deep_nesting_is_a_usage_error(capsys, z4_path, tmp_path, kind):
+    deep = tmp_path / "deep.json"
+    if kind == "product_group":
+        deep.write_text(json.dumps({"group": _nested_group(300), "n": 1, "tuple": [0]}))
+    else:
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+    argv = ["check-cert", z4_path] if kind == "certificate_array" else ["info"]
+    code, out, err = run(capsys, argv + [str(deep)])
+    assert (code, out) == (2, "")
+    assert _one_error_line(err) and "nested too deeply" in err
+
+
 FORGEABLE = "x[1;1]*x[3;3]*x[1;2] - x[1;2]*x[3;3]*x[1;1] + x[0;5]\n"
 
 

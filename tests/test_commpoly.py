@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from matident import RATIONALS, Poly, PrimeField, YVar
 from matident.commpoly import (
+    PRIME_LIMIT,
     monomial_mul,
     parse_field,
     render_monomial,
@@ -153,6 +154,16 @@ def test_prime_field_requires_prime():
             PrimeField(p)
     for p in (2, 3, 5, 7, 97, 101, 2**61 - 1):
         assert PrimeField(p).p == p
+
+
+def test_prime_field_refuses_the_inexact_range():
+    # the least strong pseudoprime to every Miller-Rabin base up to 37
+    pseudoprime = 1287836182261 * 2575672364521
+    assert pseudoprime == PRIME_LIMIT
+    for p in (pseudoprime, 2**89 - 1):
+        with pytest.raises(ValueError, match=str(PRIME_LIMIT)):
+            PrimeField(p)
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
 
 
 def test_field_parsing():

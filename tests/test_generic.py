@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matident import (
     CyclicGroup,
@@ -9,24 +11,21 @@ from matident import (
     FreePoly,
     Grading,
     GVar,
+    IntegerGroup,
     RATIONALS,
     PrimeField,
     YVar,
 )
 from matident.commpoly import Poly
 from matident.freealg import parse_polynomial, parse_word, word_degree
-from matident.generic import (
-    evaluate,
-    is_graded_identity,
-    matching_entry,
-    matching_permutation,
-    word_product_closed,
-)
+from matident.generic import evaluate, is_graded_identity, letter_matching, word_product_closed
 
 from helpers import (
     alpha_checks,
     closed_matrix,
     generic_matrix,
+    matching_entry,
+    matching_permutation,
     random_rewrite_variant,
     random_swappable_word,
     random_word,
@@ -209,13 +208,13 @@ def test_matching_entry_of_first_letter_strips():
         for _ in range(15):
             m = random_swappable_word(rng, grading)
             n = (m[0],) + random_rewrite_variant(rng, grading, m[1:])
-            assert matching_entry(grading, m, n) is not None
-            assert matching_entry(grading, m[1:], n[1:]) is not None
+            assert letter_matching(grading, m, n) is not None
+            assert letter_matching(grading, m[1:], n[1:]) is not None
 
 
 def test_matching_entry_agrees_with_compared_evaluations():
-    # the letter matching along two chains decides a shared entry exactly
-    # when the two evaluations carry the same monomial there
+    # the engine's letter matching exists exactly when the two evaluations
+    # share an entry, and equals the oracle's matching at the first one
     rng = random.Random(556)
     for grading in suite_gradings():
         for _ in range(40):
@@ -227,11 +226,38 @@ def test_matching_entry_agrees_with_compared_evaluations():
                     random_word(rng, grading, len(m), index_pool=3),
                 ]
             )
-            em, en = word_product_closed(grading, m), word_product_closed(grading, n)
-            shared = sorted(pos for pos in em.keys() & en.keys() if em[pos] == en[pos])
-            want = (shared[0], em[shared[0]]) if shared else None
-            got = matching_entry(grading, m, n)
-            assert (got and tuple(got)) == want
+            want = matching_entry(grading, m, n)
+            sigma = letter_matching(grading, m, n)
+            assert sigma == (want and matching_permutation(grading, m, n, want.position))
+
+
+FACT_GRADINGS = suite_gradings() + [Grading(IntegerGroup(), 3, (0, 1, 3)), GR_Z4]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    which=st.integers(0, len(FACT_GRADINGS) - 1),
+    kind=st.sampled_from(["permutation", "rewrite", "random"]),
+)
+def test_shared_entry_means_equal_evaluations(seed, which, kind):
+    # with a distinct tuple, two word evaluations that share one entry are
+    # equal, and the letter matching exists exactly then
+    rng = random.Random(seed)
+    grading = FACT_GRADINGS[which]
+    m = random_swappable_word(rng, grading, index_pool=3)
+    if kind == "permutation":
+        n = tuple(rng.sample(m, len(m)))
+    elif kind == "rewrite":
+        n = random_rewrite_variant(rng, grading, m)
+    else:
+        support = grading.support()
+        n = tuple(GVar(rng.choice(support), rng.randint(1, 3)) for _ in m)
+    em, en = word_product_closed(grading, m), word_product_closed(grading, n)
+    shared = any(em[pos] == en[pos] for pos in em.keys() & en.keys())
+    if shared:
+        assert em == en
+    assert (letter_matching(grading, m, n) is not None) == shared
 
 
 def test_matching_permutation_four_letter_example():

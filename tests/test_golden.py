@@ -1,8 +1,10 @@
 """Replay the golden corpus (tests/golden) through the CLI entry point.
 
 Every case pins the exact stdout and exit code of one command line over the
-fixed documents in tests/golden/inputs.  The expected files are written by
-tests/golden/record.py, never by this test.
+fixed documents in tests/golden/inputs.  A case that exits 2 must also write
+exactly one `error: ` line to stderr, unless argparse rejected the command
+line (its stderr starts with `usage:`); other cases write no stderr.  The
+expected files are written by tests/golden/record.py, never by this test.
 
 The replay needs only the standard library, so it also runs without pytest
 on any installed interpreter:
@@ -43,6 +45,11 @@ def replay() -> tuple[int, list[str]]:
                 mismatches.append(case["name"])
             elif code != 2 and err:
                 mismatches.append(f"{case['name']} (unexpected stderr)")
+            elif code == 2 and not (
+                err.startswith("usage:")
+                or (err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"))
+            ):
+                mismatches.append(f"{case['name']} (stderr is not one error line)")
     finally:
         os.chdir(cwd)
     return len(cases), mismatches
