@@ -253,11 +253,15 @@ def test_lset_rejects_empty_sequence_elements(capsys, z4_path):
 
 
 def test_prime_fields_stop_where_primality_is_exact(capsys, z4_path, poly2_path):
-    # 1287836182261 * 2575672364521 passes Miller-Rabin for every base up to 37
+    # 1287836182261 * 2575672364521 passes Miller-Rabin for every base up to 41
     argv = ["is-identity", z4_path, poly2_path, "--field"]
     code, out, err = run(capsys, argv + ["fp:3317044064679887385961981"])
     assert (code, out) == (2, "")
     assert _one_error_line(err) and "3317044064679887385961981" in err
+    # 399165290221 * 798330580441 passes every base up to 37 but not 41
+    code, out, err = run(capsys, argv + ["fp:318665857834031151167461"])
+    assert (code, out) == (2, "")
+    assert _one_error_line(err) and "not prime" in err
     code, out, _ = run(capsys, argv + [f"fp:{2**61 - 1}"])
     assert (code, out) == (0, "identity\n")
 

@@ -157,13 +157,21 @@ def test_prime_field_requires_prime():
 
 
 def test_prime_field_refuses_the_inexact_range():
-    # the least strong pseudoprime to every Miller-Rabin base up to 37
+    # the least strong pseudoprime to every Miller-Rabin base up to 41
     pseudoprime = 1287836182261 * 2575672364521
     assert pseudoprime == PRIME_LIMIT
     for p in (pseudoprime, 2**89 - 1):
         with pytest.raises(ValueError, match=str(PRIME_LIMIT)):
             PrimeField(p)
     assert PrimeField(2**61 - 1).p == 2**61 - 1
+
+
+def test_prime_field_refuses_pseudoprimes_below_the_limit():
+    # the least strong pseudoprime to every base up to 37; base 41 catches it
+    pseudoprime = 399165290221 * 798330580441
+    assert pseudoprime < PRIME_LIMIT
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(pseudoprime)
 
 
 def test_field_parsing():
