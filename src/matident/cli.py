@@ -28,12 +28,7 @@ from typing import Optional, Sequence
 
 from . import rewrite
 from .commpoly import Field, parse_field, render_poly
-from .freealg import (
-    format_polynomial,
-    multihomogeneous_components,
-    parse_polynomial,
-    parse_word,
-)
+from .freealg import multihomogeneous_components, parse_polynomial, parse_word
 from .generic import evaluate, is_graded_identity
 from .grading import Grading, grading_from_config
 from .groups import split_top_level
@@ -270,44 +265,15 @@ def cmd_equiv(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     grading = _load_grading(args.grading)
-    field = _field_of(args)
     group = grading.group
-    poly = parse_polynomial(_load_text(args.polynomial), group, field)
-    components = multihomogeneous_components(poly)
-    results = []
-    all_identities = True
-    for comp in components:
-        outcome = rewrite.certify_membership(grading, comp)
-        if isinstance(outcome, rewrite.NonIdentityWitness):
-            all_identities = False
-            results.append(
-                {
-                    "component": format_polynomial(group, comp),
-                    "identity": False,
-                    "witness": {
-                        "position": list(outcome.position),
-                        "entry": render_poly(outcome.entry, group.format),
-                    },
-                }
-            )
-        else:
-            results.append(
-                {
-                    "component": format_polynomial(group, comp),
-                    "identity": True,
-                    "certificate": rewrite.membership_to_dict(outcome, group),
-                }
-            )
-    payload = {
-        "format": rewrite.CERTIFICATE_FORMAT,
-        "type": "membership-bundle",
-        "field": str(field),
-        "input": format_polynomial(group, poly),
-        "components": results,
-        "identity": all_identities,
-    }
-    lines = [f"components: {len(results)}"]
-    for item in results:
+    poly = parse_polynomial(_load_text(args.polynomial), group, _field_of(args))
+    outcomes = [
+        (comp, rewrite.certify_membership(grading, comp))
+        for comp in multihomogeneous_components(poly)
+    ]
+    payload = rewrite.bundle_to_dict(poly, outcomes, group)
+    lines = [f"components: {len(payload['components'])}"]
+    for item in payload["components"]:
         if item["identity"]:
             cert = item["certificate"]
             lines.append(
@@ -320,9 +286,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
                 f"  NOT an identity: {item['component']} "
                 f"(entry at ({w['position'][0]},{w['position'][1]}): {w['entry']})"
             )
-    lines.append("identity" if all_identities else "not an identity")
+    lines.append("identity" if payload["identity"] else "not an identity")
     _emit(args, payload, "\n".join(lines))
-    if not all_identities and args.strict:
+    if not payload["identity"] and args.strict:
         return EXIT_NEGATIVE
     return EXIT_OK
 

@@ -13,7 +13,9 @@ chain dies; it is built with n group operations the first time the
 grading sees h and reused from then on.  Tables are keyed by element
 value, and a dict key cannot tell 1, True and 1.0 apart, so
 `step_table` validates its degree on every call, before the lookup: each
-letter of a sequence is checked once, instead of once per row.
+letter of a sequence is checked once, instead of once per row.  Group
+arithmetic itself trusts its arguments, so this check and the ones in
+`Grading.__init__` and `component_dimension` keep non-elements out.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Union
 
-from .commpoly import Field, Poly
+from .commpoly import Field, Poly, render_poly
 from .freealg import (
     FreePoly,
     Word,
@@ -202,14 +202,16 @@ def derive_equivalence(grading: Grading, m: Word, n: Word) -> EquivalenceCertifi
     Requires a shared nonzero entry (and a distinct-entry grading).  The
     derivation aligns one letter at a time: recover the letter matching of
     the unaligned suffixes from their chains (one chain set per suffix and
-    step), rotate whichever side the matching dictates so the leading
+    step; the first step reuses the precheck's matching of the whole
+    words), rotate whichever side the matching dictates so the leading
     letters agree, and strip.  Rotations applied to the m side are
     appended to the certificate inverted, so the replay runs n to m.
     """
     require_distinct(grading)
     m = tuple(m)
     n = tuple(n)
-    if letter_matching(grading, m, n) is None:
+    first = letter_matching(grading, m, n)
+    if first is None:
         raise ValueError("words do not share a nonzero entry; no derivation exists")
     group = grading.group
     m_cur, n_cur = m, n
@@ -221,7 +223,10 @@ def derive_equivalence(grading: Grading, m: Word, n: Word) -> EquivalenceCertifi
             p += 1
             continue
         msuf, nsuf = m_cur[p:], n_cur[p:]
-        sigma = letter_matching(grading, msuf, nsuf)
+        if p == 0 and not (m_steps or n_steps):
+            sigma = first  # the suffixes are still the whole words
+        else:
+            sigma = letter_matching(grading, msuf, nsuf)
         if sigma is None:
             raise AssertionError("shared entry lost while stripping aligned letters")
         a = sigma.index(1) + 1
@@ -361,6 +366,11 @@ def check_membership_certificate(
     """Replay a membership certificate against the polynomial it claims."""
     if cert.input != f:
         return CheckResult(False, "certificate was issued for a different polynomial")
+    # Group arithmetic trusts its arguments, and a residual justified by one
+    # letter outside the support never evaluates the others: validate them all.
+    for word in f.terms:
+        for letter in word:
+            grading.group.check(letter.degree)
     field = f.field
     work: list[tuple[Word, Any]] = f.sorted_terms()
     for idx, pairing in enumerate(cert.pairings):
@@ -574,6 +584,36 @@ def membership_from_dict(obj: dict, group: Group, field: Field) -> MembershipCer
         pairings=pairings,
         residual=residual,
     )
+
+
+def bundle_to_dict(
+    f: FreePoly,
+    outcomes: Sequence[tuple[FreePoly, Union[MembershipCertificate, NonIdentityWitness]]],
+    group: Group,
+) -> dict:
+    """The membership-bundle document for f, from each multihomogeneous
+    component with its certificate or its non-identity witness."""
+    components = []
+    for component, outcome in outcomes:
+        item: dict = {"component": format_polynomial(group, component)}
+        if isinstance(outcome, NonIdentityWitness):
+            item["identity"] = False
+            item["witness"] = {
+                "position": list(outcome.position),
+                "entry": render_poly(outcome.entry, group.format),
+            }
+        else:
+            item["identity"] = True
+            item["certificate"] = membership_to_dict(outcome, group)
+        components.append(item)
+    return {
+        "format": CERTIFICATE_FORMAT,
+        "type": "membership-bundle",
+        "field": str(f.field),
+        "input": format_polynomial(group, f),
+        "components": components,
+        "identity": all(item["identity"] for item in components),
+    }
 
 
 def bundle_from_dict(obj: dict, group: Group, field: Field) -> MembershipBundle:

@@ -3,15 +3,19 @@ import random
 import pytest
 
 from matident import (
+    RATIONALS,
     CayleyGroup,
     CyclicGroup,
+    FreePoly,
+    Grading,
     IntegerGroup,
     ProductGroup,
     group_from_config,
     validate_cayley,
 )
 from matident.freealg import GVar, format_word, parse_word
-from matident.groups import element_from_json
+from matident.generic import is_graded_identity
+from matident.groups import Group, element_from_json
 
 from helpers import s3_group, z2z2_group
 
@@ -168,13 +172,58 @@ def test_nested_product_parse_roundtrip():
 
 
 def test_membership_checks():
-    g = CyclicGroup(4)
-    with pytest.raises(ValueError):
-        g.op(1, 4)
-    with pytest.raises(ValueError):
-        g.op(True, 1)
-    with pytest.raises(ValueError):
-        z2z2_group().op((0, 1), (0, 2))
+    # Group arithmetic trusts its arguments, so each non-element is refused
+    # at every boundary where it can enter instead.
+    z4, v4 = CyclicGroup(4), z2z2_group()
+    cases = [  # (group, value, its JSON form, its literal, a valid tuple)
+        (z4, 4, 4, "4", [0, 1, 2]),
+        (z4, True, True, "True", [0, 1, 2]),
+        (v4, (0, 2), [0, 2], "(0,2)", [(0, 0), (0, 1), (1, 0)]),
+    ]
+    for group, value, json_value, literal, entries in cases:
+        grading = Grading(group, len(entries), entries)
+        with pytest.raises(ValueError):
+            group.check(value)
+        with pytest.raises(ValueError):
+            element_from_json(group, json_value)
+        with pytest.raises(ValueError):
+            element_from_json(group, value)
+        with pytest.raises(ValueError):
+            Grading(group, len(entries) + 1, entries + [value])
+        with pytest.raises(ValueError):
+            grading.lset([value])
+        with pytest.raises(ValueError):
+            grading.component_dimension(value)
+        with pytest.raises(ValueError):
+            parse_word(f"x[{literal};1]", group)
+
+
+def test_arithmetic_is_validated_only_at_the_boundary(monkeypatch):
+    # Z8xZ8 with every element in the tuple: the n entries are checked when
+    # the grading is built and each letter once when lset looks it up; the
+    # step tables' n group operations per degree check nothing.
+    group = ProductGroup([CyclicGroup(8), CyclicGroup(8)])
+    rng = random.Random(64)
+    elements = list(group.elements())
+    f = FreePoly.from_terms(
+        RATIONALS,
+        [
+            (tuple(GVar(rng.choice(elements), rng.randint(1, 3)) for _ in range(length)), 1)
+            for length in (1, 5, 16, 64)
+        ],
+    )
+    calls = []
+    check = Group.check
+
+    def counted(self, a):
+        calls.append(a)
+        return check(self, a)
+
+    monkeypatch.setattr(Group, "check", counted)
+    grading = Grading(group, 64, elements)
+    assert len(calls) == 64
+    assert not is_graded_identity(grading, f)
+    assert len(calls) == 64 + sum(len(word) for word in f.terms)
 
 
 def test_integers_cannot_enumerate():
@@ -210,6 +259,15 @@ def test_group_from_config():
         group_from_config({"type": "dihedral"})
     with pytest.raises(ValueError):
         group_from_config({"type": "cyclic"})
+
+
+@pytest.mark.parametrize(
+    "names, table",
+    [(5, [[0]]), ("e", [[0]]), (["e"], 7), (["e"], [5]), (["e"], ["0"]), (None, None)],
+)
+def test_cayley_config_needs_lists(names, table):
+    with pytest.raises(ValueError, match="'names' list and a 'table' list of lists"):
+        group_from_config({"type": "cayley", "names": names, "table": table})
 
 
 def test_element_from_json():

@@ -11,7 +11,7 @@ from matident import (
     PrimeField,
 )
 from matident.commpoly import Poly, YVar
-from matident.freealg import parse_polynomial, parse_word
+from matident.freealg import GVar, parse_polynomial, parse_word
 from matident.generic import word_product_closed
 from matident.rewrite import (
     CONJUGATE_SWAP,
@@ -20,6 +20,7 @@ from matident.rewrite import (
     Justification,
     MembershipCertificate,
     NonIdentityWitness,
+    Pairing,
     ResidualTerm,
     RewriteStep,
     StepError,
@@ -41,6 +42,7 @@ from helpers import (
     s3_group,
     suite_gradings,
     valid_rewrite_steps,
+    z2z2_group,
 )
 
 Z2 = CyclicGroup(2)
@@ -248,6 +250,65 @@ def test_check_membership_rejects_foreign_polynomial():
     cert = certify_membership(GR_Z4, f)
     result = check_membership_certificate(GR_Z4, g, cert)
     assert not result
+
+
+def _refused(check) -> bool:
+    """True when a certificate checker raises ValueError or answers invalid."""
+    try:
+        return not check()
+    except ValueError:
+        return True
+
+
+@pytest.mark.parametrize(
+    "grading, bad",
+    [
+        (Grading(Z4, 4, (0, 1, 2, 3)), 5),
+        (Grading(Z4, 4, (0, 1, 2, 3)), True),
+        (GR_Z4, 5),
+        (GR_Z4, True),
+        (Grading(z2z2_group(), 4, ((0, 0), (0, 1), (1, 0), (1, 1))), (0, 2)),
+    ],
+    ids=["z4-5", "z4-true", "z4p-5", "z4p-true", "z2z2-(0,2)"],
+)
+def test_checkers_refuse_non_element_degrees(grading, bad):
+    # Hand-built certificates bypass parsing, and group arithmetic trusts
+    # its arguments: the checkers themselves must refuse such words.
+    good = grading.entries[1]
+    word = (GVar(bad, 1), GVar(good, 2))
+    swapped = (GVar(good, 2), GVar(bad, 1))
+    swap = RewriteStep(NEUTRAL_SWAP, (0, 1, 2))
+    for cert in (
+        EquivalenceCertificate(word, (), word),
+        EquivalenceCertificate(word, (swap,), swapped),
+        EquivalenceCertificate(swapped, (swap,), word),
+    ):
+        assert _refused(lambda: check_equivalence_certificate(grading, cert))
+
+    def membership(f, pairings, residual):
+        cert = MembershipCertificate(f, tuple(pairings), tuple(residual))
+        return _refused(lambda: check_membership_certificate(grading, f, cert))
+
+    one = FreePoly.word(RATIONALS, word)
+    for letter in (1, 2):
+        justified = Justification("degree-outside-support", letter=letter)
+        assert membership(one, (), [ResidualTerm(word, Fraction(1), justified)])
+    empty = Justification("empty-lset")
+    assert membership(one, (), [ResidualTerm(word, Fraction(1), empty)])
+    # on Z4 (0,1) the cited letter's degree is outside the support and the
+    # other letter's is no element: the citation alone must not pass
+    outside = (GVar(2, 1), GVar(bad, 2))
+    cited = Justification("degree-outside-support", letter=1)
+    assert membership(
+        FreePoly.word(RATIONALS, outside), (), [ResidualTerm(outside, Fraction(1), cited)]
+    )
+    pair = FreePoly.from_terms(RATIONALS, [(word, 1), (swapped, -1)])
+    (w0, _), (w1, _) = pair.sorted_terms()
+    for pairing in (
+        Pairing(0, 1, EquivalenceCertificate(w1, (swap,), w0)),
+        Pairing(1, 0, EquivalenceCertificate(w0, (swap,), w1)),
+    ):
+        assert membership(pair, [pairing], [])
 
 
 def test_certify_over_prime_field():
