@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 from . import rewrite
 from .commpoly import Field, parse_field, render_poly
 from .freealg import multihomogeneous_components, parse_polynomial, parse_word
-from .generic import evaluate, is_graded_identity
+from .generic import DistinctTupleError, evaluate, is_graded_identity
 from .grading import Grading, grading_from_config
 from .groups import split_top_level
 from .monomials import (
@@ -247,6 +247,8 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     source = parse_word(_load_text(args.source), group)
     try:
         cert = rewrite.derive_equivalence(grading, target, source)
+    except DistinctTupleError:
+        raise
     except ValueError as exc:
         payload = {"derived": False, "reason": str(exc)}
         _emit(args, payload, f"no certificate: {exc}")

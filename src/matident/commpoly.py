@@ -1,12 +1,14 @@
-"""Sparse exact multivariate polynomials over Q or a prime field.
+"""Exact coefficient fields and sparse polynomials as keyed maps.
 
-Variables are arbitrary hashable, totally ordered values; the generic-matrix
-machinery uses `YVar` triples (degree label, generic index, row).  Monomials
-are canonical sorted tuples of (variable, exponent) pairs, polynomials are
-canonical monomial -> coefficient maps with no zero coefficients stored.
-All arithmetic is exact: Fraction coefficients over the rationals, residues
-over a prime field.  The sparse-map core, `SparsePoly`, is shared with the
-free algebra's `FreePoly`, which keys its terms by words instead.
+Coefficients are exact: Fractions over the rationals, residues over a
+prime field.  A polynomial is a canonical key -> coefficient map with no
+zero coefficient stored, built by summing terms with `accumulate` or
+`from_terms`; it offers no ring operations, because the engine only ever
+sums one monomial per surviving chain.  `Poly` keys its terms by
+monomials, canonical sorted tuples of (variable, exponent) pairs over the
+`YVar` triples (degree, generic index, row) of the generic matrices.  The
+free algebra's `FreePoly` shares the `SparsePoly` core and keys its terms
+by words instead.
 """
 
 from __future__ import annotations
@@ -180,13 +182,6 @@ class YVar(NamedTuple):
     row: int
 
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    exps: dict = dict(a)
-    for var, e in b:
-        exps[var] = exps.get(var, 0) + e
-    return tuple(sorted(exps.items()))
-
-
 def accumulate(field: Field, terms: dict, key: Any, c: Coefficient) -> None:
     """Add c into terms[key], dropping the key when the sum cancels."""
     total = field.add(terms.get(key, field.zero), c)
@@ -200,13 +195,13 @@ class SparsePoly:
     """Immutable sparse key -> coefficient map over a fixed field.
 
     No zero coefficient is stored, so equal polynomials have equal maps.
-    Subclasses fix the key product (`key_mul`) and the display order of
-    keys (`sort_key`); the empty key is the unit.
+    There is no ring arithmetic: polynomials are built by `from_terms` or
+    by `accumulate` into a dict.  Subclasses fix the display order of keys
+    (`sort_key`); the empty key renders as a constant.
     """
 
     __slots__ = ("field", "terms")
 
-    key_mul: Callable[[Any, Any], Any]
     sort_key: Callable[[Any], Any]
 
     def __init__(self, field: Field, terms: dict):
@@ -214,51 +209,11 @@ class SparsePoly:
         self.terms = terms
 
     @classmethod
-    def zero(cls, field: Field):
-        return cls(field, {})
-
-    @classmethod
     def from_terms(cls, field: Field, items: Iterable[tuple[Any, Coefficient]]):
         terms: dict = {}
         for key, c in items:
             accumulate(field, terms, tuple(key), c)
         return cls(field, terms)
-
-    def _require_same_field(self, other: "SparsePoly") -> None:
-        if self.field != other.field:
-            raise ValueError(f"field mismatch: {self.field} vs {other.field}")
-
-    def __add__(self, other):
-        self._require_same_field(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            accumulate(self.field, terms, key, c)
-        return type(self)(self.field, terms)
-
-    def __neg__(self):
-        f = self.field
-        return type(self)(f, {key: f.neg(c) for key, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._require_same_field(other)
-        f = self.field
-        terms: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                accumulate(f, terms, self.key_mul(k1, k2), f.mul(c1, c2))
-        return type(self)(f, terms)
-
-    def scale(self, value: Coefficient):
-        f = self.field
-        if f.is_zero(value):
-            return self.zero(f)
-        return type(self)(f, {key: f.mul(value, c) for key, c in self.terms.items()})
-
-    def scale_int(self, value: int):
-        return self.scale(self.field.from_int(value))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -305,22 +260,7 @@ class Poly(SparsePoly):
 
     __slots__ = ()
 
-    key_mul = staticmethod(monomial_mul)
     sort_key = staticmethod(lambda mono: mono)
-
-    @classmethod
-    def constant(cls, field: Field, value: int) -> "Poly":
-        c = field.from_int(value)
-        return cls(field, {} if field.is_zero(c) else {(): c})
-
-    @classmethod
-    def variable(cls, field: Field, var: Any) -> "Poly":
-        return cls(field, {((var, 1),): field.one})
-
-    @classmethod
-    def monomial(cls, field: Field, mono: Monomial, coeff: int = 1) -> "Poly":
-        c = field.from_int(coeff)
-        return cls(field, {} if field.is_zero(c) else {tuple(mono): c})
 
 
 def render_yvar(var: YVar, degree_fmt: Callable[[Any], str]) -> str:

@@ -17,7 +17,6 @@ Element literals follow the group's own syntax ("3", "(1,0)", labels).
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from fractions import Fraction
 from typing import Any, NamedTuple
@@ -57,17 +56,11 @@ def multidegree(word: Word) -> tuple:
 
 class FreePoly(SparsePoly):
     """Immutable polynomial in the free graded algebra: keys are words,
-    multiplied by concatenation and listed shortest first."""
+    listed shortest first."""
 
     __slots__ = ()
 
-    key_mul = staticmethod(operator.add)
     sort_key = staticmethod(lambda word: (len(word), word))
-
-    @classmethod
-    def word(cls, field: Field, word: Word, coeff: int = 1) -> "FreePoly":
-        c = field.from_int(coeff)
-        return cls(field, {} if field.is_zero(c) else {tuple(word): c})
 
 
 def is_multihomogeneous(f: FreePoly) -> bool:

@@ -68,10 +68,6 @@ class Group:
     def order(self) -> Optional[int]:
         raise NotImplementedError
 
-    @property
-    def is_finite(self) -> bool:
-        return self.order is not None
-
 
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -315,7 +311,7 @@ class CayleyGroup(Group):
     """Finite group given by labels and a validated multiplication table.
 
     Elements are label indices 0..n-1; the label text is used only for
-    parsing and formatting.  Labels must be nonempty and free of
+    parsing and formatting.  Labels must be nonempty strings free of
     whitespace, ';', ',', '(' and ')', so that they read back from every
     literal that holds them: x[label;i], product tuples, degree lists.
     """
@@ -324,8 +320,10 @@ class CayleyGroup(Group):
     table: tuple[tuple[int, ...], ...]
 
     def __init__(self, names: Sequence[str], table: Sequence[Sequence[int]]) -> None:
-        names = tuple(str(x) for x in names)
+        names = tuple(names)
         for label in names:
+            if not isinstance(label, str):
+                raise ValueError(f"cayley label {label!r} is not a string")
             if not label or any(ch.isspace() or ch in _LABEL_SEPARATORS for ch in label):
                 raise ValueError(
                     f"cayley label {label!r} would not read back: labels must be "

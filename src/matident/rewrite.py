@@ -145,8 +145,10 @@ def check_equivalence_certificate(grading: Grading, cert: EquivalenceCertificate
 
     Accepts only when every step applies, the final word is the recorded
     end, and the generic evaluation of every intermediate word equals the
-    start's.
+    start's.  Equal evaluations prove nothing on a tuple with repeated
+    entries, so such a grading raises DistinctTupleError.
     """
+    require_distinct(grading)
     group = grading.group
     current = tuple(cert.start)
     if not current:
@@ -363,7 +365,11 @@ def certify_membership(
 def check_membership_certificate(
     grading: Grading, f: FreePoly, cert: MembershipCertificate
 ) -> CheckResult:
-    """Replay a membership certificate against the polynomial it claims."""
+    """Replay a membership certificate against the polynomial it claims.
+
+    Raises DistinctTupleError on a tuple with repeated entries.
+    """
+    require_distinct(grading)
     if cert.input != f:
         return CheckResult(False, "certificate was issued for a different polynomial")
     # Group arithmetic trusts its arguments, and a residual justified by one
@@ -431,7 +437,11 @@ class MembershipBundle:
 
 def check_membership_bundle(grading: Grading, bundle: MembershipBundle) -> CheckResult:
     """Accept only when the listed components cover the input's
-    multihomogeneous parts one to one, each with a valid certificate."""
+    multihomogeneous parts one to one, each with a valid certificate.
+
+    Raises DistinctTupleError on a tuple with repeated entries.
+    """
+    require_distinct(grading)
     parts = multihomogeneous_components(bundle.input)
     if len(bundle.components) != len(parts):
         return CheckResult(

@@ -27,7 +27,7 @@ from matident import (
     RATIONALS,
 )
 from matident.cli import main
-from matident.commpoly import Poly, YVar
+from matident.commpoly import Poly, YVar, accumulate
 from matident.freealg import word_degree
 from matident.generic import GenericMatrix, evaluate, require_distinct, word_product_closed
 from matident.rewrite import (
@@ -79,8 +79,38 @@ def run_cli(argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def free_poly(field, *terms) -> FreePoly:
+    """The free-algebra polynomial sum of c*word over (word, int c) pairs;
+    with no pairs, the zero polynomial."""
+    return FreePoly.from_terms(field, ((word, field.from_int(c)) for word, c in terms))
+
+
+def poly_sum(*polys):
+    """The sum of one or more polynomials of one type over one field."""
+    first = polys[0]
+    return type(first).from_terms(first.field, (t for p in polys for t in p.terms.items()))
+
+
 # ---------------------------------------------------------------------------
 # independent oracles
+
+
+def monomial_product(a: tuple, b: tuple) -> tuple:
+    """Product of two monomials: exponents add per variable."""
+    exps: dict = dict(a)
+    for var, e in b:
+        exps[var] = exps.get(var, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def entry_product(p: Poly, q: Poly) -> Poly:
+    """Product of two matrix entries, term by term."""
+    f = p.field
+    terms: dict = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            accumulate(f, terms, monomial_product(m1, m2), f.mul(c1, c2))
+    return Poly(f, terms)
 
 
 class OracleMatrix(GenericMatrix):
@@ -93,16 +123,18 @@ class OracleMatrix(GenericMatrix):
         return cls(field, n, {})
 
     def entry(self, i: int, j: int) -> Poly:
-        return self.entries.get((i, j), Poly.zero(self.field))
+        return self.entries.get((i, j), Poly(self.field, {}))
 
     def __add__(self, other: "OracleMatrix") -> "OracleMatrix":
         if self.n != other.n or self.field != other.field:
             raise ValueError("matrix shape or field mismatch")
-        entries = dict(self.entries)
-        for pos, p in other.entries.items():
-            acc = entries.get(pos)
-            entries[pos] = p if acc is None else acc + p
-        return OracleMatrix(self.field, self.n, entries)
+        summands: dict = {}
+        for m in (self, other):
+            for pos, p in m.entries.items():
+                summands.setdefault(pos, []).append(p)
+        return OracleMatrix(
+            self.field, self.n, {pos: poly_sum(*ps) for pos, ps in summands.items()}
+        )
 
     def __matmul__(self, other: "OracleMatrix") -> "OracleMatrix":
         if self.n != other.n or self.field != other.field:
@@ -110,17 +142,23 @@ class OracleMatrix(GenericMatrix):
         by_row: dict = {}
         for (k, j), q in other.entries.items():
             by_row.setdefault(k, []).append((j, q))
-        entries: dict = {}
+        summands: dict = {}
         for (i, k), p in self.entries.items():
             for j, q in by_row.get(k, ()):
-                acc = entries.get((i, j))
-                prod = p * q
-                entries[(i, j)] = prod if acc is None else acc + prod
-        return OracleMatrix(self.field, self.n, entries)
+                summands.setdefault((i, j), []).append(entry_product(p, q))
+        return OracleMatrix(
+            self.field, self.n, {pos: poly_sum(*ps) for pos, ps in summands.items()}
+        )
 
     def scale(self, value) -> "OracleMatrix":
+        f = self.field
         return OracleMatrix(
-            self.field, self.n, {pos: p.scale(value) for pos, p in self.entries.items()}
+            f,
+            self.n,
+            {
+                pos: Poly.from_terms(f, ((m, f.mul(value, c)) for m, c in p.terms.items()))
+                for pos, p in self.entries.items()
+            },
         )
 
 
@@ -137,7 +175,7 @@ def generic_matrix(grading: Grading, field, h, index: int) -> OracleMatrix:
     for k in range(1, grading.n + 1):
         s = naive_step(grading, k, h)
         if s is not None:
-            entries[(k, s)] = Poly.variable(field, YVar(h, index, k))
+            entries[(k, s)] = Poly(field, {((YVar(h, index, k), 1),): field.one})
     return OracleMatrix(field, grading.n, entries)
 
 
@@ -155,7 +193,7 @@ def closed_matrix(grading: Grading, field, word) -> OracleMatrix:
     """The engine's closed-form word evaluation as a matrix of one-term polynomials."""
     closed = word_product_closed(grading, word)
     return OracleMatrix(
-        field, grading.n, {pos: Poly.monomial(field, mono) for pos, mono in closed.items()}
+        field, grading.n, {pos: Poly(field, {mono: field.one}) for pos, mono in closed.items()}
     )
 
 
@@ -535,7 +573,7 @@ def random_identity_component(
         word = next((w for w in permutations() if not word_product_closed(grading, w)), None)
         if word is not None:
             terms[word] = terms.get(word, 0) + rng.randint(1, 5)
-    return FreePoly.from_terms(field, ((w, field.from_int(c)) for w, c in terms.items()))
+    return free_poly(field, *terms.items())
 
 
 def z4_sweep_component(terms: int, seed: int = 7, length: int = 14, per_class: int = 10) -> FreePoly:
@@ -553,4 +591,4 @@ def z4_sweep_component(terms: int, seed: int = 7, length: int = 14, per_class: i
         words = swap_class(rng, grading.group, tuple(rng.sample(letters, length)), per_class)
         for w, c in zip(words, zero_sum(rng, len(words))):
             acc[w] = acc.get(w, 0) + c
-    return FreePoly.from_terms(RATIONALS, ((w, RATIONALS.from_int(c)) for w, c in acc.items()))
+    return free_poly(RATIONALS, *acc.items())

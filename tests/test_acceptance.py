@@ -35,6 +35,8 @@ from matident.rewrite import (
 from helpers import (
     closed_matrix,
     evaluate_direct,
+    free_poly,
+    poly_sum,
     random_chain_word,
     random_neutral_word,
     random_rewrite_variant,
@@ -69,20 +71,20 @@ def basis_identity_instances(grading, field, max_index=3):
     for i, j in itertools.product(idx, idx):
         if i == j:
             continue
-        a = FreePoly.word(field, (GVar(eps, i), GVar(eps, j)))
-        b = FreePoly.word(field, (GVar(eps, j), GVar(eps, i)))
-        instances.append(a - b)
+        a = (GVar(eps, i), GVar(eps, j))
+        b = (GVar(eps, j), GVar(eps, i))
+        instances.append(free_poly(field, (a, 1), (b, -1)))
     for h in group.elements():
         if h == eps:
             continue
         hinv = group.inverse(h)
         for i, j, k in itertools.product(idx, idx, idx):
-            a = FreePoly.word(field, (GVar(h, i), GVar(hinv, k), GVar(h, j)))
-            b = FreePoly.word(field, (GVar(h, j), GVar(hinv, k), GVar(h, i)))
-            instances.append(a - b)
+            a = (GVar(h, i), GVar(hinv, k), GVar(h, j))
+            b = (GVar(h, j), GVar(hinv, k), GVar(h, i))
+            instances.append(free_poly(field, (a, 1), (b, -1)))
         if grading.component_dimension(h) == 0:
             for i in idx:
-                instances.append(FreePoly.word(field, (GVar(h, i),)))
+                instances.append(free_poly(field, ((GVar(h, i),), 1)))
     return instances
 
 
@@ -175,7 +177,7 @@ def random_commutator_identity(rng, grading, field):
     for _ in range(20):
         u = random_neutral_word(rng, grading, rng.randint(1, 3))
         v = random_neutral_word(rng, grading, rng.randint(1, 3))
-        f = FreePoly.word(field, u + v) - FreePoly.word(field, v + u)
+        f = free_poly(field, (u + v, 1), (v + u, -1))
         if not f.is_zero():
             return f
     return None
@@ -189,7 +191,7 @@ def random_conjugate_identity(rng, grading, field):
         u = random_chain_word(rng, grading, rng.randint(1, 3), start=p, end=q)
         v = random_chain_word(rng, grading, rng.randint(1, 3), start=p, end=q)
         t = random_chain_word(rng, grading, rng.randint(1, 3), start=q, end=p)
-        f = FreePoly.word(field, u + t + v) - FreePoly.word(field, v + t + u)
+        f = free_poly(field, (u + t + v, 1), (v + t + u, -1))
         if not f.is_zero():
             return f
     return None
@@ -197,11 +199,12 @@ def random_conjugate_identity(rng, grading, field):
 
 def random_orbit_identity(rng, grading, field):
     w = random_swappable_word(rng, grading)
-    f = FreePoly.zero(field)
+    terms = []
     for _ in range(rng.randint(1, 3)):
         variant = random_rewrite_variant(rng, grading, w)
         c = rng.randint(1, 2)
-        f = f + FreePoly.word(field, w, c) - FreePoly.word(field, variant, c)
+        terms += [(w, c), (variant, -c)]
+    f = free_poly(field, *terms)
     return None if f.is_zero() else f
 
 
@@ -211,7 +214,7 @@ def random_monomial_identity_poly(rng, grading, field):
         return None
     seq = rng.choice(sequences)
     word = tuple(GVar(h, rng.randint(1, 3)) for h in seq)
-    return FreePoly.word(field, word, rng.randint(1, 2))
+    return free_poly(field, (word, rng.randint(1, 2)))
 
 
 def random_identity(rng, grading, field):
@@ -226,8 +229,11 @@ def random_identity(rng, grading, field):
         if f is None:
             continue
         if rng.random() < 0.4:
-            wrap = FreePoly.word(field, random_chain_word(rng, grading, rng.randint(1, 2)))
-            f = wrap * f if rng.random() < 0.5 else f * wrap
+            wrap = random_chain_word(rng, grading, rng.randint(1, 2))
+            left = rng.random() < 0.5
+            f = FreePoly.from_terms(
+                field, ((wrap + w if left else w + wrap, c) for w, c in f.terms.items())
+            )
         assert is_multihomogeneous(f)
         return f
 
@@ -235,16 +241,14 @@ def random_identity(rng, grading, field):
 def random_non_identity(rng, grading, field):
     while True:
         if rng.random() < 0.5:
-            f = FreePoly.word(
-                field, random_chain_word(rng, grading, rng.randint(1, 4)), rng.randint(1, 2)
-            )
+            word = random_chain_word(rng, grading, rng.randint(1, 4))
+            f = free_poly(field, (word, rng.randint(1, 2)))
         else:
             w = random_swappable_word(rng, grading)
-            f = FreePoly.word(field, w)
+            terms = [(w, 1)]
             for _ in range(rng.randint(0, 2)):
-                f = f + FreePoly.word(
-                    field, random_rewrite_variant(rng, grading, w), rng.randint(1, 2)
-                )
+                terms.append((random_rewrite_variant(rng, grading, w), rng.randint(1, 2)))
+            f = free_poly(field, *terms)
         if not evaluate(grading, f).is_zero():
             return f
 
@@ -334,19 +338,16 @@ def test_c9_multihomogeneous_decomposition():
             [(w, RATIONALS.from_int(rng.randint(-3, 3))) for w in words],
         )
         comps = multihomogeneous_components(f)
-        total = FreePoly.zero(RATIONALS)
-        for comp in comps:
-            if not is_multihomogeneous(comp):
-                failures.append(f"poly {count}: non-multihomogeneous component")
-            total = total + comp
-        if total != f:
+        if not all(is_multihomogeneous(comp) for comp in comps):
+            failures.append(f"poly {count}: non-multihomogeneous component")
+        if poly_sum(free_poly(RATIONALS), *comps) != f:
             failures.append(f"poly {count}: components do not sum to the input")
 
     for count in range(50):
         grading = gradings[count % len(gradings)]
-        f = FreePoly.zero(RATIONALS)
-        for _ in range(rng.randint(2, 4)):
-            f = f + random_identity(rng, grading, RATIONALS)
+        f = poly_sum(
+            *(random_identity(rng, grading, RATIONALS) for _ in range(rng.randint(2, 4)))
+        )
         for comp in multihomogeneous_components(f):
             if not is_graded_identity(grading, comp):
                 failures.append(f"identity sum {count}: component is not an identity")

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from matident import FreePoly, grading_from_config, parse_field, parse_polynomial, parse_word
 from matident.generic import is_graded_identity
 
-from helpers import run_cli
+from helpers import free_poly, run_cli
 
 INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
@@ -132,8 +132,8 @@ def _mutate(doc: dict, data) -> None:
 
 def _vouched_polynomial(doc: dict, grading, field) -> FreePoly:
     if doc["type"] == "equivalence":
-        start = FreePoly.word(field, parse_word(doc["start"], grading.group))
-        return start - FreePoly.word(field, parse_word(doc["end"], grading.group))
+        start, end = (parse_word(doc[k], grading.group) for k in ("start", "end"))
+        return free_poly(field, (start, 1), (end, -1))
     return parse_polynomial(doc["input"], grading.group, field)
 
 

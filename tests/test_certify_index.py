@@ -14,7 +14,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matident import CyclicGroup, FreePoly, Grading, IntegerGroup, PrimeField, RATIONALS
+from matident import CyclicGroup, Grading, IntegerGroup, PrimeField, RATIONALS
 from matident.generic import word_product_closed
 from matident.rewrite import (
     MembershipCertificate,
@@ -25,6 +25,8 @@ from matident.rewrite import (
 
 from helpers import (
     certify_membership_linear,
+    free_poly,
+    poly_sum,
     random_identity_component,
     s3_group,
     z2z2_group,
@@ -61,7 +63,7 @@ def test_certify_matches_linear_scan_oracle(
         # one more copy of a term with a nonzero evaluation breaks the zero sum
         word = next((w for w in f.terms if word_product_closed(grading, w)), None)
         if word is not None:
-            f = f + FreePoly.word(field, word)
+            f = poly_sum(f, free_poly(field, (word, 1)))
     if not f.terms:
         return
     got = certify_membership(grading, f)

@@ -245,6 +245,61 @@ def _one_error_line(err: str) -> bool:
     return err.startswith("error: ") and err.count("\n") == 1
 
 
+SWAP_START = "x[0;1]*x[0;3]*x[0;1]*x[0;2]"
+SWAP_END = "x[0;1]*x[0;2]*x[0;1]*x[0;3]"
+
+
+def _swap_files(tmp_path) -> dict:
+    """Z2 gradings with tuples (0,1) and (0,0), and the ends of a neutral
+    swap that is valid on the first.  On the second the difference of the
+    ends is no identity: x1 = I, x2 = E12, x3 = E21 give E11 - E22."""
+    paths = {}
+    for name, entries in (("distinct", [0, 1]), ("repeated", [0, 0])):
+        paths[name] = tmp_path / f"{name}.json"
+        doc = {"group": {"type": "cyclic", "order": 2}, "n": 2, "tuple": entries}
+        paths[name].write_text(json.dumps(doc), encoding="utf-8")
+    texts = {"start": SWAP_START, "end": SWAP_END, "poly": f"{SWAP_END} - {SWAP_START}"}
+    for name, text in texts.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text + "\n", encoding="utf-8")
+    return {name: str(path) for name, path in paths.items()}
+
+
+def test_check_cert_refuses_repeated_tuples(capsys, tmp_path):
+    paths = _swap_files(tmp_path)
+    code, out, _ = run(capsys, ["certify", paths["distinct"], paths["poly"], "--json"])
+    assert code == 0
+    documents = {
+        "equivalence": {
+            "format": 1,
+            "type": "equivalence",
+            "start": SWAP_START,
+            "end": SWAP_END,
+            "steps": [{"rule": "neutral-swap", "split": [0, 2, 4]}],
+        },
+        "membership": json.loads(out)["components"][0]["certificate"],
+        "bundle": json.loads(out),
+    }
+    for kind, doc in documents.items():
+        cert = tmp_path / f"{kind}.json"
+        cert.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["check-cert", paths["distinct"], str(cert), "--strict"]
+        assert run(capsys, argv)[:2] == (0, "valid\n")
+        argv[1] = paths["repeated"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert _one_error_line(err) and "repeated entries" in err
+
+
+def test_equiv_refuses_repeated_tuples(capsys, tmp_path):
+    paths = _swap_files(tmp_path)
+    for extra in ([], ["--strict"]):
+        argv = ["equiv", paths["repeated"], paths["end"], paths["start"]] + extra
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert _one_error_line(err) and "repeated entries" in err
+
+
 def test_lset_rejects_empty_sequence_elements(capsys, z4_path):
     for seq in ("1,,2", "1,", ",1", ""):
         code, out, err = run(capsys, ["lset", z4_path, "--seq", seq])

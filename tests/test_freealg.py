@@ -21,6 +21,8 @@ from matident.freealg import (
     word_degree,
 )
 
+from helpers import free_poly, poly_sum
+
 Z4 = CyclicGroup(4)
 Z2 = CyclicGroup(2)
 
@@ -60,11 +62,8 @@ def test_multihomogeneous_components_examples():
         RATIONALS,
     )
     comps = multihomogeneous_components(mixed)
-    total = FreePoly.zero(RATIONALS)
-    for comp in comps:
-        assert is_multihomogeneous(comp)
-        total = total + comp
-    assert total == mixed
+    assert all(is_multihomogeneous(comp) for comp in comps)
+    assert poly_sum(*comps) == mixed
     degrees = [multidegree(next(iter(c.terms))) for c in comps]
     assert len(set(degrees)) == len(degrees)
 
@@ -80,17 +79,14 @@ def test_components_random_resum():
             RATIONALS, [(w, Fraction(rng.randint(-3, 3))) for w in words]
         )
         comps = multihomogeneous_components(f)
-        total = FreePoly.zero(RATIONALS)
-        for comp in comps:
-            assert is_multihomogeneous(comp)
-            total = total + comp
-        assert total == f
+        assert all(is_multihomogeneous(comp) for comp in comps)
+        assert poly_sum(free_poly(RATIONALS), *comps) == f
 
 
 def test_is_multilinear():
     assert is_multilinear(parse_polynomial("x[1;1]*x[1;2]", Z4, RATIONALS))
     assert not is_multilinear(parse_polynomial("x[1;1]*x[1;1]", Z4, RATIONALS))
-    assert is_multilinear(FreePoly.zero(RATIONALS))
+    assert is_multilinear(free_poly(RATIONALS))
     # same index, different degrees: distinct variables
     assert is_multilinear(parse_polynomial("x[1;1]*x[3;1]", Z4, RATIONALS))
     # mixed multidegrees are not multilinear
@@ -170,7 +166,7 @@ def test_format_parse_roundtrip(items):
 
 
 def test_format_zero_and_words():
-    assert format_polynomial(Z4, FreePoly.zero(RATIONALS)) == "0"
+    assert format_polynomial(Z4, free_poly(RATIONALS)) == "0"
     assert format_word(Z4, (GVar(1, 1), GVar(3, 2))) == "x[1;1]*x[3;2]"
     with pytest.raises(ValueError):
         format_word(Z4, ())
@@ -183,16 +179,6 @@ def test_parse_word():
         parse_word("x[1;1] + x[1;2]", Z2)
     with pytest.raises(ValueError):
         parse_word("2*x[1;1]", Z2)
-
-
-def test_free_poly_product_concatenates():
-    a = parse_polynomial("x[1;1] + x[3;2]", Z4, RATIONALS)
-    b = parse_polynomial("x[0;1]", Z4, RATIONALS)
-    prod = a * b
-    assert set(prod.terms) == {
-        (GVar(1, 1), GVar(0, 1)),
-        (GVar(3, 2), GVar(0, 1)),
-    }
 
 
 def test_multidegree_is_occurrence_counter():

@@ -23,6 +23,7 @@ from matident.generic import evaluate, is_graded_identity, letter_matching, word
 from helpers import (
     alpha_checks,
     closed_matrix,
+    free_poly,
     generic_matrix,
     matching_entry,
     matching_permutation,
@@ -46,29 +47,30 @@ def mono(*vars_):
     return tuple(sorted(exps.items()))
 
 
+def term(*vars_):
+    """The one-term polynomial mono(*vars_) with coefficient 1."""
+    return Poly(RATIONALS, {mono(*vars_): RATIONALS.one})
+
+
 def test_generic_matrix_examples():
     a = generic_matrix(GR_Z2, RATIONALS, 1, 1)
     assert set(a.entries) == {(1, 2), (2, 1)}
-    assert a.entries[(1, 2)] == Poly.variable(RATIONALS, YVar(1, 1, 1))
-    assert a.entries[(2, 1)] == Poly.variable(RATIONALS, YVar(1, 1, 2))
+    assert a.entries[(1, 2)] == term(YVar(1, 1, 1))
+    assert a.entries[(2, 1)] == term(YVar(1, 1, 2))
 
     assert generic_matrix(GR_Z4, RATIONALS, 2, 1).is_zero()
 
     b = generic_matrix(GR_Z4, RATIONALS, 1, 1)
     assert set(b.entries) == {(1, 2)}
-    assert b.entries[(1, 2)] == Poly.variable(RATIONALS, YVar(1, 1, 1))
+    assert b.entries[(1, 2)] == term(YVar(1, 1, 1))
 
 
 def test_word_product_direct_example():
     w = parse_word("x[1;1]*x[1;2]", Z2)
     m = word_product_direct(GR_Z2, RATIONALS, w)
     assert set(m.entries) == {(1, 1), (2, 2)}
-    assert m.entries[(1, 1)] == Poly.monomial(
-        RATIONALS, mono(YVar(1, 1, 1), YVar(1, 2, 2))
-    )
-    assert m.entries[(2, 2)] == Poly.monomial(
-        RATIONALS, mono(YVar(1, 1, 2), YVar(1, 2, 1))
-    )
+    assert m.entries[(1, 1)] == term(YVar(1, 1, 1), YVar(1, 2, 2))
+    assert m.entries[(2, 2)] == term(YVar(1, 1, 2), YVar(1, 2, 1))
 
 
 def test_single_letter_equals_generic_matrix():
@@ -177,8 +179,8 @@ def test_identity_status_depends_only_on_degree_sequence():
             hseq = [rng.choice(support) for _ in range(rng.randint(1, 5))]
             w1 = tuple(GVar(h, rng.randint(1, 3)) for h in hseq)
             w2 = tuple(GVar(h, rng.randint(1, 3)) for h in hseq)
-            f1 = FreePoly.word(RATIONALS, w1)
-            f2 = FreePoly.word(RATIONALS, w2)
+            f1 = free_poly(RATIONALS, (w1, 1))
+            f2 = free_poly(RATIONALS, (w2, 1))
             assert is_graded_identity(grading, f1) == is_graded_identity(grading, f2)
 
 
@@ -303,4 +305,4 @@ def test_first_nonzero_is_row_major():
     m = evaluate(GR_Z2, parse_polynomial("x[1;2] + x[0;1]", Z2, RATIONALS))
     pos, poly = m.first_nonzero()
     assert pos == (1, 1)
-    assert poly == Poly.variable(RATIONALS, YVar(0, 1, 1))
+    assert poly == term(YVar(0, 1, 1))

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from matident.freealg import GVar, format_word, parse_word
 from matident.generic import is_graded_identity
 from matident.groups import Group, element_from_json
 
-from helpers import s3_group, z2z2_group
+from helpers import run_cli, s3_group, z2z2_group
 
 
 def test_cyclic_op_examples():
@@ -132,7 +133,7 @@ def test_group_axioms_on_random_triples(group):
     rng = random.Random(20260808)
 
     def sample():
-        if group.is_finite:
+        if group.order is not None:
             elements = list(group.elements())
             return rng.choice(elements)
         return rng.randint(-10**9, 10**9)
@@ -268,6 +269,19 @@ def test_group_from_config():
 def test_cayley_config_needs_lists(names, table):
     with pytest.raises(ValueError, match="'names' list and a 'table' list of lists"):
         group_from_config({"type": "cayley", "names": names, "table": table})
+
+
+@pytest.mark.parametrize("names", [[None, True], [1, 2], ["e", 1], ["e", ["a"]]], ids=str)
+def test_cayley_labels_must_be_strings(names, tmp_path):
+    table = [[0, 1], [1, 0]]
+    with pytest.raises(ValueError, match="is not a string"):
+        CayleyGroup(names, table)
+    doc = {"group": {"type": "cayley", "names": names, "table": table}, "n": 1, "tuple": [0]}
+    path = tmp_path / "grading.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(["info", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "is not a string" in err
 
 
 def test_element_from_json():

@@ -5,7 +5,7 @@ import pytest
 
 from matident import (
     CyclicGroup,
-    FreePoly,
+    DistinctTupleError,
     Grading,
     RATIONALS,
     PrimeField,
@@ -16,6 +16,8 @@ from matident.generic import word_product_closed
 from matident.rewrite import (
     CONJUGATE_SWAP,
     NEUTRAL_SWAP,
+    BundleComponent,
+    MembershipBundle,
     EquivalenceCertificate,
     Justification,
     MembershipCertificate,
@@ -27,6 +29,7 @@ from matident.rewrite import (
     apply_step,
     certify_membership,
     check_equivalence_certificate,
+    check_membership_bundle,
     check_membership_certificate,
     derive_equivalence,
     equivalence_from_dict,
@@ -37,6 +40,7 @@ from matident.rewrite import (
 
 from helpers import (
     evaluate_direct,
+    free_poly,
     random_rewrite_variant,
     random_swappable_word,
     s3_group,
@@ -201,7 +205,7 @@ def test_certify_non_identity_witness():
     witness = certify_membership(GR_Z2, f)
     assert isinstance(witness, NonIdentityWitness)
     assert witness.position == (1, 2)
-    assert witness.entry == Poly.variable(RATIONALS, YVar(1, 1, 1))
+    assert witness.entry == Poly(RATIONALS, {((YVar(1, 1, 1), 1),): RATIONALS.one})
     # independent re-evaluation confirms the cited entry
     direct = evaluate_direct(GR_Z2, f)
     assert direct.entry(*witness.position) == witness.entry
@@ -214,7 +218,7 @@ def test_certify_requires_multihomogeneous():
 
 
 def test_certify_zero_polynomial():
-    cert = certify_membership(GR_Z2, FreePoly.zero(RATIONALS))
+    cert = certify_membership(GR_Z2, free_poly(RATIONALS))
     assert isinstance(cert, MembershipCertificate)
     assert cert.pairings == () and cert.residual == ()
 
@@ -225,15 +229,13 @@ def test_check_membership_rejects_wrong_residual():
     # claim a residual term with a nonempty chain set
     live_word = parse_word("x[1;1]*x[3;2]", Z4)
     forged = MembershipCertificate(
-        input=FreePoly.word(RATIONALS, live_word),
+        input=free_poly(RATIONALS, (live_word, 1)),
         pairings=(),
         residual=(
             ResidualTerm(live_word, Fraction(1), Justification("empty-lset")),
         ),
     )
-    result = check_membership_certificate(
-        GR_Z4, FreePoly.word(RATIONALS, live_word), forged
-    )
+    result = check_membership_certificate(GR_Z4, free_poly(RATIONALS, (live_word, 1)), forged)
     assert not result
     assert "chain set" in result.reason
 
@@ -289,7 +291,7 @@ def test_checkers_refuse_non_element_degrees(grading, bad):
         cert = MembershipCertificate(f, tuple(pairings), tuple(residual))
         return _refused(lambda: check_membership_certificate(grading, f, cert))
 
-    one = FreePoly.word(RATIONALS, word)
+    one = free_poly(RATIONALS, (word, 1))
     for letter in (1, 2):
         justified = Justification("degree-outside-support", letter=letter)
         assert membership(one, (), [ResidualTerm(word, Fraction(1), justified)])
@@ -300,15 +302,37 @@ def test_checkers_refuse_non_element_degrees(grading, bad):
     outside = (GVar(2, 1), GVar(bad, 2))
     cited = Justification("degree-outside-support", letter=1)
     assert membership(
-        FreePoly.word(RATIONALS, outside), (), [ResidualTerm(outside, Fraction(1), cited)]
+        free_poly(RATIONALS, (outside, 1)), (), [ResidualTerm(outside, Fraction(1), cited)]
     )
-    pair = FreePoly.from_terms(RATIONALS, [(word, 1), (swapped, -1)])
+    pair = free_poly(RATIONALS, (word, 1), (swapped, -1))
     (w0, _), (w1, _) = pair.sorted_terms()
     for pairing in (
         Pairing(0, 1, EquivalenceCertificate(w1, (swap,), w0)),
         Pairing(1, 0, EquivalenceCertificate(w0, (swap,), w1)),
     ):
         assert membership(pair, [pairing], [])
+
+
+def test_checkers_refuse_repeated_tuples():
+    # The swap is valid on Z2 (0,1), but on Z2 (0,0) every matrix has the
+    # neutral degree and the difference is no identity: x1 = I, x2 = E12,
+    # x3 = E21 sends it to E11 - E22.
+    repeated = Grading(Z2, 2, (0, 0))
+    start = parse_word("x[0;1]*x[0;3]*x[0;1]*x[0;2]", Z2)
+    end = parse_word("x[0;1]*x[0;2]*x[0;1]*x[0;3]", Z2)
+    eq = EquivalenceCertificate(start, (RewriteStep(NEUTRAL_SWAP, (0, 2, 4)),), end)
+    f = free_poly(RATIONALS, (end, 1), (start, -1))
+    cert = certify_membership(GR_Z2, f)
+    bundle = MembershipBundle(f, (BundleComponent(f, cert),))
+    checks = (
+        lambda grading: check_equivalence_certificate(grading, eq),
+        lambda grading: check_membership_certificate(grading, f, cert),
+        lambda grading: check_membership_bundle(grading, bundle),
+    )
+    for check in checks:
+        assert check(GR_Z2)
+        with pytest.raises(DistinctTupleError):
+            check(repeated)
 
 
 def test_certify_over_prime_field():
