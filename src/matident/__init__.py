@@ -13,7 +13,6 @@ from .freealg import (
     format_polynomial,
     format_word,
     is_multihomogeneous,
-    is_multilinear,
     multihomogeneous_components,
     parse_polynomial,
     parse_word,

@@ -146,15 +146,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     poly = parse_polynomial(_load_text(args.polynomial), grading.group, field)
     matrix = evaluate(grading, poly)
     fmt = _fmt(grading)
-    payload = {
-        "field": str(field),
-        "zero": matrix.is_zero(),
-        "entries": {
-            f"({i},{j})": render_poly(matrix.entries[(i, j)], fmt)
-            for (i, j) in sorted(matrix.entries)
-        },
+    # each entry is rendered once, for the payload and the "(i,j): p" lines
+    entries = {
+        f"({i},{j})": render_poly(matrix.entries[(i, j)], fmt) for (i, j) in sorted(matrix.entries)
     }
-    _emit(args, payload, matrix.render(fmt))
+    payload = {"field": str(field), "zero": matrix.is_zero(), "entries": entries}
+    human = "\n".join(f"{pos}: {text}" for pos, text in entries.items()) or "0"
+    _emit(args, payload, human)
     return EXIT_OK
 
 

@@ -68,9 +68,6 @@ class Rationals:
     def neg(self, a: Coefficient) -> Coefficient:
         return -a
 
-    def mul(self, a: Coefficient, b: Coefficient) -> Coefficient:
-        return a * b
-
     def is_zero(self, a: Coefficient) -> bool:
         return a == 0
 
@@ -119,9 +116,6 @@ class PrimeField:
 
     def neg(self, a: Coefficient) -> Coefficient:
         return (-a) % self.p
-
-    def mul(self, a: Coefficient, b: Coefficient) -> Coefficient:
-        return (a * b) % self.p
 
     def is_zero(self, a: Coefficient) -> bool:
         return a % self.p == 0

@@ -77,20 +77,6 @@ def multihomogeneous_components(f: FreePoly) -> list[FreePoly]:
     return [FreePoly(f.field, terms) for _, terms in sorted(buckets.items())]
 
 
-def is_multilinear(f: FreePoly) -> bool:
-    """True when every term is a permutation of one common variable set.
-
-    The zero polynomial counts as multilinear so that decomposition stays
-    total.
-    """
-    if f.is_zero():
-        return True
-    if not is_multihomogeneous(f):
-        return False
-    md = multidegree(next(iter(f.terms)))
-    return all(count == 1 for _, count in md)
-
-
 # ---------------------------------------------------------------------------
 # formatting
 

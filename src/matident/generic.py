@@ -7,20 +7,29 @@ exactly the graded identities of the graded matrix algebra, so a graded
 polynomial is an identity precisely when its generic evaluation is the
 zero matrix (for gradings with pairwise-distinct tuple entries).
 
-A word's evaluation is read off the chain structure, never multiplied
-out: `word_product_closed` gives one monomial, with coefficient 1, at
-(start row, end row) for every surviving chain.  `evaluate` and the
-identity decision sum those maps through `sum_evaluations`, which the
-certificate code shares.
+With a distinct tuple, the chain of a word w from row k sits before its
+i-th letter at the one row carrying g_k * d_i, where d_1 = e and
+d_{i+1} = d_i * deg(w_i) are the prefix degrees.  A word's evaluation is
+therefore fixed by its signature: the multiset of (letter, prefix degree)
+pairs and the end degree d_{q+1}.  Row k survives exactly when every
+g_k * d_i is a tuple entry, so the surviving start rows are the AND of
+one n-bit mask per prefix degree (`Grading.step`), and the monomial at
+row k has the variable of letter w_i on the row carrying g_k * d_i.
+Two nonempty word evaluations are either equal or share no entry
+(`tests/test_generic.py::test_shared_entry_means_equal_evaluations`).
 
-With a distinct tuple, the chain of a word from row k sits before its i-th
-letter at the one row carrying g_k times the word's prefix degree.  The
-monomial at row k therefore fixes the multiset of (letter, prefix degree)
-pairs and the end degree, and those fix every surviving row and its
-monomial: two nonempty word evaluations are either equal or share no
-entry (`tests/test_generic.py::test_shared_entry_means_equal_evaluations`).
-`letter_matching` decides sharing on the chains from one start row, and
-pairs the letters row by row, without building monomials.  The direct
+`evaluate` and `is_graded_identity` sum the coefficients of f per
+signature class and read each nonzero class's surviving rows from the
+masks; the identity decision builds no monomial, and `evaluate` builds
+monomials only for the surviving nonzero classes.  This is the path
+argument behind the bases of Vasilovsky (Proc. AMS 127, 1999) and
+Bahturin-Drensky (Linear Algebra Appl. 357, 2002).
+
+The certificate code stays on chain paths, independent of the signature
+argument: `word_product_closed` gives one monomial, with coefficient 1,
+at (start row, end row) for every surviving chain, `sum_evaluations`
+adds such maps, and `letter_matching` pairs the letters of two words on
+the chains from one start row, without building monomials.  The direct
 matrix-product oracle that checks all of this is in `tests/helpers.py`.
 """
 
@@ -28,7 +37,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .commpoly import Coefficient, Field, Monomial, Poly, YVar, accumulate, render_poly
+from .commpoly import Coefficient, Field, Monomial, Poly, YVar, accumulate
 from .freealg import FreePoly, Word, degree_sequence
 from .grading import Grading
 
@@ -71,15 +80,6 @@ class GenericMatrix:
         return self.field == other.field and self.n == other.n and self.entries == other.entries
 
     __hash__ = None
-
-    def render(self, degree_fmt) -> str:
-        """Entries as "(i,j): polynomial" lines in row-major order."""
-        if self.is_zero():
-            return "0"
-        lines = []
-        for (i, j) in sorted(self.entries):
-            lines.append(f"({i},{j}): {render_poly(self.entries[(i, j)], degree_fmt)}")
-        return "\n".join(lines)
 
     def __repr__(self) -> str:
         return f"GenericMatrix(n={self.n}, entries={len(self.entries)})"
@@ -124,31 +124,88 @@ def sum_evaluations(
     return GenericMatrix(field, n, {pos: Poly(field, t) for pos, t in acc.items()})
 
 
-def evaluate(grading: Grading, f: FreePoly) -> GenericMatrix:
-    """Substitute generic matrices for the variables of f.
+def _classes(grading: Grading, f: FreePoly) -> dict[tuple, Coefficient]:
+    """Coefficient sums of f's terms per evaluation class, zero sums dropped.
 
-    Every term adds its coefficient at each monomial of its word's
-    evaluation.  Only valid for gradings whose tuple entries are pairwise
-    distinct: on other tuples a generic matrix needs more than one
-    variable per row, so they raise DistinctTupleError.
+    A word's class key is its signature: the sorted (letter, prefix degree)
+    pairs, with prefix degrees d_1 = e and d_{i+1} = d_i * deg(w_i), and
+    its end degree d_{q+1}.  Each letter is validated once.
     """
     require_distinct(grading)
     if () in f.terms:
         raise ValueError("polynomial has a term with the empty word")
-    return sum_evaluations(
-        f.field,
-        grading.n,
-        ((word_product_closed(grading, word), coeff) for word, coeff in f.terms.items()),
-    )
+    group = grading.group
+    check, op, identity = group.check, group.op, group.identity()
+    classes: dict = {}
+    for word, coeff in f.terms.items():
+        d = identity
+        pairs = []
+        for v in word:
+            check(v.degree)
+            pairs.append((v, d))
+            d = op(d, v.degree)
+        accumulate(f.field, classes, (tuple(sorted(pairs)), d), coeff)
+    return classes
+
+
+def _survivors(grading: Grading, key: tuple) -> int:
+    """Bit mask of the start rows whose chains survive a class's words."""
+    pairs, end = key
+    mask = grading.step(end)[1]
+    for _, d in pairs:
+        if not mask:
+            break
+        mask &= grading.step(d)[1]
+    return mask
+
+
+def evaluate(grading: Grading, f: FreePoly) -> GenericMatrix:
+    """Substitute generic matrices for the variables of f.
+
+    Terms are summed per evaluation class (see `_classes`), and only the
+    classes with a nonzero sum and a surviving start row build monomials:
+    at start row k the letter (w_i, d_i) sits on the row carrying g_k * d_i,
+    and the entry's column is the row carrying g_k * d_{q+1}.  Distinct
+    classes give distinct monomials, so no entry sums across classes.
+    Only valid for gradings whose tuple entries are pairwise distinct: on
+    other tuples a generic matrix needs more than one variable per row, so
+    they raise DistinctTupleError.
+    """
+    entries: dict = {}
+    for key, coeff in _classes(grading, f).items():
+        mask = _survivors(grading, key)
+        if not mask:
+            continue
+        pairs, end = key
+        letters = [v for v, _ in pairs]
+        tables = [grading.step(d)[0] for _, d in pairs]
+        end_table = grading.step(end)[0]
+        while mask:
+            k = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            mono = _chain_monomial(letters, [table[k] for table in tables])
+            entries.setdefault((k, end_table[k]), {})[mono] = coeff
+    return GenericMatrix(f.field, grading.n, {pos: Poly(f.field, t) for pos, t in entries.items()})
 
 
 def is_graded_identity(grading: Grading, f: FreePoly) -> bool:
-    """Exact identity decision via generic evaluation.
+    """Exact identity decision: no nonzero evaluation class has a surviving row.
 
-    Only valid for gradings whose tuple entries are pairwise distinct;
-    other gradings raise DistinctTupleError.
+    Builds no monomial.  Only valid for gradings whose tuple entries are
+    pairwise distinct; other gradings raise DistinctTupleError.
     """
-    return evaluate(grading, f).is_zero()
+    return not any(_survivors(grading, key) for key in _classes(grading, f))
+
+
+def _walk(tables: list, k: int) -> Optional[list[int]]:
+    """The row path from k through the step tables, or None if it dies."""
+    path = [k]
+    for table in tables:
+        k = table[k]
+        if k is None:
+            return None
+        path.append(k)
+    return path
 
 
 def letter_matching(grading: Grading, m: Word, n: Word) -> Optional[tuple[int, ...]]:
@@ -157,17 +214,24 @@ def letter_matching(grading: Grading, m: Word, n: Word) -> Optional[tuple[int, .
     Returns sigma with `sigma[l-1]` the 1-based position in m of n's l-th
     letter, pairing equal letters on equal chain rows, or None when the
     evaluations share no entry.  With a distinct tuple two nonempty word
-    evaluations are either equal or disjoint, so only the chains from m's
-    first start row are read.  When repeated letters admit several
-    matchings, the lexicographically least one is returned.
+    evaluations are either equal or disjoint, so only m's chain from its
+    first surviving start row and n's chain from the same row are walked.
+    When repeated letters admit several matchings, the lexicographically
+    least one is returned.
     """
-    ls_m = grading.lset(degree_sequence(m))
-    ls_n = grading.lset(degree_sequence(n))
-    if len(m) != len(n) or ls_m.is_empty:
+    if not m or not n:
+        raise ValueError("degree sequence must be nonempty")
+    tables_m = [grading.step_table(v.degree) for v in m]
+    tables_n = [grading.step_table(v.degree) for v in n]
+    if len(m) != len(n):
         return None
-    k = ls_m.starts[0]
-    path_m = ls_m.paths[k]
-    path_n = ls_n.paths.get(k)
+    for k in range(1, grading.n + 1):
+        path_m = _walk(tables_m, k)
+        if path_m is not None:
+            break
+    else:
+        return None
+    path_n = _walk(tables_n, k)
     if path_n is None or path_n[-1] != path_m[-1]:
         return None
     # n's l-th letter takes the least unused m-position with the same letter

@@ -9,13 +9,16 @@ of those degrees exists, together with the row path it traces.
 
 Chains are walked through per-degree step tables.  The table for degree h
 maps each row to the next row of a degree-h unit, or to None where the
-chain dies; it is built with n group operations the first time the
-grading sees h and reused from then on.  Tables are keyed by element
-value, and a dict key cannot tell 1, True and 1.0 apart, so
-`step_table` validates its degree on every call, before the lookup: each
-letter of a sequence is checked once, instead of once per row.  Group
-arithmetic itself trusts its arguments, so this check and the ones in
-`Grading.__init__` and `component_dimension` keep non-elements out.
+chain dies, and its survivor mask has a bit for every row that has a next
+row.  Both are built with n group operations the first time the grading
+sees h and reused from then on.  Tables are keyed by element value, and a
+dict key cannot tell 1, True and 1.0 apart, so `step_table` validates its
+degree on every call, before the lookup: each letter of a sequence is
+checked once, instead of once per row.  `step` reads the same cache
+without the check, for degrees that are products of validated letters.
+Group arithmetic itself trusts its arguments, so the checks in
+`step_table`, `Grading.__init__` and `component_dimension` keep
+non-elements out.
 """
 
 from __future__ import annotations
@@ -129,24 +132,31 @@ class Grading:
         return count
 
     @cached_property
-    def _step_tables(self) -> dict[Element, tuple[Optional[int], ...]]:
+    def _steps(self) -> dict[Element, tuple[tuple[Optional[int], ...], int]]:
         return {}
 
-    def step_table(self, h: Element) -> tuple[Optional[int], ...]:
-        """Row-to-row step table of degree h, indexed by 1-based row.
+    def step(self, h: Element) -> tuple[tuple[Optional[int], ...], int]:
+        """Step table and survivor mask of degree h, built on the first call.
 
-        Entry `pos` is the least row j with g_j = g_pos * h, or None when
-        that product leaves the tuple's value set; entry 0 is unused.  The
-        degree is validated on every call, the table is built on the first.
+        The table is indexed by 1-based row: entry `pos` is the least row j
+        with g_j = g_pos * h, or None when that product leaves the tuple's
+        value set; entry 0 is unused.  Bit `pos` of the mask is set exactly
+        where the table has a row.  Like group arithmetic, this trusts h:
+        callers pass elements already validated, or products of them.
         """
-        self.group.check(h)
-        table = self._step_tables.get(h)
-        if table is None:
+        entry = self._steps.get(h)
+        if entry is None:
             least = self._least_index
             op = self.group.op
             table = (None,) + tuple(least.get(op(g, h)) for g in self.entries)
-            self._step_tables[h] = table
-        return table
+            mask = sum(1 << pos for pos, row in enumerate(table) if row is not None)
+            entry = self._steps[h] = (table, mask)
+        return entry
+
+    def step_table(self, h: Element) -> tuple[Optional[int], ...]:
+        """The step table of `step`, for a degree validated on every call."""
+        self.group.check(h)
+        return (self._steps.get(h) or self.step(h))[0]
 
     def lset(self, hseq: Sequence[Element]) -> LSet:
         """Start rows whose unit chains survive the whole degree sequence.

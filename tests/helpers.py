@@ -28,7 +28,7 @@ from matident import (
 )
 from matident.cli import main
 from matident.commpoly import Poly, YVar, accumulate
-from matident.freealg import word_degree
+from matident.freealg import is_multihomogeneous, multidegree, word_degree
 from matident.generic import GenericMatrix, evaluate, require_distinct, word_product_closed
 from matident.rewrite import (
     JUSTIFY_EMPTY_LSET,
@@ -91,6 +91,24 @@ def poly_sum(*polys):
     return type(first).from_terms(first.field, (t for p in polys for t in p.terms.items()))
 
 
+def field_mul(field, a, b):
+    """Product of two coefficients of `field`: the engine only ever adds them."""
+    return a * b % field.p if field.characteristic else a * b
+
+
+def is_multilinear(f: FreePoly) -> bool:
+    """True when every term is a permutation of one common variable set.
+
+    The zero polynomial counts as multilinear so that decomposition stays
+    total.
+    """
+    if f.is_zero():
+        return True
+    if not is_multihomogeneous(f):
+        return False
+    return all(count == 1 for _, count in multidegree(next(iter(f.terms))))
+
+
 # ---------------------------------------------------------------------------
 # independent oracles
 
@@ -109,7 +127,7 @@ def entry_product(p: Poly, q: Poly) -> Poly:
     terms: dict = {}
     for m1, c1 in p.terms.items():
         for m2, c2 in q.terms.items():
-            accumulate(f, terms, monomial_product(m1, m2), f.mul(c1, c2))
+            accumulate(f, terms, monomial_product(m1, m2), field_mul(f, c1, c2))
     return Poly(f, terms)
 
 
@@ -156,7 +174,7 @@ class OracleMatrix(GenericMatrix):
             f,
             self.n,
             {
-                pos: Poly.from_terms(f, ((m, f.mul(value, c)) for m, c in p.terms.items()))
+                pos: Poly.from_terms(f, ((m, field_mul(f, value, c)) for m, c in p.terms.items()))
                 for pos, p in self.entries.items()
             },
         )

@@ -13,7 +13,6 @@ from matident.freealg import (
     format_polynomial,
     format_word,
     is_multihomogeneous,
-    is_multilinear,
     multidegree,
     multihomogeneous_components,
     parse_polynomial,
@@ -21,7 +20,7 @@ from matident.freealg import (
     word_degree,
 )
 
-from helpers import free_poly, poly_sum
+from helpers import free_poly, is_multilinear, poly_sum
 
 Z4 = CyclicGroup(4)
 Z2 = CyclicGroup(2)

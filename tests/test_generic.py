@@ -14,15 +14,23 @@ from matident import (
     IntegerGroup,
     RATIONALS,
     PrimeField,
+    ProductGroup,
     YVar,
 )
 from matident.commpoly import Poly
 from matident.freealg import parse_polynomial, parse_word, word_degree
-from matident.generic import evaluate, is_graded_identity, letter_matching, word_product_closed
+from matident.generic import (
+    evaluate,
+    is_graded_identity,
+    letter_matching,
+    sum_evaluations,
+    word_product_closed,
+)
 
 from helpers import (
     alpha_checks,
     closed_matrix,
+    evaluate_direct,
     free_poly,
     generic_matrix,
     matching_entry,
@@ -32,6 +40,7 @@ from helpers import (
     random_word,
     suite_gradings,
     word_product_direct,
+    zero_sum,
 )
 
 Z2 = CyclicGroup(2)
@@ -260,6 +269,66 @@ def test_shared_entry_means_equal_evaluations(seed, which, kind):
     if shared:
         assert em == en
     assert (letter_matching(grading, m, n) is not None) == shared
+
+
+ORACLE_GRADINGS = FACT_GRADINGS + [
+    Grading(
+        ProductGroup([CyclicGroup(8), CyclicGroup(8)]),
+        5,
+        ((0, 0), (1, 0), (0, 3), (2, 5), (7, 7)),
+    )
+]
+
+
+def outside_support(grading):
+    """A degree with no matrix unit, or None when the support is the whole group."""
+    support = set(grading.support())
+    if grading.group.order is None:
+        return max(support) + 1
+    return next((g for g in grading.group.elements() if g not in support), None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    which=st.integers(0, len(ORACLE_GRADINGS) - 1),
+    field=st.sampled_from([RATIONALS, PrimeField(2), PrimeField(3)]),
+)
+def test_evaluate_agrees_with_independent_oracles(seed, which, field):
+    # evaluation by signature classes equals plain matrix products and the
+    # sum of the chain-path word evaluations, on identities and not
+    rng = random.Random(seed)
+    grading = ORACLE_GRADINGS[which]
+    terms: dict = {}
+
+    def add(word, c):
+        terms[word] = terms.get(word, 0) + c
+
+    # zero-sum classes of rewrite variants cancel over every field
+    for _ in range(rng.randint(0, 2)):
+        base = random_swappable_word(rng, grading, index_pool=3)
+        words = sorted({base} | {random_rewrite_variant(rng, grading, base) for _ in range(3)})
+        if len(words) >= 2:
+            for word, c in zip(words, zero_sum(rng, len(words))):
+                add(word, c)
+    # 1 + 1 cancels only mod 2, 1 + 2 only mod 3
+    base = random_swappable_word(rng, grading, index_pool=3)
+    add(base, 1)
+    add(random_rewrite_variant(rng, grading, base), rng.choice((1, 2)))
+    # random words, some with a letter outside the support
+    outside = outside_support(grading)
+    for _ in range(rng.randint(0, 2)):
+        word = list(random_word(rng, grading, 4, index_pool=3))
+        if outside is not None and rng.random() < 0.5:
+            word[rng.randrange(len(word))] = GVar(outside, rng.randint(1, 3))
+        add(tuple(word), rng.choice((-2, -1, 1, 2, 3)))
+    f = free_poly(field, *terms.items())
+
+    got = evaluate(grading, f)
+    assert got == evaluate_direct(grading, f)
+    chains = ((word_product_closed(grading, w), c) for w, c in f.terms.items())
+    assert got == sum_evaluations(field, grading.n, chains)
+    assert is_graded_identity(grading, f) == got.is_zero()
 
 
 def test_matching_permutation_four_letter_example():
