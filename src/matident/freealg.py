@@ -12,14 +12,18 @@ Textual syntax, whitespace-insensitive:
     factor     := 'x' '[' element ';' integer ']'
     coefficient:= integer | integer '/' integer   (fractions only over Q)
 
-Element literals follow the group's own syntax ("3", "(1,0)", labels).
+Whitespace is any character for which `str.isspace` holds, and an integer
+is a run of decimal digits (`str.isdecimal`, so '٣' reads as 3 and '²' is
+refused).  An element literal is the text up to the next ';', stripped, in
+the group's own syntax ("3", "(1,0)", labels).
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from fractions import Fraction
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, NoReturn, Optional
 
 from .commpoly import RATIONALS, Coefficient, Field, SparsePoly
 from .groups import Element, Group
@@ -101,129 +105,145 @@ class ParseError(ValueError):
         self.position = position
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    @property
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", start)
-        return int(self.text[start : self.pos])
-
-    def until(self, stop: str) -> str:
-        start = self.pos
-        idx = self.text.find(stop, self.pos)
-        if idx < 0:
-            raise ParseError(f"expected {stop!r}", start)
-        self.pos = idx
-        return self.text[start:idx]
-
-
-def _parse_factor(sc: _Scanner, group: Group) -> GVar:
-    sc.skip_ws()
-    if sc.peek() != "x":
-        raise ParseError("expected a variable factor 'x[...]'", sc.pos)
-    sc.take()
-    sc.skip_ws()
-    sc.expect("[")
-    elem_start = sc.pos
-    elem_text = sc.until(";").strip()
-    if not elem_text:
-        raise ParseError("empty element literal", elem_start)
-    try:
-        degree = group.parse(elem_text)
-    except ValueError as exc:
-        raise ParseError(str(exc), elem_start) from None
-    sc.expect(";")
-    idx_start = sc.pos
-    index = sc.integer()
-    if index < 1:
-        raise ParseError("variable index must be >= 1", idx_start)
-    sc.skip_ws()
-    sc.expect("]")
-    return GVar(degree, index)
-
-
-def _parse_coefficient(sc: _Scanner, field: Field) -> Coefficient:
-    start = sc.pos
-    num = sc.integer()
-    sc.skip_ws()
-    if sc.peek() == "/":
-        sc.take()
-        den_start = sc.pos
-        den = sc.integer()
-        if getattr(field, "characteristic", 0) != 0:
-            raise ParseError(f"fractional coefficient not valid over {field}", start)
-        if den == 0:
-            raise ParseError("zero denominator", den_start)
-        return Fraction(num, den)
-    return field.from_int(num)
+# `\s` is exactly `str.isspace` and `\d` exactly `str.isdecimal`, on every
+# code point.  An element literal is everything up to the next ';'.
+_LETTER = re.compile(r"x\s*\[([^;]*);\s*(\d+)\s*\]")
+_TERM = re.compile(
+    r"\s*(?:([+-])\s*)?"  # sign
+    r"(?:(\d+)\s*(?:/\s*(\d+)\s*)?\*\s*)?"  # coefficient num[/den] '*'
+    r"(x\s*\[[^;]*;\s*\d+\s*\](?:\s*\*\s*x\s*\[[^;]*;\s*\d+\s*\])*)"  # factors
+    r"(?!\s*\*)\s*"  # a '*' after the last factor refuses the term, not ends it
+)
+_SPACE = re.compile(r"\s*")
+_INTEGER = re.compile(r"\s*(\d*)")
 
 
 def parse_polynomial(text: str, group: Group, field: Field) -> FreePoly:
-    """Parse the textual polynomial syntax into a canonical polynomial."""
-    sc = _Scanner(text)
+    """Parse the textual polynomial syntax into a canonical polynomial.
+
+    Each term is one match of `_TERM`.  On the accepting path `group.parse`
+    runs once per distinct literal text and `GVar` is built once per
+    distinct (literal, index) text; a refused term goes to `_refuse`.
+    """
+    degrees: dict[str, Element] = {}
+    letters: dict[tuple[str, str], GVar] = {}
     terms: list[tuple[Word, Coefficient]] = []
-    first = True
-    while True:
-        sc.skip_ws()
-        if sc.at_end:
-            if first:
-                raise ParseError("empty polynomial", sc.pos)
-            break
-        sign = 1
-        if sc.peek() in "+-":
-            if first and sc.peek() == "+":
-                raise ParseError("unexpected leading '+'", sc.pos)
-            sign = -1 if sc.take() == "-" else 1
-            sc.skip_ws()
-        elif not first:
-            raise ParseError("expected '+' or '-' between terms", sc.pos)
-        coeff = field.one
-        if sc.peek().isdigit():
-            coeff = _parse_coefficient(sc, field)
-            sc.skip_ws()
-            sc.expect(MUL_PATTERN)
-        letters = [_parse_factor(sc, group)]
-        while True:
-            sc.skip_ws()
-            if sc.peek() == MUL_PATTERN:
-                sc.take()
-                letters.append(_parse_factor(sc, group))
-            else:
-                break
-        if sign < 0:
+    pos, end = 0, len(text)
+    while not terms or pos < end:
+        m = _TERM.match(text, pos)
+        # the first term takes no '+', every later one needs a sign
+        if m is None or m[1] == ("+" if not terms else None):
+            _refuse(text, pos, not terms, group, field, degrees)
+        sign, num, den, body = m.groups()
+        if num is None:
+            coeff = field.one
+        elif den is None:
+            coeff = field.from_int(int(num))
+        else:
+            num, den = int(num), int(den)
+            if field.characteristic or not den:
+                _refuse(text, pos, not terms, group, field, degrees)
+            coeff = Fraction(num, den)
+        word = []
+        for key in _LETTER.findall(body):
+            letter = letters.get(key)
+            if letter is None:
+                letter = _letter(key, group, degrees)
+                if letter is None:
+                    _refuse(text, pos, not terms, group, field, degrees)
+                letters[key] = letter
+            word.append(letter)
+        if sign == "-":
             coeff = field.neg(coeff)
-        terms.append((tuple(letters), coeff))
-        first = False
+        terms.append((tuple(word), coeff))
+        pos = m.end()
     return FreePoly.from_terms(field, terms)
+
+
+def _letter(key: tuple[str, str], group: Group, degrees: dict) -> Optional[GVar]:
+    """The variable of one factor's (literal, index) text, or None when a
+    check refuses it."""
+    literal = key[0].strip()
+    if literal not in degrees:
+        if not literal:
+            return None
+        try:
+            degrees[literal] = group.parse(literal)
+        except ValueError:
+            return None
+    index = int(key[1])
+    return GVar(degrees[literal], index) if index >= 1 else None
+
+
+def _refuse(
+    text: str, pos: int, first: bool, group: Group, field: Field, degrees: dict
+) -> NoReturn:
+    """Raise the error of the term at `pos`, which `_TERM` or a value check
+    refused.
+
+    Walks the term one token at a time, with the checks of the accepting
+    path in the same order, so the error names the first offending
+    character.  It builds no term.
+    """
+
+    def skip(p: int) -> int:
+        return _SPACE.match(text, p).end()
+
+    def expect(p: int, ch: str) -> int:
+        if not text.startswith(ch, p):
+            raise ParseError(f"expected {ch!r}", p)
+        return p + 1
+
+    def integer(p: int) -> tuple[int, int]:
+        m = _INTEGER.match(text, p)
+        if not m[1]:
+            raise ParseError("expected an integer", m.start(1))
+        return int(m[1]), m.end()
+
+    term_start = pos = skip(pos)
+    if pos == len(text):
+        raise ParseError("empty polynomial", pos)
+    if text[pos] in "+-":
+        if first and text[pos] == "+":
+            raise ParseError("unexpected leading '+'", pos)
+        pos = skip(pos + 1)
+    elif not first:
+        raise ParseError("expected '+' or '-' between terms", pos)
+    if text[pos : pos + 1].isdecimal():
+        start = pos
+        _, pos = integer(pos)
+        pos = skip(pos)
+        if text.startswith("/", pos):
+            den_start = pos + 1
+            den, pos = integer(den_start)
+            if field.characteristic:
+                raise ParseError(f"fractional coefficient not valid over {field}", start)
+            if den == 0:
+                raise ParseError("zero denominator", den_start)
+        pos = expect(skip(pos), MUL_PATTERN)
+    while True:
+        pos = skip(pos)
+        if not text.startswith("x", pos):
+            raise ParseError("expected a variable factor 'x[...]'", pos)
+        pos = expect(skip(pos + 1), "[")
+        semi = text.find(";", pos)
+        if semi < 0:
+            raise ParseError("expected ';'", pos)
+        literal = text[pos:semi].strip()
+        if not literal:
+            raise ParseError("empty element literal", pos)
+        if literal not in degrees:
+            try:
+                degrees[literal] = group.parse(literal)
+            except ValueError as exc:
+                raise ParseError(str(exc), pos) from None
+        index, pos = integer(semi + 1)
+        if index < 1:
+            raise ParseError("variable index must be >= 1", semi + 1)
+        pos = skip(expect(skip(pos), "]"))
+        if not text.startswith(MUL_PATTERN, pos):
+            raise AssertionError(f"the term at {term_start} is well formed, yet it was refused")
+        pos += 1
 
 
 def parse_word(text: str, group: Group) -> Word:

@@ -15,6 +15,7 @@ import contextlib
 import io
 import itertools
 import random
+from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from matident import (
@@ -23,12 +24,20 @@ from matident import (
     FreePoly,
     Grading,
     GVar,
+    Group,
     ProductGroup,
     RATIONALS,
 )
 from matident.cli import main
-from matident.commpoly import Poly, YVar, accumulate
-from matident.freealg import is_multihomogeneous, multidegree, word_degree
+from matident.commpoly import Coefficient, Field, Poly, YVar, accumulate
+from matident.freealg import (
+    MUL_PATTERN,
+    ParseError,
+    Word,
+    is_multihomogeneous,
+    multidegree,
+    word_degree,
+)
 from matident.generic import GenericMatrix, evaluate, require_distinct, word_product_closed
 from matident.rewrite import (
     JUSTIFY_EMPTY_LSET,
@@ -610,3 +619,134 @@ def z4_sweep_component(terms: int, seed: int = 7, length: int = 14, per_class: i
         for w, c in zip(words, zero_sum(rng, len(words))):
             acc[w] = acc.get(w, 0) + c
     return free_poly(RATIONALS, *acc.items())
+
+
+# ---------------------------------------------------------------------------
+# The character-at-a-time parser that `freealg.parse_polynomial` replaced,
+# kept as its oracle.  It reads integers as `str.isdigit` runs, so a digit
+# such as '²' reaches `int()` and fails without a position.
+
+
+class _Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self) -> str:
+        ch = self.peek()
+        self.pos += 1
+        return ch
+
+    def expect(self, ch: str) -> None:
+        if self.peek() != ch:
+            raise ParseError(f"expected {ch!r}", self.pos)
+        self.pos += 1
+
+    @property
+    def at_end(self) -> bool:
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+    def integer(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            raise ParseError("expected an integer", start)
+        return int(self.text[start : self.pos])
+
+    def until(self, stop: str) -> str:
+        start = self.pos
+        idx = self.text.find(stop, self.pos)
+        if idx < 0:
+            raise ParseError(f"expected {stop!r}", start)
+        self.pos = idx
+        return self.text[start:idx]
+
+
+def _parse_factor(sc: _Scanner, group: Group) -> GVar:
+    sc.skip_ws()
+    if sc.peek() != "x":
+        raise ParseError("expected a variable factor 'x[...]'", sc.pos)
+    sc.take()
+    sc.skip_ws()
+    sc.expect("[")
+    elem_start = sc.pos
+    elem_text = sc.until(";").strip()
+    if not elem_text:
+        raise ParseError("empty element literal", elem_start)
+    try:
+        degree = group.parse(elem_text)
+    except ValueError as exc:
+        raise ParseError(str(exc), elem_start) from None
+    sc.expect(";")
+    idx_start = sc.pos
+    index = sc.integer()
+    if index < 1:
+        raise ParseError("variable index must be >= 1", idx_start)
+    sc.skip_ws()
+    sc.expect("]")
+    return GVar(degree, index)
+
+
+def _parse_coefficient(sc: _Scanner, field: Field) -> Coefficient:
+    start = sc.pos
+    num = sc.integer()
+    sc.skip_ws()
+    if sc.peek() == "/":
+        sc.take()
+        den_start = sc.pos
+        den = sc.integer()
+        if getattr(field, "characteristic", 0) != 0:
+            raise ParseError(f"fractional coefficient not valid over {field}", start)
+        if den == 0:
+            raise ParseError("zero denominator", den_start)
+        return Fraction(num, den)
+    return field.from_int(num)
+
+
+def parse_polynomial_stepwise(text: str, group: Group, field: Field) -> FreePoly:
+    """Parse the textual polynomial syntax into a canonical polynomial."""
+    sc = _Scanner(text)
+    terms: list[tuple[Word, Coefficient]] = []
+    first = True
+    while True:
+        sc.skip_ws()
+        if sc.at_end:
+            if first:
+                raise ParseError("empty polynomial", sc.pos)
+            break
+        sign = 1
+        if sc.peek() in "+-":
+            if first and sc.peek() == "+":
+                raise ParseError("unexpected leading '+'", sc.pos)
+            sign = -1 if sc.take() == "-" else 1
+            sc.skip_ws()
+        elif not first:
+            raise ParseError("expected '+' or '-' between terms", sc.pos)
+        coeff = field.one
+        if sc.peek().isdigit():
+            coeff = _parse_coefficient(sc, field)
+            sc.skip_ws()
+            sc.expect(MUL_PATTERN)
+        letters = [_parse_factor(sc, group)]
+        while True:
+            sc.skip_ws()
+            if sc.peek() == MUL_PATTERN:
+                sc.take()
+                letters.append(_parse_factor(sc, group))
+            else:
+                break
+        if sign < 0:
+            coeff = field.neg(coeff)
+        terms.append((tuple(letters), coeff))
+        first = False
+    return FreePoly.from_terms(field, terms)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -239,6 +243,12 @@ def test_usage_errors(capsys, z4_path, tmp_path):
     code, out, err = run(capsys, ["eval", str(repeated), str(poly)])
     assert code == 2
     assert out == "" and "repeated entries" in err
+    # '²' passes str.isdigit, yet no integer holds it: a positioned parse error
+    for text, position in (("²*x[1;1]", 0), ("x[1;1]*x[1;²]", 11)):
+        poly.write_text(text + "\n", encoding="utf-8")
+        code, out, err = run(capsys, ["is-identity", z4_path, str(poly)])
+        assert code == 2 and out == ""
+        assert _one_error_line(err) and f"(at position {position})" in err
 
 
 def _one_error_line(err: str) -> bool:
@@ -476,3 +486,39 @@ def test_malformed_certificate_is_a_usage_error(capsys, z4_path, poly2_path, tmp
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# text, --json, exit 1 under --strict, exit 2 with an error line, argparse usage
+MODULE_CASES = (
+    "eval-z4-nonidentity",
+    "certify-z4-json",
+    "is-identity-z4-negative-strict",
+    "eval-bad-poly",
+    "unknown-command",
+)
+
+
+def test_module_entry_matches_golden():
+    """`python -m matident.cli` reads sys.argv through `main(None)` and exits
+    with its return code, as the console script does."""
+    cases = {c["name"]: c for c in json.loads((GOLDEN / "cases.json").read_text("utf-8"))}
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    for name in MODULE_CASES:
+        case = cases[name]
+        proc = subprocess.run(
+            [sys.executable, "-m", "matident.cli", *case["argv"]],
+            cwd=GOLDEN / "inputs",
+            env=env,
+            capture_output=True,
+            encoding="utf-8",
+            timeout=60,
+        )
+        expected = (GOLDEN / "expected" / f"{name}.out").read_text(encoding="utf-8")
+        assert (proc.returncode, proc.stdout) == (case["exit"], expected), name
+        if case["exit"] == 2:
+            assert _one_error_line(proc.stderr) or proc.stderr.startswith("usage:"), name
+        else:
+            assert proc.stderr == "", name
+

@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matident import CyclicGroup, FreePoly, GVar, RATIONALS, PrimeField
+from matident import CyclicGroup, FreePoly, GVar, IntegerGroup, RATIONALS, PrimeField
 from matident.freealg import (
     ParseError,
     degree_sequence,
@@ -20,7 +22,14 @@ from matident.freealg import (
     word_degree,
 )
 
-from helpers import free_poly, is_multilinear, poly_sum
+from helpers import (
+    free_poly,
+    is_multilinear,
+    parse_polynomial_stepwise,
+    poly_sum,
+    s3_group,
+    z2z2_group,
+)
 
 Z4 = CyclicGroup(4)
 Z2 = CyclicGroup(2)
@@ -122,6 +131,11 @@ def test_parse_coefficients():
     with pytest.raises(ParseError, match="not valid over"):
         parse_polynomial("1/2*x[1;1]", Z4, f3)
 
+    # integers are decimal digits of any script
+    assert parse_polynomial("٣/٤*x[1;٢]", Z4, RATIONALS).sorted_terms() == [
+        ((GVar(1, 2),), Fraction(3, 4))
+    ]
+
 
 def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as info:
@@ -135,6 +149,17 @@ def test_parse_errors_carry_positions():
         parse_polynomial("x[1;1] x[1;2]", Z4, RATIONALS)
     with pytest.raises(ParseError):
         parse_polynomial("y[1;1]", Z4, RATIONALS)
+    # '²' is a digit to str.isdigit but not a decimal one, so it is no integer
+    for text, position in (("²*x[1;1]", 0), ("x[1;1]*x[1;²]", 11)):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, Z4, RATIONALS)
+        assert info.value.position == position
+
+
+def test_pattern_classes_are_the_str_predicates():
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", everything) == [ch for ch in everything if ch.isspace()]
+    assert re.findall(r"\d", everything) == [ch for ch in everything if ch.isdecimal()]
 
 
 def test_parse_whitespace_insensitive():
@@ -183,3 +208,66 @@ def test_parse_word():
 def test_multidegree_is_occurrence_counter():
     w = (GVar(1, 1), GVar(1, 1), GVar(3, 2))
     assert dict(multidegree(w)) == dict(Counter(w))
+
+
+# gradings whose literals differ in shape: residues, parenthesized pairs,
+# Cayley labels and signed integers
+ORACLE_GROUPS = (Z4, z2z2_group(), s3_group(), IntegerGroup())
+ORACLE_FIELDS = (RATIONALS, PrimeField(3))
+EDIT_CHARS = "x[];*+-/0 1²٣"
+
+
+def _outcome(parse, text, group, field):
+    try:
+        return parse(text, group, field)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def oracle_texts(draw):
+    group = draw(st.sampled_from(ORACLE_GROUPS))
+    if group.order is None:
+        degrees = st.integers(min_value=-12, max_value=12)
+    else:
+        degrees = st.sampled_from(list(group.elements()))
+    letter = st.builds(GVar, degrees, st.integers(min_value=1, max_value=12))
+    coefficient = st.builds(
+        Fraction, st.integers(min_value=-20, max_value=20), st.sampled_from((1, 1, 1, 1, 2, 3))
+    )
+    items = draw(
+        st.lists(st.tuples(st.lists(letter, min_size=1, max_size=4).map(tuple), coefficient),
+                 min_size=1, max_size=4)
+    )
+    chars = list(format_polynomial(group, FreePoly.from_terms(RATIONALS, items)))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        chars.insert(draw(st.integers(0, len(chars))), draw(st.sampled_from(" \t\n\xa0")))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        if not chars:
+            break
+        at = draw(st.integers(0, len(chars) - 1))
+        edit = draw(st.sampled_from(("delete", "insert", "replace")))
+        if edit == "delete":
+            del chars[at]
+        elif edit == "insert":
+            chars.insert(at, draw(st.sampled_from(EDIT_CHARS)))
+        else:
+            chars[at] = draw(st.sampled_from(EDIT_CHARS))
+    return "".join(chars), group, draw(st.sampled_from(ORACLE_FIELDS))
+
+
+@given(oracle_texts())
+@settings(max_examples=300, deadline=None)
+def test_parser_agrees_with_stepwise_oracle(case):
+    text, group, field = case
+    expected = _outcome(parse_polynomial_stepwise, text, group, field)
+    got = _outcome(parse_polynomial, text, group, field)
+    if isinstance(expected, tuple) and expected[0] is ValueError and (
+        "invalid literal for int()" in expected[1]
+    ):
+        # the oracle hands a non-decimal digit such as '²' to int(); the
+        # patterns refuse it as a character that does not fit the grammar
+        assert got[0] is ParseError
+    else:
+        assert got == expected
+
