@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import rewrite
-from .commpoly import Field, parse_field, render_poly
+from .commpoly import parse_field, render_poly
 from .freealg import multihomogeneous_components, parse_polynomial, parse_word
 from .generic import DistinctTupleError, evaluate, is_graded_identity
 from .grading import Grading, grading_from_config
@@ -64,10 +64,6 @@ def _load_text(path: str) -> str:
         raise ValueError(f"cannot read file {path!r}: {exc}") from None
 
 
-def _field_of(args: argparse.Namespace) -> Field:
-    return parse_field(args.field)
-
-
 def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -75,13 +71,9 @@ def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
         print(human)
 
 
-def _fmt(grading: Grading):
-    return grading.group.format
-
-
 def cmd_info(args: argparse.Namespace) -> int:
     grading = _load_grading(args.grading)
-    fmt = _fmt(grading)
+    fmt = grading.group.format
     support = grading.support()
     dims = [(fmt(g), grading.component_dimension(g)) for g in support]
     report = grading.neutral_report()
@@ -119,7 +111,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def cmd_lset(args: argparse.Namespace) -> int:
     grading = _load_grading(args.grading)
-    fmt = _fmt(grading)
+    fmt = grading.group.format
     parts = split_top_level(args.seq)
     if not all(p.strip() for p in parts):
         raise ValueError(f"--seq needs comma-separated nonempty degree literals, got {args.seq!r}")
@@ -143,10 +135,10 @@ def cmd_lset(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     grading = _load_grading(args.grading)
-    field = _field_of(args)
+    field = parse_field(args.field)
     poly = parse_polynomial(_load_text(args.polynomial), grading.group, field)
     matrix = evaluate(grading, poly)
-    fmt = _fmt(grading)
+    fmt = grading.group.format
     # each entry is rendered once, for the payload and the "(i,j): p" lines
     entries = {
         f"({i},{j})": render_poly(matrix.entries[(i, j)], fmt) for (i, j) in sorted(matrix.entries)
@@ -159,7 +151,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_is_identity(args: argparse.Namespace) -> int:
     grading = _load_grading(args.grading)
-    field = _field_of(args)
+    field = parse_field(args.field)
     poly = parse_polynomial(_load_text(args.polynomial), grading.group, field)
     answer = is_graded_identity(grading, poly)
     payload = {"field": str(field), "identity": answer}
@@ -171,29 +163,34 @@ def cmd_is_identity(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     grading = _load_grading(args.grading)
-    fmt = _fmt(grading)
+    fmt = grading.group.format
     unfiltered = enumerate_monomial_identities(grading, args.max_len)
     if args.minimal:
         found = [seq for seq in unfiltered if is_minimal_identity(grading, seq)]
     else:
         found = unfiltered
     bounds = length_bounds(grading)
-    payload = {
-        "max_len": args.max_len,
-        "minimal": args.minimal,
-        "sequences": [[fmt(h) for h in seq] for seq in found],
-        "count": len(found),
-        "unfiltered_sequences": [[fmt(h) for h in seq] for seq in unfiltered],
-        "unfiltered_count": len(unfiltered),
-        "support_bound": bounds.support_bound,
-        "size_bound": bounds.size_bound,
-    }
-    lines = [",".join(fmt(h) for h in seq) for seq in found]
-    lines.append(
-        f"count={len(found)} unfiltered={len(unfiltered)} max_len={args.max_len} "
-        f"minimal={str(args.minimal).lower()} "
-        f"support_bound={bounds.support_bound} size_bound={bounds.size_bound}"
-    )
+    # only the printed form is built: the sequence lists can be long
+    payload: dict = {}
+    lines: list[str] = []
+    if args.json:
+        payload = {
+            "max_len": args.max_len,
+            "minimal": args.minimal,
+            "sequences": [[fmt(h) for h in seq] for seq in found],
+            "count": len(found),
+            "unfiltered_sequences": [[fmt(h) for h in seq] for seq in unfiltered],
+            "unfiltered_count": len(unfiltered),
+            "support_bound": bounds.support_bound,
+            "size_bound": bounds.size_bound,
+        }
+    else:
+        lines = [",".join(fmt(h) for h in seq) for seq in found]
+        lines.append(
+            f"count={len(found)} unfiltered={len(unfiltered)} max_len={args.max_len} "
+            f"minimal={str(args.minimal).lower()} "
+            f"support_bound={bounds.support_bound} size_bound={bounds.size_bound}"
+        )
     _emit(args, payload, "\n".join(lines))
     if not found and args.strict:
         return EXIT_NEGATIVE
@@ -202,7 +199,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_shortest(args: argparse.Namespace) -> int:
     grading = _load_grading(args.grading)
-    fmt = _fmt(grading)
+    fmt = grading.group.format
     answer = shortest_monomial_identity(grading)
     if answer is None:
         payload = {"exists": False}
@@ -267,7 +264,7 @@ def cmd_equiv(args: argparse.Namespace) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     grading = _load_grading(args.grading)
     group = grading.group
-    poly = parse_polynomial(_load_text(args.polynomial), group, _field_of(args))
+    poly = parse_polynomial(_load_text(args.polynomial), group, parse_field(args.field))
     outcomes = [
         (comp, rewrite.certify_membership(grading, comp))
         for comp in multihomogeneous_components(poly)
@@ -296,7 +293,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_check_cert(args: argparse.Namespace) -> int:
     grading = _load_grading(args.grading)
-    field = _field_of(args)
+    field = parse_field(args.field)
     group = grading.group
     try:
         doc = json.loads(_load_text(args.certificate))

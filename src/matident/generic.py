@@ -25,21 +25,23 @@ monomials only for the surviving nonzero classes.  This is the path
 argument behind the bases of Vasilovsky (Proc. AMS 127, 1999) and
 Bahturin-Drensky (Linear Algebra Appl. 357, 2002).
 
-The certificate code stays on chain paths, independent of the signature
-argument: `word_product_closed` gives one monomial, with coefficient 1,
-at (start row, end row) for every surviving chain, `sum_evaluations`
-adds such maps, and `letter_matching` pairs the letters of two words on
-the chains from one start row, without building monomials.  The direct
-matrix-product oracle that checks all of this is in `tests/helpers.py`.
+Every producer reads signatures (`prefix_pairs`, `signatures`,
+`survivors`): eval, is-identity, certify, and `letter_matching` for
+equiv.  Only the certificate checkers walk chains, independent of the
+signature argument: `word_product_closed` gives one monomial, with
+coefficient 1, at (start row, end row) for every surviving chain.  The
+direct matrix-product oracle that checks all of this is in
+`tests/helpers.py`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .commpoly import Coefficient, Field, Monomial, Poly, YVar, accumulate
-from .freealg import FreePoly, Word, degree_sequence
+from .freealg import FreePoly, GVar, Word, degree_sequence
 from .grading import Grading
+from .groups import Element, Group
 
 
 class DistinctTupleError(ValueError):
@@ -109,47 +111,59 @@ def word_product_closed(grading: Grading, word: Word) -> dict[tuple[int, int], M
     return {(k, ls.paths[k][-1]): _chain_monomial(word, ls.paths[k]) for k in ls.starts}
 
 
-def sum_evaluations(
-    field: Field, n: int, weighted: Iterable[tuple[dict, Coefficient]]
-) -> GenericMatrix:
-    """Add each coefficient at every monomial of its word evaluation.
+def check_letters(group: Group, words: Iterable[Word]) -> None:
+    """Validate each distinct letter of the words once, with `group.check`.
 
-    `weighted` yields (word_product_closed map, coefficient) pairs; the
-    result is the n x n generic matrix of their sum.
+    Letters are told apart by object, not by value: a value key would
+    merge GVar(1, 1) with GVar(True, 1) and let the second through
+    unchecked.  The parser makes one object per distinct letter, so
+    parsed input is checked once per letter.
     """
-    acc: dict = {}
-    for entries, coeff in weighted:
-        for pos, mono in entries.items():
-            accumulate(field, acc.setdefault(pos, {}), mono, coeff)
-    return GenericMatrix(field, n, {pos: Poly(field, t) for pos, t in acc.items()})
+    for v in {id(v): v for word in words for v in word}.values():
+        group.check(v.degree)
+
+
+def prefix_pairs(group: Group, word: Word) -> tuple[list[tuple[GVar, Element]], Element]:
+    """A word's (letter, prefix degree) pairs in word order, and its end degree.
+
+    The prefix degrees are d_1 = e and d_{i+1} = d_i * deg(w_i), and the
+    end degree is d_{q+1}.  Sorted, the pairs with the end degree are the
+    word's signature.  Trusts its letters (see `check_letters`).
+    """
+    op = group.op
+    d = group.identity()
+    pairs = []
+    for v in word:
+        pairs.append((v, d))
+        d = op(d, v.degree)
+    return pairs, d
+
+
+def signatures(grading: Grading, words: Collection[Word]) -> list[tuple]:
+    """Each word's signature: its sorted (letter, prefix degree) pairs and
+    its end degree.  Refuses the empty word; each letter is validated once."""
+    if () in words:
+        raise ValueError("polynomial has a term with the empty word")
+    group = grading.group
+    check_letters(group, words)
+    keys = []
+    for word in words:
+        pairs, end = prefix_pairs(group, word)
+        keys.append((tuple(sorted(pairs)), end))
+    return keys
 
 
 def _classes(grading: Grading, f: FreePoly) -> dict[tuple, Coefficient]:
-    """Coefficient sums of f's terms per evaluation class, zero sums dropped.
-
-    A word's class key is its signature: the sorted (letter, prefix degree)
-    pairs, with prefix degrees d_1 = e and d_{i+1} = d_i * deg(w_i), and
-    its end degree d_{q+1}.  Each letter is validated once.
-    """
+    """Coefficient sums of f's terms per signature, zero sums dropped."""
     require_distinct(grading)
-    if () in f.terms:
-        raise ValueError("polynomial has a term with the empty word")
-    group = grading.group
-    check, op, identity = group.check, group.op, group.identity()
     classes: dict = {}
-    for word, coeff in f.terms.items():
-        d = identity
-        pairs = []
-        for v in word:
-            check(v.degree)
-            pairs.append((v, d))
-            d = op(d, v.degree)
-        accumulate(f.field, classes, (tuple(sorted(pairs)), d), coeff)
+    for key, coeff in zip(signatures(grading, f.terms), f.terms.values()):
+        accumulate(f.field, classes, key, coeff)
     return classes
 
 
-def _survivors(grading: Grading, key: tuple) -> int:
-    """Bit mask of the start rows whose chains survive a class's words."""
+def survivors(grading: Grading, key: tuple) -> int:
+    """Bit mask of the start rows whose chains survive a signature's words."""
     pairs, end = key
     mask = grading.step(end)[1]
     for _, d in pairs:
@@ -173,7 +187,7 @@ def evaluate(grading: Grading, f: FreePoly) -> GenericMatrix:
     """
     entries: dict = {}
     for key, coeff in _classes(grading, f).items():
-        mask = _survivors(grading, key)
+        mask = survivors(grading, key)
         if not mask:
             continue
         pairs, end = key
@@ -194,55 +208,35 @@ def is_graded_identity(grading: Grading, f: FreePoly) -> bool:
     Builds no monomial.  Only valid for gradings whose tuple entries are
     pairwise distinct; other gradings raise DistinctTupleError.
     """
-    return not any(_survivors(grading, key) for key in _classes(grading, f))
-
-
-def _walk(tables: list, k: int) -> Optional[list[int]]:
-    """The row path from k through the step tables, or None if it dies."""
-    path = [k]
-    for table in tables:
-        k = table[k]
-        if k is None:
-            return None
-        path.append(k)
-    return path
+    return not any(survivors(grading, key) for key in _classes(grading, f))
 
 
 def letter_matching(grading: Grading, m: Word, n: Word) -> Optional[tuple[int, ...]]:
     """The letter matching of two words that share an evaluation entry.
 
     Returns sigma with `sigma[l-1]` the 1-based position in m of n's l-th
-    letter, pairing equal letters on equal chain rows, or None when the
-    evaluations share no entry.  With a distinct tuple two nonempty word
-    evaluations are either equal or disjoint, so only m's chain from its
-    first surviving start row and n's chain from the same row are walked.
-    When repeated letters admit several matchings, the lexicographically
-    least one is returned.
+    letter, or None when the evaluations share no entry.  With a distinct
+    tuple two nonempty word evaluations are either equal or disjoint, and
+    they are equal exactly when the words have one signature; the chain
+    from start row k carries the pair (w_i, d_i) on the row of g_k * d_i,
+    so the matching pairs equal (letter, prefix degree) pairs.  When
+    repeated letters admit several matchings, the lexicographically least
+    one is returned.
     """
     if not m or not n:
         raise ValueError("degree sequence must be nonempty")
-    tables_m = [grading.step_table(v.degree) for v in m]
-    tables_n = [grading.step_table(v.degree) for v in n]
+    group = grading.group
+    check_letters(group, (m, n))
     if len(m) != len(n):
         return None
-    for k in range(1, grading.n + 1):
-        path_m = _walk(tables_m, k)
-        if path_m is not None:
-            break
-    else:
+    pairs_m, end = prefix_pairs(group, m)
+    pairs_n, end_n = prefix_pairs(group, n)
+    key = (tuple(sorted(pairs_m)), end)
+    if key != (tuple(sorted(pairs_n)), end_n) or not survivors(grading, key):
         return None
-    path_n = _walk(tables_n, k)
-    if path_n is None or path_n[-1] != path_m[-1]:
-        return None
-    # n's l-th letter takes the least unused m-position with the same letter
-    # and the same chain row; greedy least choice is lexicographically least.
+    # n's l-th letter takes the least unused m-position with the same pair;
+    # greedy least choice is lexicographically least.
     slots: dict[tuple, list[int]] = {}
     for a in range(len(m), 0, -1):
-        slots.setdefault((m[a - 1], path_m[a - 1]), []).append(a)
-    sigma: list[int] = []
-    for key in zip(n, path_n):
-        bucket = slots.get(key)
-        if not bucket:
-            return None
-        sigma.append(bucket.pop())
-    return tuple(sigma)
+        slots.setdefault(pairs_m[a - 1], []).append(a)
+    return tuple(slots[pair].pop() for pair in pairs_n)

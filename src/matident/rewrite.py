@@ -14,12 +14,13 @@ monomial identity on its own.  Verifiers recompute every side condition
 and every evaluation from scratch, so checking is independent of how a
 certificate was produced.
 
-Certifying evaluates each term once and groups the terms by their whole
-evaluation: with a distinct tuple two nonempty evaluations are equal or
-share no entry, so every pairing is found by lookup in its class.  Each
-derivation step computes one chain set per word suffix, and certify cost
-is linear in the term count plus the derivations.  The checker replays
-the working list on its own, independently of certify's bookkeeping.
+Certifying groups the terms by signature (see `generic`): with a
+distinct tuple two nonempty evaluations are equal exactly when the
+signatures are, and otherwise share no entry, so every pairing is found
+by lookup in its class, and certify cost is linear in the term count
+plus the derivations.  Only the checkers walk chains: they recompute
+evaluations with `word_product_closed` and empty chain sets with
+`Grading.lset`, replaying the working list independently of certify.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Union
 
-from .commpoly import Field, Poly, render_poly
+from .commpoly import Field, Poly, accumulate, render_poly
 from .freealg import (
     FreePoly,
     Word,
@@ -42,7 +43,15 @@ from .freealg import (
     parse_word,
     word_degree,
 )
-from .generic import letter_matching, require_distinct, sum_evaluations, word_product_closed
+from .generic import (
+    check_letters,
+    evaluate,
+    letter_matching,
+    require_distinct,
+    signatures,
+    survivors,
+    word_product_closed,
+)
 from .grading import Grading
 from .groups import Group
 
@@ -88,8 +97,7 @@ class RewriteStep:
             i, j, k = self.split
             return RewriteStep(NEUTRAL_SWAP, (i, i + (k - j), k))
         i, j, k, l = self.split
-        lu, lt, lv = j - i, k - j, l - k
-        return RewriteStep(CONJUGATE_SWAP, (i, i + lv, i + lv + lt, l))
+        return RewriteStep(CONJUGATE_SWAP, (i, i + l - k, i + l - j, l))
 
 
 def apply_step(group: Group, word: Word, step: RewriteStep) -> Word:
@@ -203,10 +211,10 @@ def derive_equivalence(grading: Grading, m: Word, n: Word) -> EquivalenceCertifi
 
     Requires a shared nonzero entry (and a distinct-entry grading).  The
     derivation aligns one letter at a time: recover the letter matching of
-    the unaligned suffixes from their chains (one chain set per suffix and
-    step; the first step reuses the precheck's matching of the whole
-    words), rotate whichever side the matching dictates so the leading
-    letters agree, and strip.  Rotations applied to the m side are
+    the unaligned suffixes from their signatures (one per suffix and step;
+    the first step reuses the precheck's matching of the whole words),
+    rotate whichever side the matching dictates so the leading letters
+    agree, and strip.  Rotations applied to the m side are
     appended to the certificate inverted, so the replay runs n to m.
     """
     require_distinct(grading)
@@ -310,13 +318,15 @@ def certify_membership(
     Terms left at the end vanish individually and are recorded with their
     reason.
 
-    Each word is evaluated once, and the zero test and the witness read
-    the same maps.  Terms keep the ids of their sorted order and are
-    grouped by their whole evaluation, since two nonempty evaluations are
-    equal or share no entry.  The target is the next live id with a
-    nonempty evaluation and the source the next id of its class.
-    Pairings record ranks among the live ids, and coefficients are kept
-    by id until the residual is built at the end.
+    Each term's signature is computed once.  Terms with no surviving
+    start row vanish on their own and are left for the residual; the
+    others are grouped by signature, which gives the classes of their
+    nonempty evaluations.  The zero test sums coefficients per class, and
+    a nonzero sum takes its witness from `evaluate`.  Terms keep the ids
+    of their sorted order; the target is the next live id in a class and
+    the source the next id of that class.  Pairings record ranks among
+    the live ids, and coefficients are kept by id until the residual is
+    built at the end.
     """
     require_distinct(grading)
     if not is_multihomogeneous(f):
@@ -325,19 +335,18 @@ def certify_membership(
     terms = f.sorted_terms()
     words = [word for word, _ in terms]
     coeffs = [coeff for _, coeff in terms]
-    if () in words:
-        raise ValueError("polynomial has a term with the empty word")
-    evals = [word_product_closed(grading, word) for word in words]
-    total = sum_evaluations(field, grading.n, zip(evals, coeffs))
-    if not total.is_zero():
-        position, entry = total.first_nonzero()
+    keys = signatures(grading, words)
+    alive = {key for key in set(keys) if survivors(grading, key)}
+    classes: dict = {}  # surviving signature -> its live ids, ascending
+    sums: dict = {}
+    for tid, key in enumerate(keys):
+        if key in alive:
+            classes.setdefault(key, deque()).append(tid)
+            accumulate(field, sums, key, coeffs[tid])
+    if sums:
+        position, entry = evaluate(grading, f).first_nonzero()
         return NonIdentityWitness(position=position, entry=entry)
 
-    keys = [frozenset(entries.items()) for entries in evals]
-    classes: dict = {}  # evaluation -> its live ids, ascending
-    for tid, key in enumerate(keys):
-        if key:
-            classes.setdefault(key, deque()).append(tid)
     live = list(range(len(words)))
     pairings: list[Pairing] = []
     for target, key in enumerate(keys):
@@ -374,9 +383,7 @@ def check_membership_certificate(
         return CheckResult(False, "certificate was issued for a different polynomial")
     # Group arithmetic trusts its arguments, and a residual justified by one
     # letter outside the support never evaluates the others: validate them all.
-    for word in f.terms:
-        for letter in word:
-            grading.group.check(letter.degree)
+    check_letters(grading.group, f.terms)
     field = f.field
     work: list[tuple[Word, Any]] = f.sorted_terms()
     for idx, pairing in enumerate(cert.pairings):

@@ -16,7 +16,7 @@ import io
 import itertools
 import random
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from matident import (
     CayleyGroup,
@@ -63,6 +63,30 @@ def s3_group() -> CayleyGroup:
     names = ["e", "a", "b", "c", "r", "s"]
     table = [[base.index(compose(x, y)) for y in base] for x in base]
     return CayleyGroup(names, table)
+
+
+def d4_group() -> CayleyGroup:
+    """The dihedral group of order 8 as a Cayley table, built from the
+    symmetries of a square acting on its corners 0..3."""
+
+    def compose(p, q):  # apply q first, then p
+        return tuple(p[q[i]] for i in range(4))
+
+    r, s = (1, 2, 3, 0), (0, 3, 2, 1)
+    rotations = [(0, 1, 2, 3)]
+    for _ in range(3):
+        rotations.append(compose(r, rotations[-1]))
+    base = rotations + [compose(s, x) for x in rotations]
+    names = ["e", "r", "r2", "r3", "s", "sr", "sr2", "sr3"]
+    table = [[base.index(compose(x, y)) for y in base] for x in base]
+    return CayleyGroup(names, table)
+
+
+def partial_cayley_gradings() -> list[Grading]:
+    """Distinct-tuple gradings by non-abelian Cayley groups whose support
+    misses part of the group: S3 by (e, a, r), 5 of 6 degrees, and D4 by
+    (e, r, s, sr), 6 of 8 degrees."""
+    return [Grading(s3_group(), 3, (0, 1, 4)), Grading(d4_group(), 4, (0, 1, 4, 5))]
 
 
 def z2z2_group() -> ProductGroup:
@@ -222,6 +246,22 @@ def closed_matrix(grading: Grading, field, word) -> OracleMatrix:
     return OracleMatrix(
         field, grading.n, {pos: Poly(field, {mono: field.one}) for pos, mono in closed.items()}
     )
+
+
+def sum_evaluations(
+    field: Field, n: int, weighted: Iterable[tuple[dict, Coefficient]]
+) -> GenericMatrix:
+    """Add each coefficient at every monomial of its word evaluation.
+
+    `weighted` yields (word_product_closed map, coefficient) pairs; the
+    result is the n x n generic matrix of their sum, the chain-path form
+    of `evaluate`.
+    """
+    acc: dict = {}
+    for entries, coeff in weighted:
+        for pos, mono in entries.items():
+            accumulate(field, acc.setdefault(pos, {}), mono, coeff)
+    return GenericMatrix(field, n, {pos: Poly(field, t) for pos, t in acc.items()})
 
 
 def evaluate_direct(grading: Grading, f: FreePoly) -> OracleMatrix:

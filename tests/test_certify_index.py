@@ -1,31 +1,37 @@
 """The indexed certify loop against the linear-scan oracle, and its cost.
 
-`certify_membership` evaluates each term once and pairs each target with
-the next term of the same evaluation class; `helpers.certify_membership_linear`
-picks targets and sources by the scans it replaced, with derivations that
-recover each step's letter matching through the independent oracles
-`helpers.matching_entry` (compared evaluation maps) and
-`helpers.matching_permutation` (naive chain walks).  Both must produce the
-same certificate, pairing for pairing, on any multihomogeneous input.
+`certify_membership` computes each term's signature once and pairs each
+target with the next term of the same signature class;
+`helpers.certify_membership_linear` picks targets and sources by the
+scans it replaced, with derivations that recover each step's letter
+matching through the independent oracles `helpers.matching_entry`
+(compared evaluation maps) and `helpers.matching_permutation` (naive
+chain walks).  Both must produce the same certificate, pairing for
+pairing, on any multihomogeneous input.
 """
 
+import json
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matident import CyclicGroup, Grading, IntegerGroup, PrimeField, RATIONALS
+from matident import generic
 from matident.generic import word_product_closed
 from matident.rewrite import (
     MembershipCertificate,
     NonIdentityWitness,
     certify_membership,
     check_membership_certificate,
+    membership_from_dict,
+    membership_to_dict,
 )
 
 from helpers import (
     certify_membership_linear,
     free_poly,
+    partial_cayley_gradings,
     poly_sum,
     random_identity_component,
     s3_group,
@@ -74,22 +80,53 @@ def test_certify_matches_linear_scan_oracle(
         assert isinstance(got, NonIdentityWitness)
 
 
-def test_certify_chain_set_work_per_term_is_flat(monkeypatch):
-    """Chain-set computations per term stay flat along a Z4 term-count
+PARTIAL_CAYLEY = partial_cayley_gradings()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    which=st.integers(0, len(PARTIAL_CAYLEY) - 1),
+    field=st.sampled_from(FIELDS),
+    classes=st.integers(1, 4),
+    per_class=st.integers(2, 5),
+    vanishing=st.integers(0, 3),
+)
+def test_identities_over_partial_cayley_gradings_certify(
+    seed, which, field, classes, per_class, vanishing
+):
+    # completeness: every zero-sum swap-class identity over a non-abelian
+    # grading with partial support certifies, and its document checks
+    rng = random.Random(seed)
+    grading = PARTIAL_CAYLEY[which]
+    group = grading.group
+    f = random_identity_component(rng, grading, field, classes, per_class, vanishing)
+    if not f.terms:
+        return
+    cert = certify_membership(grading, f)
+    assert isinstance(cert, MembershipCertificate)
+    doc = json.loads(json.dumps(membership_to_dict(cert, group)))
+    read = membership_from_dict(doc, group, field)
+    assert read.input == f
+    assert check_membership_certificate(grading, read.input, read)
+
+
+def test_certify_signature_work_per_term_is_flat(monkeypatch):
+    """Signature computations per term stay flat along a Z4 term-count
     ladder: the index replaces scans whose work grew with the term count."""
     grading = GRADINGS["z4"]
     calls = []
-    lset = Grading.lset
+    prefix_pairs = generic.prefix_pairs
 
-    def counting(self, hseq):
+    def counting(group, word):
         calls.append(1)
-        return lset(self, hseq)
+        return prefix_pairs(group, word)
 
-    monkeypatch.setattr(Grading, "lset", counting)
+    monkeypatch.setattr(generic, "prefix_pairs", counting)
     per_term = []
     for terms in (50, 150, 360):
         f = z4_sweep_component(terms)
         calls.clear()
         assert isinstance(certify_membership(grading, f), MembershipCertificate)
         per_term.append(len(calls) / len(f.terms))
-    assert per_term[-1] <= 1.2 * per_term[0], per_term
+    assert 1 <= per_term[0] and per_term[-1] <= 1.2 * per_term[0], per_term

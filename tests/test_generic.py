@@ -23,7 +23,6 @@ from matident.generic import (
     evaluate,
     is_graded_identity,
     letter_matching,
-    sum_evaluations,
     word_product_closed,
 )
 
@@ -35,10 +34,12 @@ from helpers import (
     generic_matrix,
     matching_entry,
     matching_permutation,
+    partial_cayley_gradings,
     random_rewrite_variant,
     random_swappable_word,
     random_word,
     suite_gradings,
+    sum_evaluations,
     word_product_direct,
     zero_sum,
 )
@@ -47,6 +48,12 @@ Z2 = CyclicGroup(2)
 Z4 = CyclicGroup(4)
 GR_Z2 = Grading(Z2, 2, (0, 1))
 GR_Z4 = Grading(Z4, 2, (0, 1))
+# distinct tuples, abelian and not, with full and partial support
+FACT_GRADINGS = (
+    suite_gradings()
+    + [Grading(IntegerGroup(), 3, (0, 1, 3)), GR_Z4]
+    + partial_cayley_gradings()
+)
 
 
 def mono(*vars_):
@@ -91,6 +98,8 @@ def test_monomial_identity_word_evaluates_to_zero():
     w = parse_word("x[1;1]*x[1;2]", Z4)
     assert word_product_direct(GR_Z4, RATIONALS, w).is_zero()
     assert word_product_closed(GR_Z4, w) == {}
+    # one signature, but no entry to share
+    assert letter_matching(GR_Z4, w, w) is None
 
 
 def test_closed_form_entry_example():
@@ -227,7 +236,7 @@ def test_matching_entry_agrees_with_compared_evaluations():
     # the engine's letter matching exists exactly when the two evaluations
     # share an entry, and equals the oracle's matching at the first one
     rng = random.Random(556)
-    for grading in suite_gradings():
+    for grading in FACT_GRADINGS:
         for _ in range(40):
             m = random_swappable_word(rng, grading, index_pool=3)
             n = rng.choice(
@@ -240,9 +249,6 @@ def test_matching_entry_agrees_with_compared_evaluations():
             want = matching_entry(grading, m, n)
             sigma = letter_matching(grading, m, n)
             assert sigma == (want and matching_permutation(grading, m, n, want.position))
-
-
-FACT_GRADINGS = suite_gradings() + [Grading(IntegerGroup(), 3, (0, 1, 3)), GR_Z4]
 
 
 @settings(max_examples=300, deadline=None)

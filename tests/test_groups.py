@@ -14,8 +14,9 @@ from matident import (
     group_from_config,
     validate_cayley,
 )
-from matident.freealg import GVar, format_word, parse_word
-from matident.generic import is_graded_identity
+from matident.freealg import GVar, format_word, parse_polynomial, parse_word
+from matident.generic import evaluate, is_graded_identity, letter_matching
+from matident.rewrite import certify_membership
 from matident.groups import Group, element_from_json
 
 from helpers import run_cli, s3_group, z2z2_group
@@ -201,17 +202,24 @@ def test_membership_checks():
 
 def test_arithmetic_is_validated_only_at_the_boundary(monkeypatch):
     # Z8xZ8 with every element in the tuple: the n entries are checked when
-    # the grading is built and each letter once when lset looks it up; the
-    # step tables' n group operations per degree check nothing.
+    # the grading is built and each distinct letter once when the decision
+    # reads it; the step tables' n group operations per degree check nothing.
     group = ProductGroup([CyclicGroup(8), CyclicGroup(8)])
     rng = random.Random(64)
     elements = list(group.elements())
-    f = FreePoly.from_terms(
+    built = FreePoly.from_terms(
         RATIONALS,
         [
             (tuple(GVar(rng.choice(elements), rng.randint(1, 3)) for _ in range(length)), 1)
             for length in (1, 5, 16, 64)
         ],
+    )
+    # the parser makes one object per distinct letter: 3 letters, 8 occurrences
+    parsed = parse_polynomial(
+        "x[(1,2);1]*x[(3,4);2]*x[(1,2);1] + 2*x[(3,4);2]*x[(1,2);1]*x[(1,2);1]"
+        " - x[(0,5);3]*x[(3,4);2]",
+        group,
+        RATIONALS,
     )
     calls = []
     check = Group.check
@@ -221,10 +229,32 @@ def test_arithmetic_is_validated_only_at_the_boundary(monkeypatch):
         return check(self, a)
 
     monkeypatch.setattr(Group, "check", counted)
-    grading = Grading(group, 64, elements)
-    assert len(calls) == 64
-    assert not is_graded_identity(grading, f)
-    assert len(calls) == 64 + sum(len(word) for word in f.terms)
+    for f, letters in ((built, sum(len(word) for word in built.terms)), (parsed, 3)):
+        calls.clear()
+        grading = Grading(group, 64, elements)
+        assert len(calls) == 64
+        assert not is_graded_identity(grading, f)
+        assert len(calls) == 64 + letters
+
+
+@pytest.mark.parametrize(
+    "grading, a, b",
+    [
+        (Grading(CyclicGroup(4), 4, (0, 1, 2, 3)), 1, True),
+        (Grading(z2z2_group(), 4, ((0, 0), (0, 1), (1, 0), (1, 1))), (1, 0), (True, 0)),
+    ],
+    ids=["Z4", "Z2xZ2"],
+)
+def test_letters_equal_to_an_element_are_still_checked(grading, a, b):
+    # a == b with equal hashes, so a letter set keyed by value would check
+    # GVar(a, 1) and let GVar(b, 1) through
+    word = (GVar(a, 1), GVar(b, 1))
+    f = FreePoly.from_terms(RATIONALS, [(word, 1)])
+    for query in (is_graded_identity, evaluate, certify_membership):
+        with pytest.raises(ValueError, match="is not an element"):
+            query(grading, f)
+    with pytest.raises(ValueError, match="is not an element"):
+        letter_matching(grading, word, word)
 
 
 def test_integers_cannot_enumerate():
