@@ -165,12 +165,7 @@ def _classes(grading: Grading, f: FreePoly) -> dict[tuple, Coefficient]:
 def survivors(grading: Grading, key: tuple) -> int:
     """Bit mask of the start rows whose chains survive a signature's words."""
     pairs, end = key
-    mask = grading.step(end)[1]
-    for _, d in pairs:
-        if not mask:
-            break
-        mask &= grading.step(d)[1]
-    return mask
+    return grading.survivors([end] + [d for _, d in pairs])
 
 
 def evaluate(grading: Grading, f: FreePoly) -> GenericMatrix:
@@ -225,8 +220,13 @@ def letter_matching(grading: Grading, m: Word, n: Word) -> Optional[tuple[int, .
     """
     if not m or not n:
         raise ValueError("degree sequence must be nonempty")
+    check_letters(grading.group, (m, n))
+    return _matching(grading, m, n)
+
+
+def _matching(grading: Grading, m: Word, n: Word) -> Optional[tuple[int, ...]]:
+    """`letter_matching` of two nonempty words whose letters are validated."""
     group = grading.group
-    check_letters(group, (m, n))
     if len(m) != len(n):
         return None
     pairs_m, end = prefix_pairs(group, m)

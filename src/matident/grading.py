@@ -7,18 +7,14 @@ and the chain structure of matrix-unit products: for a degree sequence
 (h_1, ..., h_q), the starting rows k from which a nonzero product of units
 of those degrees exists, together with the row path it traces.
 
-Chains are walked through per-degree step tables.  The table for degree h
-maps each row to the next row of a degree-h unit, or to None where the
-chain dies, and its survivor mask has a bit for every row that has a next
-row.  Both are built with n group operations the first time the grading
-sees h and reused from then on.  Tables are keyed by element value, and a
-dict key cannot tell 1, True and 1.0 apart, so `step_table` validates its
-degree on every call, before the lookup: each letter of a sequence is
-checked once, instead of once per row.  `step` reads the same cache
-without the check, for degrees that are products of validated letters.
-Group arithmetic itself trusts its arguments, so the checks in
-`step_table`, `Grading.__init__` and `component_dimension` keep
-non-elements out.
+The step table and survivor mask of a degree are built with n group
+operations the first time the grading sees it (`step`).  Row k survives a
+degree sequence exactly when every g_k * d_i is a tuple entry, where d_i
+are its prefix degrees, so `survivors` decides survival as one mask AND
+per prefix degree; only `lset` walks the rows.  Like group arithmetic,
+`step` and `survivors` trust their degrees.  `lset`, `Grading.__init__`
+and `component_dimension` validate theirs, so non-elements, True and 1.0
+included, stay out of the value-keyed tables.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, NamedTuple, Optional, Sequence
+from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
 from .groups import Element, Group, element_from_json, group_from_config
 
@@ -153,18 +149,24 @@ class Grading:
             entry = self._steps[h] = (table, mask)
         return entry
 
-    def step_table(self, h: Element) -> tuple[Optional[int], ...]:
-        """The step table of `step`, for a degree validated on every call."""
-        self.group.check(h)
-        return (self._steps.get(h) or self.step(h))[0]
+    def survivors(self, degrees: Iterable[Element]) -> int:
+        """Rows k with every g_k * d a tuple entry: for a sequence's prefix
+        degrees, the start rows whose chains survive it.  The AND of the
+        `step` masks stops at 0; like `step`, this trusts its degrees."""
+        mask = -1
+        for d in degrees:
+            mask &= self.step(d)[1]
+            if not mask:
+                break
+        return mask
 
     def lset(self, hseq: Sequence[Element]) -> LSet:
         """Start rows whose unit chains survive the whole degree sequence.
 
-        Each degree is validated once through `step_table`; the walk from
-        every start row then only reads the tables.
+        Each degree is validated once; the walk from every start row then
+        only reads the step tables.
         """
-        tables = [self.step_table(h) for h in hseq]
+        tables = [self.step(self.group.check(h))[0] for h in hseq]
         if not tables:
             raise ValueError("degree sequence must be nonempty")
         starts: list[int] = []

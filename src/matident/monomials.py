@@ -2,7 +2,11 @@
 
 A word is a graded identity exactly when no matrix-unit chain survives its
 degree sequence, so monomial identities are a property of the degree
-sequence alone.  The set of surviving rows evolves under a finite subset
+sequence alone.  Row k survives exactly when every g_k * d_i is a tuple
+entry, where d_i are the prefix degrees, so identity and minimality are
+decided from one survivor mask per prefix degree (`Grading.survivors`),
+with no chain walk; only `Grading.lset` and the certificate checkers walk
+chains.  The set of surviving rows evolves under a finite subset
 automaton (state: set of current rows, transition by one degree), which
 yields exact shortest-identity answers by breadth-first search and exact
 pruning for the exhaustive enumerator.
@@ -12,6 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .grading import Grading
@@ -20,17 +25,24 @@ from .groups import Element
 State = frozenset  # frozenset[int], current 1-based rows
 
 
+def _prefix_degrees(grading: Grading, hseq: Sequence[Element]):
+    """d_2, ..., d_{q+1} of a nonempty degree sequence, each degree validated."""
+    group = grading.group
+    hseq = [group.check(h) for h in hseq]
+    if not hseq:
+        raise ValueError("degree sequence must be nonempty")
+    return accumulate(hseq, group.op)
+
+
 def is_monomial_identity(grading: Grading, hseq: Sequence[Element]) -> bool:
     """True when every matrix-unit chain of these degrees dies out."""
-    return grading.lset(hseq).is_empty
+    return not grading.survivors(_prefix_degrees(grading, hseq))
 
 
 def transition(grading: Grading, state: State, h: Element) -> State:
     """One automaton step: advance every surviving row through degree h."""
-    table = grading.step_table(h)
-    out = {table[pos] for pos in state}
-    out.discard(None)
-    return frozenset(out)
+    table = grading.step(grading.group.check(h))[0]
+    return frozenset({table[pos] for pos in state} - {None})
 
 
 def initial_state(grading: Grading) -> State:
@@ -112,17 +124,6 @@ def enumerate_monomial_identities(
     return out
 
 
-def _coarsenings(seq: tuple[Element, ...]):
-    """Splits of the sequence into consecutive blocks, at least one of size >= 2."""
-    q = len(seq)
-    for mask in range(2 ** (q - 1)):
-        cuts = [i + 1 for i in range(q - 1) if mask >> i & 1]
-        bounds = [0] + cuts + [q]
-        if len(bounds) - 1 == q:
-            continue  # all singletons: the sequence itself
-        yield [seq[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
 def is_minimal_identity(grading: Grading, hseq: Sequence[Element]) -> bool:
     """Minimality filter for identity degree sequences.
 
@@ -132,27 +133,26 @@ def is_minimal_identity(grading: Grading, hseq: Sequence[Element]) -> bool:
     support.  Coarsenings that leave the support are not counted: those
     sequences vanish for the trivial reason that a whole component is zero,
     and the enumeration alphabet excludes them from the start.
-    """
+
+    Three facts, true for any tuple, reduce both to ANDs of the survivor
+    masks of the prefix degrees d_2, ..., d_{q+1}:
+    1. Identities are closed under extension, so (a) holds exactly when
+       seq[1:] or seq[:-1] (all masks but the last) is an identity.
+    2. A factor whose product leaves the support is an identity, so once
+       (a) fails, every block of a coarsening into >= 2 blocks lies in the
+       support; the one-block coarsening is an identity only outside it.
+    3. A coarsening's prefix degrees are those at its block ends, and fewer
+       ends AND fewer masks, so for q >= 3, (b) holds exactly when merging
+       one adjacent pair, which leaves out one mask, gives an identity."""
     seq = tuple(hseq)
-    if not is_monomial_identity(grading, seq):
+    degrees = list(_prefix_degrees(grading, seq))
+    q = len(degrees)
+    # the empty seq[1:] of q = 1 keeps every row, as a non-identity should
+    if grading.survivors(degrees) or not grading.survivors(accumulate(seq[1:], grading.group.op)):
         return False
-    q = len(seq)
-    for a in range(q):
-        for b in range(a + 1, q + 1):
-            if (b - a) < q and is_monomial_identity(grading, seq[a:b]):
-                return False
-    group = grading.group
-    support = set(grading.support())
-    for blocks in _coarsenings(seq):
-        merged = []
-        for block in blocks:
-            acc = block[0]
-            for h in block[1:]:
-                acc = group.op(acc, h)
-            merged.append(acc)
-        if all(h in support for h in merged) and is_monomial_identity(grading, merged):
-            return False
-    return True
+    # leaving out degrees[i] = d_{i+2} merges (h_{i+1}, h_{i+2}), or gives seq[:-1] at i = q - 1
+    skips = range(0 if q >= 3 else q - 1, q)
+    return all(grading.survivors(degrees[:i] + degrees[i + 1 :]) for i in skips)
 
 
 def shortest_monomial_identity(

@@ -44,6 +44,7 @@ from .freealg import (
     word_degree,
 )
 from .generic import (
+    _matching,
     check_letters,
     evaluate,
     letter_matching,
@@ -211,17 +212,16 @@ def derive_equivalence(grading: Grading, m: Word, n: Word) -> EquivalenceCertifi
 
     Requires a shared nonzero entry (and a distinct-entry grading).  The
     derivation aligns one letter at a time: recover the letter matching of
-    the unaligned suffixes from their signatures (one per suffix and step;
-    the first step reuses the precheck's matching of the whole words),
-    rotate whichever side the matching dictates so the leading letters
-    agree, and strip.  Rotations applied to the m side are
-    appended to the certificate inverted, so the replay runs n to m.
+    the unaligned suffixes from their signatures (one per suffix and step,
+    trusting the letters that the precheck's matching validated), rotate
+    whichever side the matching dictates so the leading letters agree, and
+    strip.  Rotations applied to the m side are appended to the certificate
+    inverted, so the replay runs n to m.
     """
     require_distinct(grading)
     m = tuple(m)
     n = tuple(n)
-    first = letter_matching(grading, m, n)
-    if first is None:
+    if letter_matching(grading, m, n) is None:
         raise ValueError("words do not share a nonzero entry; no derivation exists")
     group = grading.group
     m_cur, n_cur = m, n
@@ -233,10 +233,7 @@ def derive_equivalence(grading: Grading, m: Word, n: Word) -> EquivalenceCertifi
             p += 1
             continue
         msuf, nsuf = m_cur[p:], n_cur[p:]
-        if p == 0 and not (m_steps or n_steps):
-            sigma = first  # the suffixes are still the whole words
-        else:
-            sigma = letter_matching(grading, msuf, nsuf)
+        sigma = _matching(grading, msuf, nsuf)
         if sigma is None:
             raise AssertionError("shared entry lost while stripping aligned letters")
         a = sigma.index(1) + 1

@@ -4,6 +4,8 @@ The oracles here deliberately avoid the chain-based evaluation path: chains
 are walked with one group operation per step instead of the grading's step
 tables, generic matrices are multiplied entry by entry, and monomial
 identities are decided by exhaustive matrix-unit substitution.  The
+minimality oracle tests every proper factor and every coarsening on its
+own chain walk, the filter the prefix-degree masks replaced.  The
 certify oracle is the algorithm the indexed loop replaced: linear scans for
 every target and source, and a derivation that recovers each step's letter
 matching by comparing evaluation maps and walking naive chains.
@@ -323,6 +325,47 @@ def naive_lset(grading: Grading, hseq) -> tuple[tuple[int, ...], dict]:
             starts.append(k)
             paths[k] = tuple(path)
     return tuple(starts), paths
+
+
+def _coarsenings(seq: tuple):
+    """Splits of the sequence into consecutive blocks, at least one of size >= 2."""
+    q = len(seq)
+    for mask in range(2 ** (q - 1)):
+        cuts = [i + 1 for i in range(q - 1) if mask >> i & 1]
+        bounds = [0] + cuts + [q]
+        if len(bounds) - 1 == q:
+            continue  # all singletons: the sequence itself
+        yield [seq[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def is_minimal_identity_by_coarsenings(grading: Grading, hseq) -> bool:
+    """The minimality filter the prefix-degree masks replaced: every proper
+    factor and every coarsening inside the support is tested on its own,
+    each by a `naive_lset` chain walk."""
+
+    def identity(seq) -> bool:
+        return not naive_lset(grading, seq)[0]
+
+    seq = tuple(hseq)
+    if not identity(seq):
+        return False
+    q = len(seq)
+    for a in range(q):
+        for b in range(a + 1, q + 1):
+            if (b - a) < q and identity(seq[a:b]):
+                return False
+    group = grading.group
+    support = set(grading.support())
+    for blocks in _coarsenings(seq):
+        merged = []
+        for block in blocks:
+            acc = block[0]
+            for h in block[1:]:
+                acc = group.op(acc, h)
+            merged.append(acc)
+        if all(h in support for h in merged) and identity(merged):
+            return False
+    return True
 
 
 def naive_transition(grading: Grading, state, h) -> frozenset:

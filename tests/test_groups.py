@@ -16,10 +16,10 @@ from matident import (
 )
 from matident.freealg import GVar, format_word, parse_polynomial, parse_word
 from matident.generic import evaluate, is_graded_identity, letter_matching
-from matident.rewrite import certify_membership
+from matident.rewrite import certify_membership, derive_equivalence
 from matident.groups import Group, element_from_json
 
-from helpers import run_cli, s3_group, z2z2_group
+from helpers import random_rewrite_variant, random_swappable_word, run_cli, s3_group, z2z2_group
 
 
 def test_cyclic_op_examples():
@@ -228,6 +228,14 @@ def test_arithmetic_is_validated_only_at_the_boundary(monkeypatch):
         calls.append(a)
         return check(self, a)
 
+    # a derivation of several alignment steps between equivalent words
+    grading = Grading(group, 64, elements)
+    while True:
+        m = random_swappable_word(rng, grading)
+        n = random_rewrite_variant(rng, grading, m)
+        if len(derive_equivalence(grading, m, n).steps) >= 2:
+            break
+
     monkeypatch.setattr(Group, "check", counted)
     for f, letters in ((built, sum(len(word) for word in built.terms)), (parsed, 3)):
         calls.clear()
@@ -235,6 +243,11 @@ def test_arithmetic_is_validated_only_at_the_boundary(monkeypatch):
         assert len(calls) == 64
         assert not is_graded_identity(grading, f)
         assert len(calls) == 64 + letters
+    # the derivation checks each distinct letter once, in its first
+    # matching, and trusts them in every later alignment step
+    calls.clear()
+    derive_equivalence(grading, m, n)
+    assert len(calls) == len({id(v) for v in m + n})
 
 
 @pytest.mark.parametrize(

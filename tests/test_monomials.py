@@ -1,8 +1,11 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matident import CyclicGroup, Grading, GVar, RATIONALS
+from matident import CyclicGroup, Grading, GVar, IntegerGroup, ProductGroup, RATIONALS
 from matident.generic import is_graded_identity
 from matident.monomials import (
     _four_times_power,
@@ -15,7 +18,14 @@ from matident.monomials import (
     transition,
 )
 
-from helpers import free_poly, sequence_vanishes_by_units, suite_gradings
+from helpers import (
+    free_poly,
+    is_minimal_identity_by_coarsenings,
+    naive_lset,
+    partial_cayley_gradings,
+    sequence_vanishes_by_units,
+    suite_gradings,
+)
 
 GR_Z4 = Grading(CyclicGroup(4), 2, (0, 1))
 GR_Z2 = Grading(CyclicGroup(2), 2, (0, 1))
@@ -26,8 +36,6 @@ def test_is_monomial_identity_examples():
     assert sequence_vanishes_by_units(GR_Z4, (1, 1))
 
     # full support on Z2: no sequence of length <= 6 is an identity
-    import itertools
-
     for length in range(1, 7):
         for hseq in itertools.product([0, 1], repeat=length):
             assert not is_monomial_identity(GR_Z2, hseq)
@@ -66,6 +74,52 @@ def test_minimality_filter():
     assert not is_minimal_identity(GR_Z4, (1, 0, 1))
     # non-identities are not minimal identities
     assert not is_minimal_identity(GR_Z4, (1, 3))
+    # only the factor (3, 5) is an identity: (5, 3) and both one-pair
+    # merges, (1, 5) and (5, 1), are not
+    z7 = Grading(CyclicGroup(7), 4, (0, 2, 3, 4))
+    assert is_monomial_identity(z7, (3, 5))
+    assert not is_minimal_identity(z7, (5, 3, 5))
+
+
+# Distinct and repeated tuples, full and partial supports, finite and
+# infinite groups: the gradings on which the mask filter meets its oracle.
+FILTER_GRADINGS = (
+    suite_gradings()
+    + partial_cayley_gradings()
+    + [
+        Grading(IntegerGroup(), 5, (0, 1, 3, 9, 20)),
+        Grading(CyclicGroup(7), 4, (0, 2, 3, 4)),
+        Grading(CyclicGroup(6), 4, (0, 1, 1, 3)),
+        Grading(
+            ProductGroup([CyclicGroup(2)] * 3),
+            4,
+            ((0, 0, 0), (0, 0, 1), (0, 0, 1), (1, 1, 0)),
+        ),
+    ]
+)
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_minimality_filter_matches_coarsening_oracle(data):
+    # any sequence over the support, not only the enumerator's output
+    grading = data.draw(st.sampled_from(FILTER_GRADINGS))
+    support = grading.support()
+    hseq = tuple(data.draw(st.lists(st.sampled_from(support), min_size=1, max_size=7)))
+    assert is_monomial_identity(grading, hseq) == (not naive_lset(grading, hseq)[0])
+    assert is_minimal_identity(grading, hseq) == is_minimal_identity_by_coarsenings(grading, hseq)
+
+
+def test_minimality_filter_matches_coarsening_oracle_exhaustively():
+    # every short sequence, so rare cases such as a sequence that only its
+    # suffix factor rules out are met for sure
+    for grading in FILTER_GRADINGS:
+        support = grading.support()
+        for length in range(1, 5 if len(support) <= 8 else 4):
+            for hseq in itertools.product(support, repeat=length):
+                assert is_minimal_identity(grading, hseq) == is_minimal_identity_by_coarsenings(
+                    grading, hseq
+                ), hseq
 
 
 def test_shortest_identity_examples():
