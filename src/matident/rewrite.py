@@ -11,16 +11,16 @@ certificate is a replayable list of such steps from one word to another; a
 membership certificate reduces a multihomogeneous polynomial, pairing off
 terms through equivalence certificates until every remaining term is a
 monomial identity on its own.  Verifiers recompute every side condition
-and every evaluation from scratch, so checking is independent of how a
-certificate was produced.
+from scratch and compare the generic evaluations of each pairing's two
+ends once, so checking is independent of how a certificate was produced.
 
 Certifying groups the terms by signature (see `generic`): with a
 distinct tuple two nonempty evaluations are equal exactly when the
 signatures are, and otherwise share no entry, so every pairing is found
 by lookup in its class, and certify cost is linear in the term count
-plus the derivations.  Only the checkers walk chains: they recompute
-evaluations with `word_product_closed` and empty chain sets with
-`Grading.lset`, replaying the working list independently of certify.
+plus the derivations.  Only the checkers walk chains: they compare end
+evaluations with `word_product_closed` and recompute empty chain sets
+with `Grading.lset`, replaying the working list independently of certify.
 """
 
 from __future__ import annotations
@@ -150,12 +150,12 @@ class CheckResult:
 
 
 def check_equivalence_certificate(grading: Grading, cert: EquivalenceCertificate) -> CheckResult:
-    """Replay a derivation, recomputing side conditions and evaluations.
+    """Replay a derivation's side conditions, then compare end evaluations.
 
     Accepts only when every step applies, the final word is the recorded
-    end, and the generic evaluation of every intermediate word equals the
-    start's.  Equal evaluations prove nothing on a tuple with repeated
-    entries, so such a grading raises DistinctTupleError.
+    end, and its evaluation equals the start's, which is evaluated first
+    to validate every letter (a swap only permutes them).  A repeated
+    tuple raises DistinctTupleError: equal evaluations prove nothing there.
     """
     require_distinct(grading)
     group = grading.group
@@ -168,10 +168,10 @@ def check_equivalence_certificate(grading: Grading, cert: EquivalenceCertificate
             current = apply_step(group, current, step)
         except StepError as exc:
             return CheckResult(False, f"step {idx}: {exc}")
-        if word_product_closed(grading, current) != reference:
-            return CheckResult(False, f"step {idx}: generic evaluation changed")
     if current != tuple(cert.end):
         return CheckResult(False, "replayed word does not match the recorded end")
+    if word_product_closed(grading, current) != reference:
+        return CheckResult(False, "generic evaluation changed between start and end")
     return CheckResult(True)
 
 

@@ -8,7 +8,9 @@ minimality oracle tests every proper factor and every coarsening on its
 own chain walk, the filter the prefix-degree masks replaced.  The
 certify oracle is the algorithm the indexed loop replaced: linear scans for
 every target and source, and a derivation that recovers each step's letter
-matching by comparing evaluation maps and walking naive chains.
+matching by comparing evaluation maps and walking naive chains.  The
+equivalence checker oracle re-evaluates the word after every rewrite
+step, where `check_equivalence_certificate` compares the two ends once.
 """
 
 from __future__ import annotations
@@ -44,12 +46,14 @@ from matident.generic import GenericMatrix, evaluate, require_distinct, word_pro
 from matident.rewrite import (
     JUSTIFY_EMPTY_LSET,
     JUSTIFY_OUTSIDE_SUPPORT,
+    CheckResult,
     EquivalenceCertificate,
     Justification,
     MembershipCertificate,
     NonIdentityWitness,
     Pairing,
     ResidualTerm,
+    StepError,
     _alignment_step,
     apply_step,
 )
@@ -498,6 +502,34 @@ def certify_membership_linear(grading: Grading, f: FreePoly):
         )
         residual.append(ResidualTerm(word, coeff, why))
     return MembershipCertificate(input=f, pairings=tuple(pairings), residual=tuple(residual))
+
+
+def check_equivalence_certificate_stepwise(
+    grading: Grading, cert: EquivalenceCertificate
+) -> CheckResult:
+    """Replay a derivation, recomputing side conditions and evaluations.
+
+    Accepts only when every step applies, the final word is the recorded
+    end, and the generic evaluation of every intermediate word equals the
+    start's.  Equal evaluations prove nothing on a tuple with repeated
+    entries, so such a grading raises DistinctTupleError.
+    """
+    require_distinct(grading)
+    group = grading.group
+    current = tuple(cert.start)
+    if not current:
+        return CheckResult(False, "start word is empty")
+    reference = word_product_closed(grading, current)
+    for idx, step in enumerate(cert.steps):
+        try:
+            current = apply_step(group, current, step)
+        except StepError as exc:
+            return CheckResult(False, f"step {idx}: {exc}")
+        if word_product_closed(grading, current) != reference:
+            return CheckResult(False, f"step {idx}: generic evaluation changed")
+    if current != tuple(cert.end):
+        return CheckResult(False, "replayed word does not match the recorded end")
+    return CheckResult(True)
 
 
 # ---------------------------------------------------------------------------

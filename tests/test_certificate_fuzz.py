@@ -8,7 +8,9 @@ perturbed; values are replaced by other JSON types.  Whatever the document,
 `check-cert` must answer with exit 0, 1 or 2 and raise nothing, and when it
 accepts, the polynomial the document vouches for must be a graded identity:
 the input of a bundle or membership certificate, start - end for an
-equivalence certificate.
+equivalence certificate.  Every document that reads back gets the same
+verdict, or the same exception, from the checkers when they compare each
+pairing's two ends once and when they re-evaluate after every step.
 """
 
 import copy
@@ -20,9 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matident import FreePoly, grading_from_config, parse_field, parse_polynomial, parse_word
+from matident import rewrite
 from matident.generic import is_graded_identity
 
-from helpers import free_poly, run_cli
+from helpers import check_equivalence_certificate_stepwise, free_poly, run_cli
 
 INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
@@ -137,6 +140,45 @@ def _vouched_polynomial(doc: dict, grading, field) -> FreePoly:
     return parse_polynomial(doc["input"], grading.group, field)
 
 
+def _replay(doc: dict, grading, field):
+    """The checker's verdict on a document, as `check-cert` reads it:
+    (ok, reason), or the type and text of what checking raised.  None when
+    the document does not read back."""
+    kind = doc.get("type")
+    try:
+        if kind == "equivalence":
+            cert = rewrite.equivalence_from_dict(doc, grading.group)
+            check = lambda: rewrite.check_equivalence_certificate(grading, cert)
+        elif kind == "membership":
+            cert = rewrite.membership_from_dict(doc, grading.group, field)
+            check = lambda: rewrite.check_membership_certificate(grading, cert.input, cert)
+        elif kind == "membership-bundle":
+            bundle = rewrite.bundle_from_dict(doc, grading.group, field)
+            check = lambda: rewrite.check_membership_bundle(grading, bundle)
+        else:
+            return None
+    except (ValueError, RecursionError):
+        return None
+    try:
+        result = check()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return result.ok, result.reason
+
+
+def _assert_oracle_agrees(doc: dict, grading_file: str, field_name: str) -> None:
+    """The checkers give the same answer with the stepwise equivalence
+    checker patched in."""
+    grading = grading_from_config(json.loads((INPUTS / grading_file).read_text()))
+    field = parse_field(field_name)
+    verdict = _replay(doc, grading, field)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            rewrite, "check_equivalence_certificate", check_equivalence_certificate_stepwise
+        )
+        assert _replay(doc, grading, field) == verdict
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -166,6 +208,7 @@ def test_mutated_certificates_are_rejected_or_sound(workdir, documents, data):
         ["check-cert", str(INPUTS / grading_file), str(path), "--strict", "--field", field_name]
     )
     assert code in (0, 1, 2)
+    _assert_oracle_agrees(doc, grading_file, field_name)
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1
         return
@@ -175,3 +218,9 @@ def test_mutated_certificates_are_rejected_or_sound(workdir, documents, data):
         grading = grading_from_config(json.loads((INPUTS / grading_file).read_text()))
         field = parse_field(field_name)
         assert is_graded_identity(grading, _vouched_polynomial(doc, grading, field))
+
+
+def test_certified_documents_agree_with_stepwise_oracle(documents):
+    for family in documents:
+        for grading_file, field_name, doc in family:
+            _assert_oracle_agrees(doc, grading_file, field_name)

@@ -16,7 +16,16 @@ from matident import (
 )
 from matident.freealg import GVar, format_word, parse_polynomial, parse_word
 from matident.generic import evaluate, is_graded_identity, letter_matching
-from matident.rewrite import certify_membership, derive_equivalence
+from matident.rewrite import (
+    NEUTRAL_SWAP,
+    EquivalenceCertificate,
+    MembershipCertificate,
+    RewriteStep,
+    certify_membership,
+    check_equivalence_certificate,
+    check_membership_certificate,
+    derive_equivalence,
+)
 from matident.groups import Group, element_from_json
 
 from helpers import random_rewrite_variant, random_swappable_word, run_cli, s3_group, z2z2_group
@@ -268,6 +277,14 @@ def test_letters_equal_to_an_element_are_still_checked(grading, a, b):
             query(grading, f)
     with pytest.raises(ValueError, match="is not an element"):
         letter_matching(grading, word, word)
+    # the checkers validate the letters before a step runs group
+    # arithmetic on them, even a step that does not apply
+    outside = RewriteStep(NEUTRAL_SWAP, (0, 1, 3))
+    for steps in ((), (outside,)):
+        with pytest.raises(ValueError, match="is not an element"):
+            check_equivalence_certificate(grading, EquivalenceCertificate(word, steps, word))
+    with pytest.raises(ValueError, match="is not an element"):
+        check_membership_certificate(grading, f, MembershipCertificate(f, (), ()))
 
 
 def test_integers_cannot_enumerate():

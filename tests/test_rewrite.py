@@ -12,11 +12,13 @@ from matident import (
 )
 from matident.commpoly import Poly, YVar
 from matident.freealg import GVar, parse_polynomial, parse_word
+from matident import rewrite
 from matident.generic import word_product_closed
 from matident.rewrite import (
     CONJUGATE_SWAP,
     NEUTRAL_SWAP,
     BundleComponent,
+    CheckResult,
     MembershipBundle,
     EquivalenceCertificate,
     Justification,
@@ -125,6 +127,32 @@ def test_check_certificate_detects_corruption():
     result = check_equivalence_certificate(GR_Z2, wrong_end)
     assert not result
     assert "end" in result.reason
+
+
+def test_checkers_reject_a_step_that_changes_the_evaluation(monkeypatch):
+    # A swap preserves the generic evaluation only under its side
+    # conditions.  With them gone, the replay reaches the recorded end and
+    # only the comparison of the two end evaluations rejects.
+    def unchecked_swap(group, word, step):
+        i, j, k = step.split
+        return word[:i] + word[j:k] + word[i:j] + word[k:]
+
+    monkeypatch.setattr(rewrite, "apply_step", unchecked_swap)
+    grading = Grading(Z4, 4, (0, 1, 2, 3))
+    start = parse_word("x[1;1]*x[2;2]*x[1;3]", Z4)
+    step = RewriteStep(NEUTRAL_SWAP, (0, 1, 2))
+    end = unchecked_swap(Z4, start, step)
+    assert word_product_closed(grading, end) != word_product_closed(grading, start)
+    reason = "generic evaluation changed between start and end"
+    eq = EquivalenceCertificate(start, (step,), end)
+    assert check_equivalence_certificate(grading, eq) == CheckResult(False, reason)
+
+    f = free_poly(RATIONALS, (start, 1), (end, -1))
+    (w0, _), _ = f.sorted_terms()
+    pairing = Pairing(0, 1, eq) if w0 == end else Pairing(1, 0, eq)
+    cert = MembershipCertificate(f, (pairing,), ())
+    result = check_membership_certificate(grading, f, cert)
+    assert result == CheckResult(False, f"pairing 0: {reason}")
 
 
 def test_derive_four_letter_pair_single_neutral_swap():
