@@ -163,7 +163,7 @@ def cmd_is_identity(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     grading = _load_grading(args.grading)
-    fmt = grading.group.format
+    names = {h: grading.group.format(h) for h in grading.support()}
     unfiltered = enumerate_monomial_identities(grading, args.max_len)
     if args.minimal:
         found = [seq for seq in unfiltered if is_minimal_identity(grading, seq)]
@@ -177,15 +177,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         payload = {
             "max_len": args.max_len,
             "minimal": args.minimal,
-            "sequences": [[fmt(h) for h in seq] for seq in found],
+            "sequences": [[names[h] for h in seq] for seq in found],
             "count": len(found),
-            "unfiltered_sequences": [[fmt(h) for h in seq] for seq in unfiltered],
+            "unfiltered_sequences": [[names[h] for h in seq] for seq in unfiltered],
             "unfiltered_count": len(unfiltered),
             "support_bound": bounds.support_bound,
             "size_bound": bounds.size_bound,
         }
     else:
-        lines = [",".join(fmt(h) for h in seq) for seq in found]
+        lines = [",".join(names[h] for h in seq) for seq in found]
         lines.append(
             f"count={len(found)} unfiltered={len(unfiltered)} max_len={args.max_len} "
             f"minimal={str(args.minimal).lower()} "

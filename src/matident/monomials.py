@@ -8,8 +8,9 @@ decided from one survivor mask per prefix degree (`Grading.survivors`),
 with no chain walk; only `Grading.lset` and the certificate checkers walk
 chains.  The set of surviving rows evolves under a finite subset
 automaton (state: set of current rows, transition by one degree), which
-yields exact shortest-identity answers by breadth-first search and exact
-pruning for the exhaustive enumerator.
+yields exact shortest-identity answers by breadth-first search; the
+exhaustive enumerator walks the same automaton depth-first and builds
+only the states it visits.
 """
 
 from __future__ import annotations
@@ -49,78 +50,46 @@ def initial_state(grading: Grading) -> State:
     return frozenset(range(1, grading.n + 1))
 
 
-def _reachable_transitions(
-    grading: Grading, alphabet: Sequence[Element]
-) -> dict[State, dict[Element, State]]:
-    """Transition table of all states reachable from the initial state."""
-    start = initial_state(grading)
-    table: dict[State, dict[Element, State]] = {}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        if state in table:
-            continue
-        row = {}
-        for h in alphabet:
-            nxt = transition(grading, state, h)
-            row[h] = nxt
-            if nxt and nxt not in table:
-                queue.append(nxt)
-        table[state] = row
-    return table
-
-
-def _distance_to_dead(table: dict[State, dict[Element, State]]) -> dict[State, int]:
-    """Shortest number of steps from each state to the empty state."""
-    empty: State = frozenset()
-    dist: dict[State, int] = {empty: 0}
-    # reverse edges over the reachable graph
-    back: dict[State, list[State]] = {}
-    for state, row in table.items():
-        for nxt in row.values():
-            back.setdefault(nxt, []).append(state)
-    queue = deque([empty])
-    while queue:
-        cur = queue.popleft()
-        for prev in back.get(cur, ()):
-            if prev not in dist:
-                dist[prev] = dist[cur] + 1
-                queue.append(prev)
-    return dist
-
-
 def enumerate_monomial_identities(
     grading: Grading, max_len: int
 ) -> list[tuple[Element, ...]]:
     """Identity degree sequences over the support, up to max_len.
 
-    Depth-first over the support alphabet with exact pruning: an identity
-    prefix subsumes all of its extensions, and subtrees from which the dead
-    state is out of reach within the remaining budget are skipped.  Output
-    is in lexicographic order.
+    Depth-first over the support alphabet, in lexicographic order; an
+    identity prefix subsumes all of its extensions.  The walk memoizes as
+    it goes: each state's row of transitions is built on its first visit,
+    and `barren` keeps, per state, the largest number of steps left under
+    which its subtree emitted nothing, so the state is skipped whenever it
+    recurs with at most that many.  Only states within max_len steps of the
+    full row set are built.  A grading with no identity at all returns []
+    at once, which keeps the walk from going max_len levels deep for
+    nothing.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
+    if shortest_monomial_identity(grading) is None:
+        return []
     alphabet = grading.support()
-    table = _reachable_transitions(grading, alphabet)
-    dist = _distance_to_dead(table)
+    rows: dict[State, list[tuple[Element, State]]] = {}
+    barren: dict[State, int] = {}
     out: list[tuple[Element, ...]] = []
 
-    def walk(state: State, prefix: tuple[Element, ...]) -> None:
-        remaining = max_len - len(prefix)
-        if remaining == 0:
+    def walk(state: State, prefix: tuple[Element, ...], remaining: int) -> None:
+        if remaining <= barren.get(state, 0):
             return
-        for h in alphabet:
-            nxt = table[state][h]
+        row = rows.get(state)
+        if row is None:
+            row = rows[state] = [(h, transition(grading, state, h)) for h in alphabet]
+        emitted = len(out)
+        for h, nxt in row:
             if not nxt:
                 out.append(prefix + (h,))
-                continue
-            if dist.get(nxt, max_len + 1) <= remaining - 1:
-                walk(nxt, prefix + (h,))
+            elif remaining > 1:
+                walk(nxt, prefix + (h,), remaining - 1)
+        if len(out) == emitted:
+            barren[state] = remaining
 
-    start = initial_state(grading)
-    if dist.get(start, max_len + 1) <= max_len:
-        walk(start, ())
+    walk(initial_state(grading), (), max_len)
     return out
 
 
@@ -158,7 +127,7 @@ def is_minimal_identity(grading: Grading, hseq: Sequence[Element]) -> bool:
 def shortest_monomial_identity(
     grading: Grading,
 ) -> Optional[tuple[int, tuple[Element, ...]]]:
-    """Exact shortest identity length with one witness sequence.
+    """Exact shortest identity length with its lexicographically least witness.
 
     Breadth-first search on the subset automaton from the full row set to
     the empty state; None when the empty state is unreachable, in which

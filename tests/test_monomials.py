@@ -210,29 +210,64 @@ def test_enumerate_requires_positive_cap():
 
 
 def _brute_force_enumeration(grading, max_len):
-    """Unpruned reference: identity sequences without an identity prefix."""
-    import itertools
-
+    """Unpruned reference on naive chain walks, in lexicographic order:
+    identity sequences whose proper prefixes are not identities.  Identities
+    are closed under extension, so checking seq[:-1] covers every prefix."""
     support = grading.support()
-    out = []
-    for length in range(1, max_len + 1):
-        for seq in itertools.product(support, repeat=length):
-            if not is_monomial_identity(grading, seq):
-                continue
-            if any(is_monomial_identity(grading, seq[:cut]) for cut in range(1, length)):
-                continue
-            out.append(seq)
-    return sorted(out)
+
+    def dies(seq):
+        return not naive_lset(grading, seq)[0]
+
+    out = [
+        seq
+        for length in range(1, max_len + 1)
+        for seq in itertools.product(support, repeat=length)
+        if dies(seq) and (length == 1 or not dies(seq[:-1]))
+    ]
+    return sorted(out, key=lambda seq: [support.index(h) for h in seq])
 
 
 def test_enumeration_matches_brute_force():
-    specs = [
-        GR_Z4,
-        GR_Z2,
-        Grading(CyclicGroup(6), 3, (0, 1, 3)),
-        Grading(CyclicGroup(5), 2, (0, 2)),
-    ]
-    for grading in specs:
-        assert sorted(enumerate_monomial_identities(grading, 4)) == _brute_force_enumeration(
-            grading, 4
-        )
+    # the lists are compared as they come, so the order is checked too
+    for grading in FILTER_GRADINGS:
+        top = 4 if len(grading.support()) <= 8 else 3
+        for cap in range(1, top + 1):
+            assert enumerate_monomial_identities(grading, cap) == _brute_force_enumeration(
+                grading, cap
+            ), (grading, cap)
+
+
+# a dense Z64 grading whose subset automaton has some 50,000 reachable
+# states, while a cap of 1 needs only those one step from the full row set
+Z64_DENSE = Grading(
+    CyclicGroup(64),
+    32,
+    (1, 2, 5, 7, 10, 13, 16, 17, 19, 23, 25, 27, 28, 29, 32, 34,
+     37, 38, 40, 41, 42, 43, 46, 47, 48, 51, 53, 54, 56, 58, 60, 62),
+)
+
+
+def test_shortest_witness_is_first_enumerated():
+    for grading in FILTER_GRADINGS + [Z64_DENSE]:
+        answer = shortest_monomial_identity(grading)
+        if answer is not None:
+            length, witness = answer
+            assert enumerate_monomial_identities(grading, length)[0] == witness, grading
+
+
+def test_enumeration_builds_only_states_within_the_cap(monkeypatch):
+    calls = 0
+
+    def counted(grading, state, h):
+        nonlocal calls
+        calls += 1
+        return transition(grading, state, h)
+
+    monkeypatch.setattr("matident.monomials.transition", counted)
+    assert enumerate_monomial_identities(Z64_DENSE, 1) == []
+    assert calls < 10_000
+
+
+def test_enumeration_without_identities_returns_at_once_at_any_cap():
+    # full support: no identity, so the walk must not go 10**6 levels deep
+    assert enumerate_monomial_identities(Grading(CyclicGroup(3), 3, (0, 1, 2)), 10**6) == []
