@@ -13,9 +13,12 @@ One subcommand per engine operation:
     certify              membership certificates per multihomogeneous part
     check-cert           replay and verify a certificate document
 
-Exit codes: 0 success, 1 negative mathematical answer under --strict,
-2 usage or input errors.  All output is deterministic; --json mirrors the
-human-readable output with a stable schema.
+Each handler returns its --json payload, its text output and whether the
+answer is negative; `main` alone loads the grading, prints and picks the
+exit code.  Exit codes: 0 success, 1 negative mathematical answer under
+--strict, 2 usage or input errors, and 2 with no message when the reader
+closes stdout early (as `| head` does).  All output is deterministic;
+--json mirrors the human-readable output with a stable schema.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -44,6 +48,10 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
+# what a handler returns: the --json payload, the text output, and whether
+# the answer is negative (exit 1 under --strict)
+Reply = tuple[dict, str, bool]
+
 
 def _load_grading(path: str) -> Grading:
     try:
@@ -64,15 +72,7 @@ def _load_text(path: str) -> str:
         raise ValueError(f"cannot read file {path!r}: {exc}") from None
 
 
-def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(human)
-
-
-def cmd_info(args: argparse.Namespace) -> int:
-    grading = _load_grading(args.grading)
+def cmd_info(args: argparse.Namespace, grading: Grading) -> Reply:
     fmt = grading.group.format
     support = grading.support()
     dims = [(fmt(g), grading.component_dimension(g)) for g in support]
@@ -105,12 +105,10 @@ def cmd_info(args: argparse.Namespace) -> int:
         ),
         f"neutral blocks: sizes={list(blocks.sizes)} dimension={blocks.dimension}",
     ]
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    return payload, "\n".join(lines), False
 
 
-def cmd_lset(args: argparse.Namespace) -> int:
-    grading = _load_grading(args.grading)
+def cmd_lset(args: argparse.Namespace, grading: Grading) -> Reply:
     fmt = grading.group.format
     parts = split_top_level(args.seq)
     if not all(p.strip() for p in parts):
@@ -129,12 +127,10 @@ def cmd_lset(args: argparse.Namespace) -> int:
         for k in ls.starts:
             lines.append(f"  s[{k}] = ({', '.join(str(i) for i in ls.paths[k])})")
         human = "\n".join(lines)
-    _emit(args, payload, human)
-    return EXIT_OK
+    return payload, human, False
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    grading = _load_grading(args.grading)
+def cmd_eval(args: argparse.Namespace, grading: Grading) -> Reply:
     field = parse_field(args.field)
     poly = parse_polynomial(_load_text(args.polynomial), grading.group, field)
     matrix = evaluate(grading, poly)
@@ -145,24 +141,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
     }
     payload = {"field": str(field), "zero": matrix.is_zero(), "entries": entries}
     human = "\n".join(f"{pos}: {text}" for pos, text in entries.items()) or "0"
-    _emit(args, payload, human)
-    return EXIT_OK
+    return payload, human, False
 
 
-def cmd_is_identity(args: argparse.Namespace) -> int:
-    grading = _load_grading(args.grading)
+def cmd_is_identity(args: argparse.Namespace, grading: Grading) -> Reply:
     field = parse_field(args.field)
     poly = parse_polynomial(_load_text(args.polynomial), grading.group, field)
     answer = is_graded_identity(grading, poly)
     payload = {"field": str(field), "identity": answer}
-    _emit(args, payload, "identity" if answer else "not an identity")
-    if not answer and args.strict:
-        return EXIT_NEGATIVE
-    return EXIT_OK
+    return payload, "identity" if answer else "not an identity", not answer
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
-    grading = _load_grading(args.grading)
+def cmd_enumerate(args: argparse.Namespace, grading: Grading) -> Reply:
     names = {h: grading.group.format(h) for h in grading.support()}
     unfiltered = enumerate_monomial_identities(grading, args.max_len)
     if args.minimal:
@@ -171,8 +161,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         found = unfiltered
     bounds = length_bounds(grading)
     # only the printed form is built: the sequence lists can be long
-    payload: dict = {}
-    lines: list[str] = []
     if args.json:
         payload = {
             "max_len": args.max_len,
@@ -184,21 +172,17 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             "support_bound": bounds.support_bound,
             "size_bound": bounds.size_bound,
         }
-    else:
-        lines = [",".join(names[h] for h in seq) for seq in found]
-        lines.append(
-            f"count={len(found)} unfiltered={len(unfiltered)} max_len={args.max_len} "
-            f"minimal={str(args.minimal).lower()} "
-            f"support_bound={bounds.support_bound} size_bound={bounds.size_bound}"
-        )
-    _emit(args, payload, "\n".join(lines))
-    if not found and args.strict:
-        return EXIT_NEGATIVE
-    return EXIT_OK
+        return payload, "", not found
+    lines = [",".join(names[h] for h in seq) for seq in found]
+    lines.append(
+        f"count={len(found)} unfiltered={len(unfiltered)} max_len={args.max_len} "
+        f"minimal={str(args.minimal).lower()} "
+        f"support_bound={bounds.support_bound} size_bound={bounds.size_bound}"
+    )
+    return {}, "\n".join(lines), not found
 
 
-def cmd_shortest(args: argparse.Namespace) -> int:
-    grading = _load_grading(args.grading)
+def cmd_shortest(args: argparse.Namespace, grading: Grading) -> Reply:
     fmt = grading.group.format
     answer = shortest_monomial_identity(grading)
     if answer is None:
@@ -212,14 +196,10 @@ def cmd_shortest(args: argparse.Namespace) -> int:
             "witness": [fmt(h) for h in witness],
         }
         human = f"length {length}: {','.join(fmt(h) for h in witness)}"
-    _emit(args, payload, human)
-    if answer is None and args.strict:
-        return EXIT_NEGATIVE
-    return EXIT_OK
+    return payload, human, answer is None
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
-    grading = _load_grading(args.grading)
+def cmd_bounds(args: argparse.Namespace, grading: Grading) -> Reply:
     bounds = length_bounds(grading)
     s = len(grading.support())
     payload = {
@@ -232,12 +212,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         f"support bound 4*s^(2s+2) = {bounds.support_bound}\n"
         f"size bound 4*n^(4(n^2+1)) = {bounds.size_bound}"
     )
-    _emit(args, payload, human)
-    return EXIT_OK
+    return payload, human, False
 
 
-def cmd_equiv(args: argparse.Namespace) -> int:
-    grading = _load_grading(args.grading)
+def cmd_equiv(args: argparse.Namespace, grading: Grading) -> Reply:
     group = grading.group
     target = parse_word(_load_text(args.target), group)
     source = parse_word(_load_text(args.source), group)
@@ -246,9 +224,7 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     except DistinctTupleError:
         raise
     except ValueError as exc:
-        payload = {"derived": False, "reason": str(exc)}
-        _emit(args, payload, f"no certificate: {exc}")
-        return EXIT_NEGATIVE if args.strict else EXIT_OK
+        return {"derived": False, "reason": str(exc)}, f"no certificate: {exc}", True
     doc = rewrite.equivalence_to_dict(cert, group)
     lines = [
         f"start: {doc['start']}",
@@ -257,12 +233,10 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     ]
     for idx, step in enumerate(cert.steps):
         lines.append(f"  {idx}: {step.rule} at {list(step.split)}")
-    _emit(args, doc, "\n".join(lines))
-    return EXIT_OK
+    return doc, "\n".join(lines), False
 
 
-def cmd_certify(args: argparse.Namespace) -> int:
-    grading = _load_grading(args.grading)
+def cmd_certify(args: argparse.Namespace, grading: Grading) -> Reply:
     group = grading.group
     poly = parse_polynomial(_load_text(args.polynomial), group, parse_field(args.field))
     outcomes = [
@@ -285,14 +259,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
                 f"(entry at ({w['position'][0]},{w['position'][1]}): {w['entry']})"
             )
     lines.append("identity" if payload["identity"] else "not an identity")
-    _emit(args, payload, "\n".join(lines))
-    if not payload["identity"] and args.strict:
-        return EXIT_NEGATIVE
-    return EXIT_OK
+    return payload, "\n".join(lines), not payload["identity"]
 
 
-def cmd_check_cert(args: argparse.Namespace) -> int:
-    grading = _load_grading(args.grading)
+def cmd_check_cert(args: argparse.Namespace, grading: Grading) -> Reply:
     field = parse_field(args.field)
     group = grading.group
     try:
@@ -316,10 +286,7 @@ def cmd_check_cert(args: argparse.Namespace) -> int:
     payload = {"valid": result.ok}
     if result.reason:
         payload["reason"] = result.reason
-    _emit(args, payload, "valid" if result.ok else f"invalid: {result.reason}")
-    if not result.ok and args.strict:
-        return EXIT_NEGATIVE
-    return EXIT_OK
+    return payload, "valid" if result.ok else f"invalid: {result.reason}", not result.ok
 
 
 @functools.cache  # parse_args leaves the parser as it was, so one serves every call
@@ -385,13 +352,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
-        return args.handler(args)
+        payload, human, negative = args.handler(args, _load_grading(args.grading))
+        # inside the try: text the stdout encoding cannot take is a ValueError
+        print(json.dumps(payload, sort_keys=True, indent=2) if args.json else human)
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the exit-time flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:
         print("error: input is nested too deeply", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_NEGATIVE if negative and args.strict else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -89,7 +89,11 @@ def enumerate_monomial_identities(
         if len(out) == emitted:
             barren[state] = remaining
 
-    walk(initial_state(grading), (), max_len)
+    try:
+        walk(initial_state(grading), (), max_len)
+    except RecursionError:
+        # once an identity exists, the neutral degree keeps the walk alive max_len deep
+        raise ValueError(f"max_len {max_len} is too deep to enumerate") from None
     return out
 
 

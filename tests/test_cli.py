@@ -499,18 +499,22 @@ MODULE_CASES = (
 )
 
 
+def _module_env(**extra) -> dict:
+    """The environment under which `python -m matident.cli` imports this source."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), **extra)
+
+
 def test_module_entry_matches_golden():
     """`python -m matident.cli` reads sys.argv through `main(None)` and exits
     with its return code, as the console script does."""
     cases = {c["name"]: c for c in json.loads((GOLDEN / "cases.json").read_text("utf-8"))}
-    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     for name in MODULE_CASES:
         case = cases[name]
         proc = subprocess.run(
             [sys.executable, "-m", "matident.cli", *case["argv"]],
             cwd=GOLDEN / "inputs",
-            env=env,
+            env=_module_env(),
             capture_output=True,
             encoding="utf-8",
             timeout=60,
@@ -522,3 +526,54 @@ def test_module_entry_matches_golden():
         else:
             assert proc.stderr == "", name
 
+
+
+def test_closed_stdout_exits_2_without_a_message():
+    """A reader that stops early (`| head -1`) must not get a traceback, nor
+    exit 1, which means a negative answer; the output here is some 180 kB,
+    far more than a pipe buffers, so the write meets the closed pipe."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "matident.cli", "enumerate-monomials", "z4_partial.json",
+         "--max-len", "12"],
+        cwd=GOLDEN / "inputs",
+        env=_module_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"0,0,0,0,0,0,0,0,0,0,1,1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (2, b"")
+
+
+def test_cap_deeper_than_the_recursion_limit_is_a_usage_error(capsys, z4_path):
+    cap = 2 * sys.getrecursionlimit()
+    code, out, err = run(capsys, ["enumerate-monomials", z4_path, "--max-len", str(cap)])
+    assert (code, out) == (2, "")
+    assert _one_error_line(err) and f"max_len {cap} is too deep" in err
+
+
+def test_output_the_stdout_encoding_cannot_take_is_a_usage_error(tmp_path):
+    """The text output is printed inside main's error handling, so an
+    unencodable label gives one error line; --json escapes it."""
+    doc = {"group": {"type": "cayley", "names": ["e", "\u03c3"], "table": [[0, 1], [1, 0]]},
+           "n": 2, "tuple": ["e", "\u03c3"]}
+    path = _write_json(tmp_path, "z2_sigma.json", doc)
+
+    def info(*flags):
+        return subprocess.run(
+            [sys.executable, "-m", "matident.cli", "info", path, *flags],
+            env=_module_env(PYTHONIOENCODING="ascii"),
+            capture_output=True,
+            encoding="ascii",
+            errors="strict",
+            timeout=60,
+        )
+
+    proc = info()
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert _one_error_line(proc.stderr) and "'ascii' codec" in proc.stderr
+    proc = info("--json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert '"\\u03c3"' in proc.stdout and json.loads(proc.stdout)["support"] == ["e", "\u03c3"]

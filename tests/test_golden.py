@@ -55,6 +55,25 @@ def replay() -> tuple[int, list[str]]:
     return len(cases), mismatches
 
 
+def test_strict_changes_only_the_exit_code():
+    """Every case that exits 1 under --strict exits 0 without it, with the
+    same stdout and no stderr."""
+    cases = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+    negative = [c for c in cases if c["exit"] == 1 and "--strict" in c["argv"]]
+    assert len(negative) == 17
+    cwd = os.getcwd()
+    os.chdir(GOLDEN / "inputs")
+    try:
+        for case in negative:
+            expected = (GOLDEN / "expected" / f"{case['name']}.out").read_text(
+                encoding="utf-8"
+            )
+            argv = [a for a in case["argv"] if a != "--strict"]
+            assert run_cli(argv) == (0, expected, ""), case["name"]
+    finally:
+        os.chdir(cwd)
+
+
 def test_golden_corpus():
     total, mismatches = replay()
     assert not mismatches, f"{len(mismatches)} of {total} cases differ: {mismatches}"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -271,3 +272,10 @@ def test_enumeration_builds_only_states_within_the_cap(monkeypatch):
 def test_enumeration_without_identities_returns_at_once_at_any_cap():
     # full support: no identity, so the walk must not go 10**6 levels deep
     assert enumerate_monomial_identities(Grading(CyclicGroup(3), 3, (0, 1, 2)), 10**6) == []
+
+
+def test_cap_deeper_than_the_recursion_limit_is_a_value_error():
+    # an identity exists, so the neutral degree keeps the walk alive to the cap
+    cap = 2 * sys.getrecursionlimit()
+    with pytest.raises(ValueError, match=f"max_len {cap} is too deep to enumerate"):
+        enumerate_monomial_identities(GR_Z4, cap)
