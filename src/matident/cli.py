@@ -39,7 +39,6 @@ from .grading import Grading, grading_from_config
 from .groups import split_top_level
 from .monomials import (
     enumerate_monomial_identities,
-    is_minimal_identity,
     length_bounds,
     shortest_monomial_identity,
 )
@@ -154,28 +153,26 @@ def cmd_is_identity(args: argparse.Namespace, grading: Grading) -> Reply:
 
 def cmd_enumerate(args: argparse.Namespace, grading: Grading) -> Reply:
     names = {h: grading.group.format(h) for h in grading.support()}
-    unfiltered = enumerate_monomial_identities(grading, args.max_len)
-    if args.minimal:
-        found = [seq for seq in unfiltered if is_minimal_identity(grading, seq)]
-    else:
-        found = unfiltered
+    flagged = enumerate_monomial_identities(grading, args.max_len)
+    found = [seq for seq, minimal in flagged if minimal or not args.minimal]
     bounds = length_bounds(grading)
     # only the printed form is built: the sequence lists can be long
     if args.json:
+        unfiltered = [[names[h] for h in seq] for seq, _ in flagged]
         payload = {
             "max_len": args.max_len,
             "minimal": args.minimal,
-            "sequences": [[names[h] for h in seq] for seq in found],
+            "sequences": [[names[h] for h in seq] for seq in found] if args.minimal else unfiltered,
             "count": len(found),
-            "unfiltered_sequences": [[names[h] for h in seq] for seq in unfiltered],
-            "unfiltered_count": len(unfiltered),
+            "unfiltered_sequences": unfiltered,
+            "unfiltered_count": len(flagged),
             "support_bound": bounds.support_bound,
             "size_bound": bounds.size_bound,
         }
         return payload, "", not found
     lines = [",".join(names[h] for h in seq) for seq in found]
     lines.append(
-        f"count={len(found)} unfiltered={len(unfiltered)} max_len={args.max_len} "
+        f"count={len(found)} unfiltered={len(flagged)} max_len={args.max_len} "
         f"minimal={str(args.minimal).lower()} "
         f"support_bound={bounds.support_bound} size_bound={bounds.size_bound}"
     )

@@ -3,14 +3,18 @@
 A word is a graded identity exactly when no matrix-unit chain survives its
 degree sequence, so monomial identities are a property of the degree
 sequence alone.  Row k survives exactly when every g_k * d_i is a tuple
-entry, where d_i are the prefix degrees, so identity and minimality are
-decided from one survivor mask per prefix degree (`Grading.survivors`),
-with no chain walk; only `Grading.lset` and the certificate checkers walk
-chains.  The set of surviving rows evolves under a finite subset
-automaton (state: set of current rows, transition by one degree), which
-yields exact shortest-identity answers by breadth-first search; the
-exhaustive enumerator walks the same automaton depth-first and builds
-only the states it visits.
+entry, where d_i are the prefix degrees, so identity is decided from one
+survivor mask per prefix degree (`Grading.survivors`), with no chain walk;
+only `Grading.lset` and the certificate checkers walk chains.  The set of
+surviving rows evolves under a finite subset automaton (state: set of
+current rows, transition by one degree), which yields exact
+shortest-identity answers by breadth-first search.  The exhaustive
+enumerator walks the same automaton depth-first and flags each identity seq
+it emits as minimal (no proper factor and no coarsening inside the support
+is an identity) when, as for minimal forbidden words (Crochemore, Mignosi,
+Restivo 1998), neither seq[:-1] (by construction) nor seq[1:] (its state is
+carried along) is an identity and, for q >= 3 letters, no AND of prefix
+masks that leaves out one of the first q-1 is 0.
 """
 
 from __future__ import annotations
@@ -26,18 +30,13 @@ from .groups import Element
 State = frozenset  # frozenset[int], current 1-based rows
 
 
-def _prefix_degrees(grading: Grading, hseq: Sequence[Element]):
-    """d_2, ..., d_{q+1} of a nonempty degree sequence, each degree validated."""
+def is_monomial_identity(grading: Grading, hseq: Sequence[Element]) -> bool:
+    """True when every matrix-unit chain of these degrees dies out."""
     group = grading.group
     hseq = [group.check(h) for h in hseq]
     if not hseq:
         raise ValueError("degree sequence must be nonempty")
-    return accumulate(hseq, group.op)
-
-
-def is_monomial_identity(grading: Grading, hseq: Sequence[Element]) -> bool:
-    """True when every matrix-unit chain of these degrees dies out."""
-    return not grading.survivors(_prefix_degrees(grading, hseq))
+    return not grading.survivors(accumulate(hseq, group.op))
 
 
 def transition(grading: Grading, state: State, h: Element) -> State:
@@ -52,80 +51,81 @@ def initial_state(grading: Grading) -> State:
 
 def enumerate_monomial_identities(
     grading: Grading, max_len: int
-) -> list[tuple[Element, ...]]:
-    """Identity degree sequences over the support, up to max_len.
+) -> list[tuple[tuple[Element, ...], bool]]:
+    """Identity degree sequences over the support up to max_len, in
+    lexicographic order, each with its minimality flag.
 
-    Depth-first over the support alphabet, in lexicographic order; an
-    identity prefix subsumes all of its extensions.  The walk memoizes as
-    it goes: each state's row of transitions is built on its first visit,
-    and `barren` keeps, per state, the largest number of steps left under
-    which its subtree emitted nothing, so the state is skipped whenever it
-    recurs with at most that many.  Only states within max_len steps of the
-    full row set are built.  A grading with no identity at all returns []
-    at once, which keeps the walk from going max_len levels deep for
-    nothing.
+    Depth-first over the support alphabet, so no identity has length 1; an
+    identity prefix subsumes all of its extensions.  Beside the prefix's state
+    the walk carries `tail`, the state of the prefix without its first letter.
+    Each state's row of transitions is built on its first use, and `barren`
+    keeps, per state, the largest number of steps left under which its subtree
+    emitted nothing, so the state is skipped whenever it recurs with at most
+    that many.  Only states within max_len steps of the full row set are
+    built.  A grading with no identity returns [] at once, whatever the cap.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     if shortest_monomial_identity(grading) is None:
         return []
     alphabet = grading.support()
-    rows: dict[State, list[tuple[Element, State]]] = {}
+    full = initial_state(grading)
+    rows: dict[State, list[State]] = {}
     barren: dict[State, int] = {}
-    out: list[tuple[Element, ...]] = []
+    out: list[tuple[tuple[Element, ...], bool]] = []
 
-    def walk(state: State, prefix: tuple[Element, ...], remaining: int) -> None:
-        if remaining <= barren.get(state, 0):
-            return
+    def row_of(state: State) -> list[State]:
         row = rows.get(state)
         if row is None:
-            row = rows[state] = [(h, transition(grading, state, h)) for h in alphabet]
+            row = rows[state] = [transition(grading, state, h) for h in alphabet]
+        return row
+
+    def walk(state: State, tail: State, prefix: tuple[Element, ...], remaining: int) -> None:
+        if remaining <= barren.get(state, 0):
+            return
         emitted = len(out)
-        for h, nxt in row:
+        for h, nxt, tail_nxt in zip(alphabet, row_of(state), row_of(tail)):
             if not nxt:
-                out.append(prefix + (h,))
+                seq = prefix + (h,)
+                out.append((seq, bool(tail_nxt) and _merges_survive(grading, seq)))
             elif remaining > 1:
-                walk(nxt, prefix + (h,), remaining - 1)
+                walk(nxt, tail_nxt if prefix else full, prefix + (h,), remaining - 1)
         if len(out) == emitted:
             barren[state] = remaining
 
     try:
-        walk(initial_state(grading), (), max_len)
+        walk(full, full, (), max_len)
     except RecursionError:
         # once an identity exists, the neutral degree keeps the walk alive max_len deep
         raise ValueError(f"max_len {max_len} is too deep to enumerate") from None
     return out
 
 
-def is_minimal_identity(grading: Grading, hseq: Sequence[Element]) -> bool:
-    """Minimality filter for identity degree sequences.
-
-    A sequence fails when (a) some proper contiguous factor is already an
-    identity, or (b) merging consecutive blocks into their degree products
-    yields a strictly shorter identity sequence that stays inside the
-    support.  Coarsenings that leave the support are not counted: those
-    sequences vanish for the trivial reason that a whole component is zero,
-    and the enumeration alphabet excludes them from the start.
-
-    Three facts, true for any tuple, reduce both to ANDs of the survivor
-    masks of the prefix degrees d_2, ..., d_{q+1}:
-    1. Identities are closed under extension, so (a) holds exactly when
-       seq[1:] or seq[:-1] (all masks but the last) is an identity.
-    2. A factor whose product leaves the support is an identity, so once
-       (a) fails, every block of a coarsening into >= 2 blocks lies in the
-       support; the one-block coarsening is an identity only outside it.
-    3. A coarsening's prefix degrees are those at its block ends, and fewer
-       ends AND fewer masks, so for q >= 3, (b) holds exactly when merging
-       one adjacent pair, which leaves out one mask, gives an identity."""
-    seq = tuple(hseq)
-    degrees = list(_prefix_degrees(grading, seq))
-    q = len(degrees)
-    # the empty seq[1:] of q = 1 keeps every row, as a non-identity should
-    if grading.survivors(degrees) or not grading.survivors(accumulate(seq[1:], grading.group.op)):
-        return False
-    # leaving out degrees[i] = d_{i+2} merges (h_{i+1}, h_{i+2}), or gives seq[:-1] at i = q - 1
-    skips = range(0 if q >= 3 else q - 1, q)
-    return all(grading.survivors(degrees[:i] + degrees[i + 1 :]) for i in skips)
+def _merges_survive(grading: Grading, seq: tuple[Element, ...]) -> bool:
+    """Whether no coarsening inside the support of the identity seq is an
+    identity, given that no proper factor of seq is one.  Two facts, true
+    for any tuple, reduce this to ANDs of the survivor masks of the prefix
+    degrees d_2, ..., d_{q+1} (trusted: products of support elements):
+    1. A factor whose product leaves the support is an identity, so every
+       block of a coarsening into >= 2 blocks lies in the support; the
+       one-block coarsening is an identity only outside it, so q <= 2 passes.
+    2. A coarsening's prefix degrees are those at its block ends, and fewer
+       ends AND fewer masks, so for q >= 3 some coarsening is an identity
+       exactly when merging one adjacent pair, which leaves out one of the
+       first q-1 masks, gives one."""
+    if len(seq) < 3:
+        return True
+    masks = [grading.step(d)[1] for d in accumulate(seq, grading.group.op)]
+    # leaving out masks[i] merges (h_{i+1}, h_{i+2}); after[-1 - i] ANDs masks[i + 1:]
+    after = [-1]
+    for mask in reversed(masks[1:]):
+        after.append(after[-1] & mask)
+    before = -1
+    for mask, rest in zip(masks[:-1], reversed(after)):
+        if not before & rest:
+            return False
+        before &= mask
+    return True
 
 
 def shortest_monomial_identity(

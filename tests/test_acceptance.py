@@ -19,7 +19,6 @@ from matident.freealg import is_multihomogeneous, multihomogeneous_components
 from matident.generic import evaluate, is_graded_identity
 from matident.monomials import (
     enumerate_monomial_identities,
-    is_minimal_identity,
     length_bounds,
     shortest_monomial_identity,
 )
@@ -36,6 +35,7 @@ from helpers import (
     closed_matrix,
     evaluate_direct,
     free_poly,
+    is_minimal_identity_by_coarsenings,
     poly_sum,
     random_chain_word,
     random_neutral_word,
@@ -132,13 +132,13 @@ def test_c4_partial_support_shortest_and_minimal_set():
     grading = Grading(CyclicGroup(4), 2, (0, 1))
     if shortest_monomial_identity(grading) != (2, (1, 1)):
         failures.append("shortest is not length 2 with witness (1,1)")
-    minimal = [
-        seq
-        for seq in enumerate_monomial_identities(grading, 2)
-        if is_minimal_identity(grading, seq)
-    ]
+    flagged = enumerate_monomial_identities(grading, 2)
+    minimal = [seq for seq, flag in flagged if flag]
     if minimal != [(1, 1), (3, 3)]:
         failures.append(f"minimal length-2 set is {minimal}")
+    for seq, flag in flagged:
+        if flag != is_minimal_identity_by_coarsenings(grading, seq):
+            failures.append(f"coarsening oracle disagrees on {seq}")
     for seq in minimal:
         if not sequence_vanishes_by_units(grading, seq):
             failures.append(f"unit-substitution oracle rejects {seq}")
@@ -209,7 +209,7 @@ def random_orbit_identity(rng, grading, field):
 
 
 def random_monomial_identity_poly(rng, grading, field):
-    sequences = enumerate_monomial_identities(grading, 3)
+    sequences = [seq for seq, _ in enumerate_monomial_identities(grading, 3)]
     if not sequences:
         return None
     seq = rng.choice(sequences)

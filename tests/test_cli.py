@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from matident.cli import main
+from matident.groups import Group
 
 Z4_DOC = {"group": {"type": "cyclic", "order": 4}, "n": 2, "tuple": [0, 1]}
 IDENTITY2 = "x[1;1]*x[3;3]*x[1;2] - x[1;2]*x[3;3]*x[1;1]\n"
@@ -577,3 +578,27 @@ def test_output_the_stdout_encoding_cannot_take_is_a_usage_error(tmp_path):
     proc = info("--json")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert '"\\u03c3"' in proc.stdout and json.loads(proc.stdout)["support"] == ["e", "\u03c3"]
+
+
+def test_minimal_flag_validates_no_more_elements(capsys, tmp_path, monkeypatch):
+    """--minimal reads flags the enumeration walk already computed, so it
+    validates no element beyond those the plain listing does."""
+    doc = {"group": {"type": "integers"}, "n": 5, "tuple": [0, 1, 3, 9, 20]}
+    path = _write_json(tmp_path, "integers.json", doc)
+    calls = 0
+    check = Group.check
+
+    def counted(self, a):
+        nonlocal calls
+        calls += 1
+        return check(self, a)
+
+    monkeypatch.setattr(Group, "check", counted)
+    for cap in ("4", "5"):
+        counts = []
+        for extra in ([], ["--minimal"]):
+            calls = 0
+            argv = ["enumerate-monomials", path, "--max-len", cap, "--json", *extra]
+            assert run(capsys, argv)[0] == 0
+            counts.append(calls)
+        assert counts[0] == counts[1], (cap, counts)

@@ -12,7 +12,6 @@ from matident.monomials import (
     _four_times_power,
     enumerate_monomial_identities,
     initial_state,
-    is_minimal_identity,
     is_monomial_identity,
     length_bounds,
     shortest_monomial_identity,
@@ -53,13 +52,13 @@ def test_is_monomial_identity_rejects_empty():
 
 def test_enumerate_examples():
     found = enumerate_monomial_identities(GR_Z4, 2)
-    assert [seq for seq in found if is_minimal_identity(GR_Z4, seq)] == [(1, 1), (3, 3)]
+    assert [seq for seq, minimal in found if minimal] == [(1, 1), (3, 3)]
     assert enumerate_monomial_identities(GR_Z2, 6) == []
     assert enumerate_monomial_identities(GR_Z4, 1) == []
 
 
 def test_enumerated_sequences_cross_checked_by_unit_substitution():
-    for seq in enumerate_monomial_identities(GR_Z4, 3):
+    for seq, _ in enumerate_monomial_identities(GR_Z4, 3):
         assert sequence_vanishes_by_units(GR_Z4, seq)
         # prefix-minimality: no proper prefix is an identity
         for cut in range(1, len(seq)):
@@ -67,19 +66,24 @@ def test_enumerated_sequences_cross_checked_by_unit_substitution():
 
 
 def test_minimality_filter():
-    assert is_minimal_identity(GR_Z4, (1, 1))
-    assert is_minimal_identity(GR_Z4, (3, 3))
+    flags = dict(enumerate_monomial_identities(GR_Z4, 3))
+    # (1,1) is minimal although its one merge, (2,), leaves the support
+    assert flags[(1, 1)] and flags[(3, 3)]
     # contains the factor (1,1)
-    assert not is_minimal_identity(GR_Z4, (0, 1, 1))
+    assert not flags[(0, 1, 1)]
     # merging the first two degrees gives the shorter identity (1,1)
-    assert not is_minimal_identity(GR_Z4, (1, 0, 1))
-    # non-identities are not minimal identities
-    assert not is_minimal_identity(GR_Z4, (1, 3))
+    assert not flags[(1, 0, 1)]
+    # non-identities are not emitted
+    assert (1, 3) not in flags
     # only the factor (3, 5) is an identity: (5, 3) and both one-pair
     # merges, (1, 5) and (5, 1), are not
     z7 = Grading(CyclicGroup(7), 4, (0, 2, 3, 4))
+    z7_flags = dict(enumerate_monomial_identities(z7, 3))
     assert is_monomial_identity(z7, (3, 5))
-    assert not is_minimal_identity(z7, (5, 3, 5))
+    assert not z7_flags[(5, 3, 5)]
+    for grading, found in ((GR_Z4, flags), (z7, z7_flags)):
+        for seq, minimal in found.items():
+            assert minimal == is_minimal_identity_by_coarsenings(grading, seq), seq
 
 
 # Distinct and repeated tuples, full and partial supports, finite and
@@ -100,25 +104,51 @@ FILTER_GRADINGS = (
 )
 
 
+@st.composite
+def random_gradings(draw):
+    """Z2 to Z9, Z2xZ2, Z2xZ3 or the integers in -6..6, with n from 1 to 5
+    and repeated entries allowed."""
+    group = draw(
+        st.sampled_from(
+            [CyclicGroup(m) for m in range(2, 10)]
+            + [ProductGroup([CyclicGroup(2), CyclicGroup(m)]) for m in (2, 3)]
+            + [IntegerGroup()]
+        )
+    )
+    if isinstance(group, IntegerGroup):
+        elements = st.integers(-6, 6)
+    else:
+        elements = st.sampled_from(list(group.elements()))
+    entries = draw(st.lists(elements, min_size=1, max_size=5))
+    return Grading(group, len(entries), entries)
+
+
+def _cap_for(grading):
+    return 4 if len(grading.support()) <= 8 else 3
+
+
 @given(st.data())
 @settings(max_examples=400, deadline=None)
 def test_minimality_filter_matches_coarsening_oracle(data):
+    grading = data.draw(st.one_of(st.sampled_from(FILTER_GRADINGS), random_gradings()))
     # any sequence over the support, not only the enumerator's output
-    grading = data.draw(st.sampled_from(FILTER_GRADINGS))
     support = grading.support()
     hseq = tuple(data.draw(st.lists(st.sampled_from(support), min_size=1, max_size=7)))
     assert is_monomial_identity(grading, hseq) == (not naive_lset(grading, hseq)[0])
-    assert is_minimal_identity(grading, hseq) == is_minimal_identity_by_coarsenings(grading, hseq)
+    cap = data.draw(st.integers(1, _cap_for(grading)))
+    assert enumerate_monomial_identities(grading, cap) == _flagged_brute_force(grading, cap)
 
 
 def test_minimality_filter_matches_coarsening_oracle_exhaustively():
-    # every short sequence, so rare cases such as a sequence that only its
-    # suffix factor rules out are met for sure
+    # every short sequence, emitted or not, so rare cases such as a sequence
+    # that only its suffix factor rules out are met for sure; a sequence the
+    # walk does not emit has an identity proper prefix or is no identity
     for grading in FILTER_GRADINGS:
         support = grading.support()
-        for length in range(1, 5 if len(support) <= 8 else 4):
+        flags = dict(enumerate_monomial_identities(grading, _cap_for(grading)))
+        for length in range(1, _cap_for(grading) + 1):
             for hseq in itertools.product(support, repeat=length):
-                assert is_minimal_identity(grading, hseq) == is_minimal_identity_by_coarsenings(
+                assert flags.get(hseq, False) == is_minimal_identity_by_coarsenings(
                     grading, hseq
                 ), hseq
 
@@ -149,7 +179,7 @@ def test_shortest_agrees_with_enumeration():
             assert is_monomial_identity(grading, witness)
             assert len(witness) == length
             if found:
-                assert min(len(seq) for seq in found) == length
+                assert min(len(seq) for seq, _ in found) == length
 
 
 def test_monomial_status_matches_word_identity_status():
@@ -167,7 +197,7 @@ def test_monomial_status_matches_word_identity_status():
 def test_upward_closure_of_identity_factors():
     rng = random.Random(29)
     support = GR_Z4.support()
-    identities = enumerate_monomial_identities(GR_Z4, 3)
+    identities = [seq for seq, _ in enumerate_monomial_identities(GR_Z4, 3)]
     for _ in range(50):
         core = rng.choice(identities)
         left = tuple(rng.choice(support) for _ in range(rng.randint(0, 3)))
@@ -228,12 +258,18 @@ def _brute_force_enumeration(grading, max_len):
     return sorted(out, key=lambda seq: [support.index(h) for h in seq])
 
 
+def _flagged_brute_force(grading, max_len):
+    return [
+        (seq, is_minimal_identity_by_coarsenings(grading, seq))
+        for seq in _brute_force_enumeration(grading, max_len)
+    ]
+
+
 def test_enumeration_matches_brute_force():
     # the lists are compared as they come, so the order is checked too
     for grading in FILTER_GRADINGS:
-        top = 4 if len(grading.support()) <= 8 else 3
-        for cap in range(1, top + 1):
-            assert enumerate_monomial_identities(grading, cap) == _brute_force_enumeration(
+        for cap in range(1, _cap_for(grading) + 1):
+            assert enumerate_monomial_identities(grading, cap) == _flagged_brute_force(
                 grading, cap
             ), (grading, cap)
 
@@ -253,7 +289,7 @@ def test_shortest_witness_is_first_enumerated():
         answer = shortest_monomial_identity(grading)
         if answer is not None:
             length, witness = answer
-            assert enumerate_monomial_identities(grading, length)[0] == witness, grading
+            assert enumerate_monomial_identities(grading, length)[0][0] == witness, grading
 
 
 def test_enumeration_builds_only_states_within_the_cap(monkeypatch):
