@@ -1,10 +1,14 @@
-"""Record the golden corpus: run every case in cases.json, store its exit
-code there and its exact stdout in expected/<name>.out.
+"""Record new golden cases: run every case in cases.json that has no
+expected/<name>.out yet, store its exit code there and its exact stdout in
+that file.
 
     python tests/golden/record.py
 
-Run it only when a change of output is intended.  `tests/test_golden.py`
-replays the same cases and never rewrites these files.
+Cases that already have an expected file are left as they are, so adding a
+case never re-records the others with whatever the code prints today.  To
+re-record a case on purpose, delete its expected file first, and do so only
+when a change of output is intended.  `tests/test_golden.py` replays the
+same cases and never rewrites these files.
 """
 
 import json
@@ -24,8 +28,12 @@ def main() -> None:
     expected.mkdir(exist_ok=True)
     os.chdir(HERE / "inputs")
     for case in cases:
+        path = expected / f"{case['name']}.out"
+        if path.exists():
+            continue
         case["exit"], out, _ = run_cli(case["argv"])
-        (expected / f"{case['name']}.out").write_text(out, encoding="utf-8", newline="")
+        path.write_text(out, encoding="utf-8", newline="")
+        print(f"recorded {case['name']} (exit {case['exit']})")
     with open(HERE / "cases.json", "w", encoding="utf-8") as f:
         json.dump(cases, f, indent=1)
         f.write("\n")
