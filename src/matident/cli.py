@@ -52,6 +52,51 @@ EXIT_USAGE = 2
 Reply = tuple[dict, str, bool]
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, nl: str = "\n") -> str:
+    """The text of `json.dumps(obj, sort_keys=True, indent=2)`, byte for byte.
+
+    json skips its C encoder whenever `indent` is set, so this writes the
+    same text directly, for the types handler payloads hold: dicts with str
+    keys, lists and tuples, str, int, bool and None.  Anything else raises
+    TypeError.  `nl` is the newline plus the indent of `obj`'s own level.
+    Within one dict, a value that is the same object as an earlier value
+    (as `sequences` and `unfiltered_sequences` can be) is encoded once.
+    """
+    inner = nl + "  "
+    sep = "," + inner
+    if isinstance(obj, (list, tuple)):  # first: payloads are mostly lists
+        if not obj:
+            return "[]"
+        try:  # most lists hold only strings; _quote raises TypeError on anything else
+            body = sep.join(map(_quote, obj))
+        except TypeError:
+            body = sep.join([_dumps(item, inner) for item in obj])
+        return f"[{inner}{body}{nl}]"
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)  # raises ValueError past 4300 digits, as json does
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError(f"JSON object keys must be str, got {list(obj)!r}")
+        seen: dict[int, str] = {}  # the payload keeps every value alive, so no id is reused
+        parts = []
+        for key, value in sorted(obj.items()):
+            text = seen.get(id(value))
+            if text is None:
+                text = seen[id(value)] = _dumps(value, inner)
+            parts.append(f"{_quote(key)}: {text}")
+        return f"{{{inner}{sep.join(parts)}{nl}}}"
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
 def _load_grading(path: str) -> Grading:
     try:
         raw = Path(path).read_text(encoding="utf-8")
@@ -351,7 +396,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         payload, human, negative = args.handler(args, _load_grading(args.grading))
         # inside the try: text the stdout encoding cannot take is a ValueError
-        print(json.dumps(payload, sort_keys=True, indent=2) if args.json else human)
+        print(_dumps(payload) if args.json else human)
     except BrokenPipeError:
         # the reader closed stdout; point it at devnull so the exit-time flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
