@@ -85,7 +85,7 @@ def _dumps(obj, nl: str = "\n") -> str:
         if not obj:
             return "{}"
         if not all(isinstance(key, str) for key in obj):
-            raise TypeError(f"JSON object keys must be str, got {list(obj)!r}")
+            raise TypeError("JSON object keys must be str")
         seen: dict[int, str] = {}  # the payload keeps every value alive, so no id is reused
         parts = []
         for key, value in sorted(obj.items()):
