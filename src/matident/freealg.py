@@ -118,12 +118,18 @@ _SPACE = re.compile(r"\s*")
 _INTEGER = re.compile(r"\s*(\d*)")
 
 
-def parse_polynomial(text: str, group: Group, field: Field) -> FreePoly:
+def parse_polynomial(
+    text: str, group: Group, field: Field, _bodies: Optional[dict[str, Word]] = None
+) -> FreePoly:
     """Parse the textual polynomial syntax into a canonical polynomial.
 
     Each term is one match of `_TERM`.  On the accepting path `group.parse`
     runs once per distinct literal text and `GVar` is built once per
     distinct (literal, index) text; a refused term goes to `_refuse`.
+
+    `_bodies`, when given, receives each term's factor text mapped to its
+    word.  `parse_word` of that text builds the same word: it is one term
+    with coefficient 1, and parsing is a pure function of the text.
     """
     degrees: dict[str, Element] = {}
     letters: dict[tuple[str, str], GVar] = {}
@@ -155,7 +161,10 @@ def parse_polynomial(text: str, group: Group, field: Field) -> FreePoly:
             word.append(letter)
         if sign == "-":
             coeff = field.neg(coeff)
-        terms.append((tuple(word), coeff))
+        word = tuple(word)
+        if _bodies is not None:
+            _bodies[body] = word
+        terms.append((word, coeff))
         pos = m.end()
     return FreePoly.from_terms(field, terms)
 

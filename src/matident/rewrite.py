@@ -12,15 +12,20 @@ membership certificate reduces a multihomogeneous polynomial, pairing off
 terms through equivalence certificates until every remaining term is a
 monomial identity on its own.  Verifiers recompute every side condition
 from scratch and compare the generic evaluations of each pairing's two
-ends once, so checking is independent of how a certificate was produced.
+ends, so checking is independent of how a certificate was produced.  The
+membership checker replays each pairing on the input's own term words,
+whose letters it has validated, and evaluates each distinct term word
+once per certificate.  Reading a document parses each distinct text once:
+a word text equal to a parsed term's factor text reads as that term's word.
 
 Certifying groups the terms by signature (see `generic`): with a
 distinct tuple two nonempty evaluations are equal exactly when the
 signatures are, and otherwise share no entry, so every pairing is found
 by lookup in its class, and certify cost is linear in the term count
-plus the derivations.  Only the checkers walk chains: they compare end
-evaluations with `word_product_closed` and recompute empty chain sets
-with `Grading.lset`, replaying the working list independently of certify.
+plus the derivations, which skip the validation `signatures` has done.
+Only the checkers walk chains: they compare end evaluations with
+`word_product_closed` and recompute empty chain sets with `Grading.lset`,
+replaying the working list independently of certify.
 """
 
 from __future__ import annotations
@@ -28,9 +33,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence, Union
+from functools import partial
+from typing import Any, Callable, Optional, Sequence, Union
 
-from .commpoly import Field, Poly, accumulate, render_poly
+from .commpoly import RATIONALS, Field, Poly, accumulate, render_poly
 from .freealg import (
     FreePoly,
     Word,
@@ -149,20 +155,28 @@ class CheckResult:
         return self.ok
 
 
-def check_equivalence_certificate(grading: Grading, cert: EquivalenceCertificate) -> CheckResult:
+def check_equivalence_certificate(
+    grading: Grading,
+    cert: EquivalenceCertificate,
+    _evaluate: Optional[Callable[[Word], dict]] = None,
+) -> CheckResult:
     """Replay a derivation's side conditions, then compare end evaluations.
 
     Accepts only when every step applies, the final word is the recorded
     end, and its evaluation equals the start's, which is evaluated first
     to validate every letter (a swap only permutes them).  A repeated
     tuple raises DistinctTupleError: equal evaluations prove nothing there.
+
+    `_evaluate` replaces `word_product_closed` for the membership checker,
+    which passes its per-check memo of the term words' evaluations.
     """
     require_distinct(grading)
+    evaluate_word = _evaluate or partial(word_product_closed, grading)
     group = grading.group
     current = tuple(cert.start)
     if not current:
         return CheckResult(False, "start word is empty")
-    reference = word_product_closed(grading, current)
+    reference = evaluate_word(current)
     for idx, step in enumerate(cert.steps):
         try:
             current = apply_step(group, current, step)
@@ -170,7 +184,7 @@ def check_equivalence_certificate(grading: Grading, cert: EquivalenceCertificate
             return CheckResult(False, f"step {idx}: {exc}")
     if current != tuple(cert.end):
         return CheckResult(False, "replayed word does not match the recorded end")
-    if word_product_closed(grading, current) != reference:
+    if evaluate_word(current) != reference:
         return CheckResult(False, "generic evaluation changed between start and end")
     return CheckResult(True)
 
@@ -213,16 +227,28 @@ def derive_equivalence(grading: Grading, m: Word, n: Word) -> EquivalenceCertifi
     Requires a shared nonzero entry (and a distinct-entry grading).  The
     derivation aligns one letter at a time: recover the letter matching of
     the unaligned suffixes from their signatures (one per suffix and step,
-    trusting the letters that the precheck's matching validated), rotate
-    whichever side the matching dictates so the leading letters agree, and
-    strip.  Rotations applied to the m side are appended to the certificate
-    inverted, so the replay runs n to m.
+    trusting the letters that the precheck's matching validated; the
+    precheck's matching of the whole words serves the first step when the
+    first letters differ), rotate whichever side the matching dictates so
+    the leading letters agree, and strip.  Rotations applied to the m side
+    are appended to the certificate inverted, so the replay runs n to m.
+    `certify_membership` runs the same alignment without the precheck: its
+    pairs have equal signatures and validated letters.
     """
     require_distinct(grading)
     m = tuple(m)
     n = tuple(n)
-    if letter_matching(grading, m, n) is None:
+    sigma = letter_matching(grading, m, n)
+    if sigma is None:
         raise ValueError("words do not share a nonzero entry; no derivation exists")
+    return _align(grading, m, n, sigma)
+
+
+def _align(
+    grading: Grading, m: Word, n: Word, sigma: Optional[Sequence[int]] = None
+) -> EquivalenceCertificate:
+    """The alignment loop of `derive_equivalence`, for words with validated
+    letters that share an entry; `sigma`, when given, is their matching."""
     group = grading.group
     m_cur, n_cur = m, n
     m_steps: list[RewriteStep] = []
@@ -233,11 +259,13 @@ def derive_equivalence(grading: Grading, m: Word, n: Word) -> EquivalenceCertifi
             p += 1
             continue
         msuf, nsuf = m_cur[p:], n_cur[p:]
-        sigma = _matching(grading, msuf, nsuf)
-        if sigma is None:
-            raise AssertionError("shared entry lost while stripping aligned letters")
+        if p or sigma is None:
+            sigma = _matching(grading, msuf, nsuf)
+            if sigma is None:
+                raise AssertionError("shared entry lost while stripping aligned letters")
         a = sigma.index(1) + 1
         side, step = _alignment_step(group, msuf, nsuf, sigma, a)
+        sigma = None  # every later step matches new suffixes
         step = step.shifted(p)
         if side == "n":
             n_cur = apply_step(group, n_cur, step)
@@ -353,7 +381,7 @@ def certify_membership(
                 raise AssertionError("zero sum with an uncancellable term")
             source = ids[1]
             rt, rs = bisect_left(live, target), bisect_left(live, source)
-            cert = derive_equivalence(grading, words[target], words[source])
+            cert = _align(grading, words[target], words[source])
             pairings.append(Pairing(target=rt, source=rs, certificate=cert))
             del ids[1], live[rs]
             coeffs[target] = field.add(coeffs[target], coeffs[source])
@@ -383,19 +411,34 @@ def check_membership_certificate(
     check_letters(grading.group, f.terms)
     field = f.field
     work: list[tuple[Word, Any]] = f.sorted_terms()
+    # each term word's evaluation, made once and dropped when the term leaves `work`
+    evaluations: dict[Word, dict] = {}
+
+    def evaluate_word(word: Word) -> dict:
+        found = evaluations.get(word)
+        if found is None:
+            found = evaluations[word] = word_product_closed(grading, word)
+        return found
+
     for idx, pairing in enumerate(cert.pairings):
         t, s = pairing.target, pairing.source
         if not (0 <= t < len(work) and 0 <= s < len(work)) or t == s:
             return CheckResult(False, f"pairing {idx}: term indexes out of range")
         eq = pairing.certificate
-        if tuple(eq.start) != work[s][0] or tuple(eq.end) != work[t][0]:
+        start, end = work[s][0], work[t][0]
+        if tuple(eq.start) != start or tuple(eq.end) != end:
             return CheckResult(False, f"pairing {idx}: certificate words do not match the terms")
-        sub = check_equivalence_certificate(grading, eq)
+        # replay on the validated term objects: GVar(True, 1) == GVar(1, 1)
+        sub = check_equivalence_certificate(
+            grading, EquivalenceCertificate(start, eq.steps, end), evaluate_word
+        )
         if not sub:
             return CheckResult(False, f"pairing {idx}: {sub.reason}")
         merged = field.add(work[t][1], work[s][1])
-        work[t] = (work[t][0], merged)
+        work[t] = (end, merged)
+        evaluations.pop(start, None)
         if field.is_zero(merged):
+            evaluations.pop(end, None)
             del work[max(t, s)], work[min(t, s)]
         else:
             del work[s]
@@ -511,6 +554,93 @@ def step_from_dict(obj: dict) -> RewriteStep:
     return RewriteStep(rule, tuple(split))
 
 
+class _Reader:
+    """Reads one certificate document, parsing each distinct text once.
+
+    Polynomial texts are memoized: a bundle component's text and its
+    certificate's input are the same string.  Each parsed term's factor
+    text is kept with its word, and a word text found there reads as that
+    word, which is what `parse_word` builds from it; other word texts go to
+    `parse_word`.  Texts are read in document order, so a hostile document
+    fails with the error it gets when each text is parsed on its own.
+    """
+
+    def __init__(self, group: Group, field: Field):
+        self.group = group
+        self.field = field
+        self.polys: dict[str, FreePoly] = {}
+        self.words: dict[str, Word] = {}
+
+    def polynomial(self, text: str) -> FreePoly:
+        poly = self.polys.get(text)
+        if poly is None:
+            poly = self.polys[text] = parse_polynomial(text, self.group, self.field, self.words)
+        return poly
+
+    def word(self, text: str) -> Word:
+        word = self.words.get(text)
+        if word is None:
+            word = self.words[text] = parse_word(text, self.group)
+        return word
+
+    def equivalence(self, obj: dict) -> EquivalenceCertificate:
+        what = "equivalence certificate"
+        if _get(obj, "type", str, what) != "equivalence":
+            raise ValueError("not an equivalence certificate document")
+        return EquivalenceCertificate(
+            start=self.word(_get(obj, "start", str, what)),
+            steps=tuple(step_from_dict(s) for s in _get(obj, "steps", list, what, [])),
+            end=self.word(_get(obj, "end", str, what)),
+        )
+
+    def membership(self, obj: dict) -> MembershipCertificate:
+        what = "membership certificate"
+        if _get(obj, "type", str, what) != "membership":
+            raise ValueError("not a membership certificate document")
+        residual = tuple(
+            ResidualTerm(
+                word=self.word(_get(item, "word", str, "residual term")),
+                coefficient=self.field.parse(_get(item, "coefficient", str, "residual term")),
+                justification=justification_from_dict(
+                    _get(item, "justification", dict, "residual term")
+                ),
+            )
+            for item in _get(obj, "residual", list, what, [])
+        )
+        pairings = tuple(
+            Pairing(
+                target=_get(item, "target", int, "pairing"),
+                source=_get(item, "source", int, "pairing"),
+                certificate=self.equivalence(_get(item, "certificate", dict, "pairing")),
+            )
+            for item in _get(obj, "pairings", list, what, [])
+        )
+        return MembershipCertificate(
+            input=self.polynomial(_get(obj, "input", str, what)),
+            pairings=pairings,
+            residual=residual,
+        )
+
+    def bundle(self, obj: dict) -> MembershipBundle:
+        what = "membership bundle"
+        if _get(obj, "type", str, what) != "membership-bundle":
+            raise ValueError("not a membership bundle document")
+        components = []
+        for item in _get(obj, "components", list, what):
+            identity = _get(item, "identity", bool, "bundle component")
+            cert = _get(item, "certificate", dict, "bundle component") if identity else None
+            components.append(
+                BundleComponent(
+                    component=self.polynomial(_get(item, "component", str, "bundle component")),
+                    certificate=None if cert is None else self.membership(cert),
+                )
+            )
+        return MembershipBundle(
+            input=self.polynomial(_get(obj, "input", str, what)),
+            components=tuple(components),
+        )
+
+
 def equivalence_to_dict(cert: EquivalenceCertificate, group: Group) -> dict:
     return {
         "format": CERTIFICATE_FORMAT,
@@ -522,14 +652,7 @@ def equivalence_to_dict(cert: EquivalenceCertificate, group: Group) -> dict:
 
 
 def equivalence_from_dict(obj: dict, group: Group) -> EquivalenceCertificate:
-    what = "equivalence certificate"
-    if _get(obj, "type", str, what) != "equivalence":
-        raise ValueError("not an equivalence certificate document")
-    return EquivalenceCertificate(
-        start=parse_word(_get(obj, "start", str, what), group),
-        steps=tuple(step_from_dict(s) for s in _get(obj, "steps", list, what, [])),
-        end=parse_word(_get(obj, "end", str, what), group),
-    )
+    return _Reader(group, RATIONALS).equivalence(obj)
 
 
 def justification_to_dict(j: Justification) -> dict:
@@ -547,11 +670,15 @@ def justification_from_dict(obj: dict) -> Justification:
 
 
 def membership_to_dict(cert: MembershipCertificate, group: Group) -> dict:
+    return _membership_dict(cert, group, format_polynomial(group, cert.input))
+
+
+def _membership_dict(cert: MembershipCertificate, group: Group, input_text: str) -> dict:
     field = cert.input.field
     return {
         "format": CERTIFICATE_FORMAT,
         "type": "membership",
-        "input": format_polynomial(group, cert.input),
+        "input": input_text,
         "pairings": [
             {
                 "target": pairing.target,
@@ -572,32 +699,7 @@ def membership_to_dict(cert: MembershipCertificate, group: Group) -> dict:
 
 
 def membership_from_dict(obj: dict, group: Group, field: Field) -> MembershipCertificate:
-    what = "membership certificate"
-    if _get(obj, "type", str, what) != "membership":
-        raise ValueError("not a membership certificate document")
-    residual = tuple(
-        ResidualTerm(
-            word=parse_word(_get(item, "word", str, "residual term"), group),
-            coefficient=field.parse(_get(item, "coefficient", str, "residual term")),
-            justification=justification_from_dict(
-                _get(item, "justification", dict, "residual term")
-            ),
-        )
-        for item in _get(obj, "residual", list, what, [])
-    )
-    pairings = tuple(
-        Pairing(
-            target=_get(item, "target", int, "pairing"),
-            source=_get(item, "source", int, "pairing"),
-            certificate=equivalence_from_dict(_get(item, "certificate", dict, "pairing"), group),
-        )
-        for item in _get(obj, "pairings", list, what, [])
-    )
-    return MembershipCertificate(
-        input=parse_polynomial(_get(obj, "input", str, what), group, field),
-        pairings=pairings,
-        residual=residual,
-    )
+    return _Reader(group, field).membership(obj)
 
 
 def bundle_to_dict(
@@ -609,7 +711,8 @@ def bundle_to_dict(
     component with its certificate or its non-identity witness."""
     components = []
     for component, outcome in outcomes:
-        item: dict = {"component": format_polynomial(group, component)}
+        text = format_polynomial(group, component)
+        item: dict = {"component": text}
         if isinstance(outcome, NonIdentityWitness):
             item["identity"] = False
             item["witness"] = {
@@ -618,7 +721,9 @@ def bundle_to_dict(
             }
         else:
             item["identity"] = True
-            item["certificate"] = membership_to_dict(outcome, group)
+            if outcome.input is not component:
+                text = format_polynomial(group, outcome.input)
+            item["certificate"] = _membership_dict(outcome, group, text)
         components.append(item)
     return {
         "format": CERTIFICATE_FORMAT,
@@ -631,22 +736,4 @@ def bundle_to_dict(
 
 
 def bundle_from_dict(obj: dict, group: Group, field: Field) -> MembershipBundle:
-    what = "membership bundle"
-    if _get(obj, "type", str, what) != "membership-bundle":
-        raise ValueError("not a membership bundle document")
-    components = []
-    for item in _get(obj, "components", list, what):
-        identity = _get(item, "identity", bool, "bundle component")
-        cert = _get(item, "certificate", dict, "bundle component") if identity else None
-        components.append(
-            BundleComponent(
-                component=parse_polynomial(
-                    _get(item, "component", str, "bundle component"), group, field
-                ),
-                certificate=None if cert is None else membership_from_dict(cert, group, field),
-            )
-        )
-    return MembershipBundle(
-        input=parse_polynomial(_get(obj, "input", str, what), group, field),
-        components=tuple(components),
-    )
+    return _Reader(group, field).bundle(obj)

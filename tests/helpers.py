@@ -505,7 +505,7 @@ def certify_membership_linear(grading: Grading, f: FreePoly):
 
 
 def check_equivalence_certificate_stepwise(
-    grading: Grading, cert: EquivalenceCertificate
+    grading: Grading, cert: EquivalenceCertificate, _evaluate=None
 ) -> CheckResult:
     """Replay a derivation, recomputing side conditions and evaluations.
 
@@ -513,6 +513,9 @@ def check_equivalence_certificate_stepwise(
     end, and the generic evaluation of every intermediate word equals the
     start's.  Equal evaluations prove nothing on a tuple with repeated
     entries, so such a grading raises DistinctTupleError.
+
+    `_evaluate`, the membership checker's memo of evaluations, is accepted
+    and ignored, so the oracle evaluates every word itself.
     """
     require_distinct(grading)
     group = grading.group
