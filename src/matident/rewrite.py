@@ -227,28 +227,24 @@ def derive_equivalence(grading: Grading, m: Word, n: Word) -> EquivalenceCertifi
     Requires a shared nonzero entry (and a distinct-entry grading).  The
     derivation aligns one letter at a time: recover the letter matching of
     the unaligned suffixes from their signatures (one per suffix and step,
-    trusting the letters that the precheck's matching validated; the
-    precheck's matching of the whole words serves the first step when the
-    first letters differ), rotate whichever side the matching dictates so
-    the leading letters agree, and strip.  Rotations applied to the m side
-    are appended to the certificate inverted, so the replay runs n to m.
-    `certify_membership` runs the same alignment without the precheck: its
-    pairs have equal signatures and validated letters.
+    trusting the letters that the precheck's matching validated), rotate
+    whichever side the matching dictates so the leading letters agree, and
+    strip.  Rotations applied to the m side are appended to the certificate
+    inverted, so the replay runs n to m.  `certify_membership` runs the
+    same alignment without the precheck: its pairs have equal signatures
+    and validated letters.
     """
     require_distinct(grading)
     m = tuple(m)
     n = tuple(n)
-    sigma = letter_matching(grading, m, n)
-    if sigma is None:
+    if letter_matching(grading, m, n) is None:
         raise ValueError("words do not share a nonzero entry; no derivation exists")
-    return _align(grading, m, n, sigma)
+    return _align(grading, m, n)
 
 
-def _align(
-    grading: Grading, m: Word, n: Word, sigma: Optional[Sequence[int]] = None
-) -> EquivalenceCertificate:
+def _align(grading: Grading, m: Word, n: Word) -> EquivalenceCertificate:
     """The alignment loop of `derive_equivalence`, for words with validated
-    letters that share an entry; `sigma`, when given, is their matching."""
+    letters that share an entry."""
     group = grading.group
     m_cur, n_cur = m, n
     m_steps: list[RewriteStep] = []
@@ -259,13 +255,11 @@ def _align(
             p += 1
             continue
         msuf, nsuf = m_cur[p:], n_cur[p:]
-        if p or sigma is None:
-            sigma = _matching(grading, msuf, nsuf)
-            if sigma is None:
-                raise AssertionError("shared entry lost while stripping aligned letters")
+        sigma = _matching(grading, msuf, nsuf)
+        if sigma is None:
+            raise AssertionError("shared entry lost while stripping aligned letters")
         a = sigma.index(1) + 1
         side, step = _alignment_step(group, msuf, nsuf, sigma, a)
-        sigma = None  # every later step matches new suffixes
         step = step.shifted(p)
         if side == "n":
             n_cur = apply_step(group, n_cur, step)
@@ -561,8 +555,10 @@ class _Reader:
     certificate's input are the same string.  Each parsed term's factor
     text is kept with its word, and a word text found there reads as that
     word, which is what `parse_word` builds from it; other word texts go to
-    `parse_word`.  Texts are read in document order, so a hostile document
-    fails with the error it gets when each text is parsed on its own.
+    `parse_word`.  Texts are read in the order of the separate readers
+    this class replaced: a bundle component's text, then its certificate's
+    residual words, pairing words and `input`, so a hostile document fails
+    with the error it got when each text was parsed on its own.
     """
 
     def __init__(self, group: Group, field: Field):
@@ -670,15 +666,11 @@ def justification_from_dict(obj: dict) -> Justification:
 
 
 def membership_to_dict(cert: MembershipCertificate, group: Group) -> dict:
-    return _membership_dict(cert, group, format_polynomial(group, cert.input))
-
-
-def _membership_dict(cert: MembershipCertificate, group: Group, input_text: str) -> dict:
     field = cert.input.field
     return {
         "format": CERTIFICATE_FORMAT,
         "type": "membership",
-        "input": input_text,
+        "input": format_polynomial(group, cert.input),
         "pairings": [
             {
                 "target": pairing.target,
@@ -711,19 +703,25 @@ def bundle_to_dict(
     component with its certificate or its non-identity witness."""
     components = []
     for component, outcome in outcomes:
-        text = format_polynomial(group, component)
-        item: dict = {"component": text}
         if isinstance(outcome, NonIdentityWitness):
-            item["identity"] = False
-            item["witness"] = {
-                "position": list(outcome.position),
-                "entry": render_poly(outcome.entry, group.format),
+            item: dict = {
+                "component": format_polynomial(group, component),
+                "identity": False,
+                "witness": {
+                    "position": list(outcome.position),
+                    "entry": render_poly(outcome.entry, group.format),
+                },
             }
         else:
-            item["identity"] = True
+            cert = membership_to_dict(outcome, group)
+            text = cert["input"]  # certify's certificates hold their component as input
             if outcome.input is not component:
-                text = format_polynomial(group, outcome.input)
-            item["certificate"] = _membership_dict(outcome, group, text)
+                text = format_polynomial(group, component)
+            item = {
+                "component": text,
+                "identity": True,
+                "certificate": cert,
+            }
         components.append(item)
     return {
         "format": CERTIFICATE_FORMAT,
