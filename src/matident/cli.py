@@ -55,25 +55,32 @@ Reply = tuple[dict, str, bool]
 _quote = json.encoder.encode_basestring_ascii
 
 
+class _Rows:
+    """A payload list of nonempty sequences that `_dumps` writes as the
+    list of their name lists; `quoted` maps each element to its name's
+    JSON text, so every name is quoted once, not once per occurrence."""
+
+    def __init__(self, seqs: list[tuple], quoted: dict[object, str]):
+        self.seqs, self.quoted = seqs, quoted
+
+
 def _dumps(obj, nl: str = "\n") -> str:
     """The text of `json.dumps(obj, sort_keys=True, indent=2)`, byte for byte.
 
     json skips its C encoder whenever `indent` is set, so this writes the
     same text directly, for the types handler payloads hold: dicts with str
     keys, lists and tuples, str, int, bool and None.  Anything else raises
-    TypeError.  `nl` is the newline plus the indent of `obj`'s own level.
-    Within one dict, a value that is the same object as an earlier value
-    (as `sequences` and `unfiltered_sequences` can be) is encoded once.
+    TypeError.  A `_Rows` value is written as its list of name lists.
+    `nl` is the newline plus the indent of `obj`'s own level.  Within one
+    dict, a value that is the same object as an earlier value (as
+    `sequences` and `unfiltered_sequences` can be) is encoded once.
     """
     inner = nl + "  "
     sep = "," + inner
     if isinstance(obj, (list, tuple)):  # first: payloads are mostly lists
         if not obj:
             return "[]"
-        try:  # most lists hold only strings; _quote raises TypeError on anything else
-            body = sep.join(map(_quote, obj))
-        except TypeError:
-            body = sep.join([_dumps(item, inner) for item in obj])
+        body = sep.join([_dumps(item, inner) for item in obj])
         return f"[{inner}{body}{nl}]"
     if isinstance(obj, str):
         return _quote(obj)
@@ -94,6 +101,13 @@ def _dumps(obj, nl: str = "\n") -> str:
                 text = seen[id(value)] = _dumps(value, inner)
             parts.append(f"{_quote(key)}: {text}")
         return f"{{{inner}{sep.join(parts)}{nl}}}"
+    if isinstance(obj, _Rows):
+        if not obj.seqs:
+            return "[]"
+        get = obj.quoted.__getitem__
+        start, stop, comma = "[" + inner + "  ", inner + "]", "," + inner + "  "
+        body = sep.join([start + comma.join(map(get, seq)) + stop for seq in obj.seqs])
+        return f"[{inner}{body}{nl}]"
     raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
@@ -197,17 +211,19 @@ def cmd_is_identity(args: argparse.Namespace, grading: Grading) -> Reply:
 
 
 def cmd_enumerate(args: argparse.Namespace, grading: Grading) -> Reply:
-    names = {h: grading.group.format(h) for h in grading.support()}
     flagged = enumerate_monomial_identities(grading, args.max_len)
-    found = [seq for seq, minimal in flagged if minimal or not args.minimal]
+    every = [seq for seq, _ in flagged]
+    found = [seq for seq, minimal in flagged if minimal] if args.minimal else every
     bounds = length_bounds(grading)
-    # only the printed form is built: the sequence lists can be long
+    names = {h: grading.group.format(h) for h in grading.support()}
+    # each name is formatted, and quoted for --json, once: the lists can be long
     if args.json:
-        unfiltered = [[names[h] for h in seq] for seq, _ in flagged]
+        quoted = {h: _quote(name) for h, name in names.items()}
+        unfiltered = _Rows(every, quoted)
         payload = {
             "max_len": args.max_len,
             "minimal": args.minimal,
-            "sequences": [[names[h] for h in seq] for seq in found] if args.minimal else unfiltered,
+            "sequences": _Rows(found, quoted) if args.minimal else unfiltered,
             "count": len(found),
             "unfiltered_sequences": unfiltered,
             "unfiltered_count": len(flagged),
@@ -215,7 +231,8 @@ def cmd_enumerate(args: argparse.Namespace, grading: Grading) -> Reply:
             "size_bound": bounds.size_bound,
         }
         return payload, "", not found
-    lines = [",".join(names[h] for h in seq) for seq in found]
+    get = names.__getitem__
+    lines = [",".join(map(get, seq)) for seq in found]
     lines.append(
         f"count={len(found)} unfiltered={len(flagged)} max_len={args.max_len} "
         f"minimal={str(args.minimal).lower()} "

@@ -57,20 +57,25 @@ def enumerate_monomial_identities(
 
     Depth-first over the support alphabet, so no identity has length 1; an
     identity prefix subsumes all of its extensions.  Beside the prefix's state
-    the walk carries `tail`, the state of the prefix without its first letter.
-    Each state's row of transitions is built on its first use, and `barren`
-    keeps, per state, the largest number of steps left under which its subtree
-    emitted nothing, so the state is skipped whenever it recurs with at most
-    that many.  Only states within max_len steps of the full row set are
-    built.  A grading with no identity returns [] at once, whatever the cap.
+    the walk carries `tail`, the state of the prefix without its first letter,
+    its product degree and its degrees' survivor masks, for `_merges_survive`.
+    Each state's row of transitions, and each degree's row of extensions by
+    one letter, is built on its first use.  `barren` keeps, per state, the
+    largest number of steps left under which its subtree emitted nothing, so
+    the state is skipped whenever it recurs with at most that many.  Only
+    states within max_len steps of the full row set are built.  A grading
+    with no identity returns [] at once, whatever the cap.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     if shortest_monomial_identity(grading) is None:
         return []
     alphabet = grading.support()
+    op = grading.group.op
+    singles = [(h,) for h in alphabet]
     full = initial_state(grading)
     rows: dict[State, list[State]] = {}
+    extensions: dict[Element, list[tuple[Element, tuple[int]]]] = {}
     barren: dict[State, int] = {}
     out: list[tuple[tuple[Element, ...], bool]] = []
 
@@ -80,32 +85,46 @@ def enumerate_monomial_identities(
             row = rows[state] = [transition(grading, state, h) for h in alphabet]
         return row
 
-    def walk(state: State, tail: State, prefix: tuple[Element, ...], remaining: int) -> None:
+    def extensions_of(degree: Element) -> list[tuple[Element, tuple[int]]]:
+        # per letter: the extended product degree and the 1-tuple of its mask
+        row = extensions.get(degree)
+        if row is None:
+            row = extensions[degree] = [
+                (d, (grading.step(d)[1],)) for d in (op(degree, h) for h in alphabet)
+            ]
+        return row
+
+    def walk(
+        state: State, tail: State, prefix: tuple, degree: Element, masks: tuple, remaining: int
+    ) -> None:
         if remaining <= barren.get(state, 0):
             return
         emitted = len(out)
-        for h, nxt, tail_nxt in zip(alphabet, row_of(state), row_of(tail)):
+        for single, nxt, tail_nxt, (d, mask) in zip(
+            singles, row_of(state), row_of(tail), extensions_of(degree)
+        ):
             if not nxt:
-                seq = prefix + (h,)
-                out.append((seq, bool(tail_nxt) and _merges_survive(grading, seq)))
+                out.append((prefix + single, bool(tail_nxt) and _merges_survive(masks + mask)))
             elif remaining > 1:
-                walk(nxt, tail_nxt if prefix else full, prefix + (h,), remaining - 1)
+                walk(nxt, tail_nxt if prefix else full, prefix + single, d, masks + mask,
+                     remaining - 1)
         if len(out) == emitted:
             barren[state] = remaining
 
     try:
-        walk(full, full, (), max_len)
+        walk(full, full, (), grading.group.identity(), (), max_len)
     except RecursionError:
         # once an identity exists, the neutral degree keeps the walk alive max_len deep
         raise ValueError(f"max_len {max_len} is too deep to enumerate") from None
     return out
 
 
-def _merges_survive(grading: Grading, seq: tuple[Element, ...]) -> bool:
-    """Whether no coarsening inside the support of the identity seq is an
-    identity, given that no proper factor of seq is one.  Two facts, true
-    for any tuple, reduce this to ANDs of the survivor masks of the prefix
-    degrees d_2, ..., d_{q+1} (trusted: products of support elements):
+def _merges_survive(masks: tuple[int, ...]) -> bool:
+    """Whether no coarsening inside the support of an identity seq is an
+    identity, given that no proper factor of seq is one; `masks` are the
+    survivor masks of seq's prefix degrees d_2, ..., d_{q+1} (products of
+    support elements), as the walk carries them.  Two facts, true for any
+    tuple, reduce this to ANDs of those masks:
     1. A factor whose product leaves the support is an identity, so every
        block of a coarsening into >= 2 blocks lies in the support; the
        one-block coarsening is an identity only outside it, so q <= 2 passes.
@@ -113,9 +132,8 @@ def _merges_survive(grading: Grading, seq: tuple[Element, ...]) -> bool:
        ends AND fewer masks, so for q >= 3 some coarsening is an identity
        exactly when merging one adjacent pair, which leaves out one of the
        first q-1 masks, gives one."""
-    if len(seq) < 3:
+    if len(masks) < 3:
         return True
-    masks = [grading.step(d)[1] for d in accumulate(seq, grading.group.op)]
     # leaving out masks[i] merges (h_{i+1}, h_{i+2}); after[-1 - i] ANDs masks[i + 1:]
     after = [-1]
     for mask in reversed(masks[1:]):

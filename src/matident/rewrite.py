@@ -555,10 +555,11 @@ class _Reader:
     certificate's input are the same string.  Each parsed term's factor
     text is kept with its word, and a word text found there reads as that
     word, which is what `parse_word` builds from it; other word texts go to
-    `parse_word`.  Texts are read in the order of the separate readers
-    this class replaced: a bundle component's text, then its certificate's
-    residual words, pairing words and `input`, so a hostile document fails
-    with the error it got when each text was parsed on its own.
+    `parse_word`.  A certificate's `input` is read before its residual and
+    pairing words, but its error is raised after theirs: errors come in the
+    order of the separate readers this class replaced (a bundle component's
+    text, then residual words, pairing words and `input`), so a hostile
+    document fails with the error it got when each text was parsed on its own.
     """
 
     def __init__(self, group: Group, field: Field):
@@ -593,6 +594,11 @@ class _Reader:
         what = "membership certificate"
         if _get(obj, "type", str, what) != "membership":
             raise ValueError("not a membership certificate document")
+        # `input` first, so that its factor texts serve the words below
+        try:
+            poly, error = self.polynomial(_get(obj, "input", str, what)), None
+        except ValueError as exc:
+            poly, error = None, exc
         residual = tuple(
             ResidualTerm(
                 word=self.word(_get(item, "word", str, "residual term")),
@@ -611,11 +617,9 @@ class _Reader:
             )
             for item in _get(obj, "pairings", list, what, [])
         )
-        return MembershipCertificate(
-            input=self.polynomial(_get(obj, "input", str, what)),
-            pairings=pairings,
-            residual=residual,
-        )
+        if error is not None:
+            raise error
+        return MembershipCertificate(input=poly, pairings=pairings, residual=residual)
 
     def bundle(self, obj: dict) -> MembershipBundle:
         what = "membership bundle"

@@ -11,6 +11,7 @@ calls a path makes.
 import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,7 @@ from matident.rewrite import (
     certify_membership,
     check_membership_bundle,
     check_membership_certificate,
+    membership_from_dict,
 )
 
 from helpers import (
@@ -180,3 +182,39 @@ def test_pairing_words_equal_by_value_get_the_oracle_verdict(monkeypatch):
     assert verdict.ok
     assert len(received) == len(cert.pairings)
     assert all(type(v.degree) is int for eq in received for v in eq.start + eq.end)
+
+
+MEMBERSHIP = Path(__file__).parent / "golden" / "inputs" / "z4_membership.json"
+
+
+def test_reading_a_standalone_membership_parses_no_word(monkeypatch):
+    # its pairing words are factor texts of its input, which is read first
+    doc = json.loads(MEMBERSHIP.read_text(encoding="utf-8"))
+    grading = GRADINGS["z4"]
+    words = _counting(monkeypatch, rewrite, "parse_word")
+    cert = membership_from_dict(doc, grading.group, RATIONALS)
+    assert words == []
+    assert check_membership_certificate(grading, cert.input, cert)
+
+
+@pytest.mark.parametrize(
+    "start,residual,message",
+    [
+        # a bad pairing word is reported before the bad input, as each text
+        # was when the input was read last
+        ("x[2;3]*x[2;4]**x[0;5]", [], "expected a variable factor 'x[...]' (at position 14)"),
+        (None, [{"word": "x[", "coefficient": "1", "justification": {"kind": "empty-lset"}}],
+         "expected ';' (at position 2)"),
+        (None, [], "residue 7 out of range for Z4 (at position 9)"),
+    ],
+    ids=["pairing", "residual", "input"],
+)
+def test_a_bad_input_is_reported_after_the_bad_words(start, residual, message):
+    doc = json.loads(MEMBERSHIP.read_text(encoding="utf-8"))
+    doc["input"] = "x[0;5]*x[7;1] + "
+    if start is not None:
+        doc["pairings"][1]["certificate"]["start"] = start
+    doc["residual"] = residual
+    with pytest.raises(ValueError) as caught:
+        membership_from_dict(doc, GRADINGS["z4"].group, RATIONALS)
+    assert str(caught.value) == message
