@@ -73,14 +73,18 @@ def _dumps(obj, nl: str = "\n") -> str:
     TypeError.  A `_Rows` value is written as its list of name lists.
     `nl` is the newline plus the indent of `obj`'s own level.  Within one
     dict, a value that is the same object as an earlier value (as
-    `sequences` and `unfiltered_sequences` can be) is encoded once.
+    `sequences` and `unfiltered_sequences` can be) is encoded once.  Str and
+    int list items, and str dict values, are written without a call.
     """
     inner = nl + "  "
     sep = "," + inner
     if isinstance(obj, (list, tuple)):  # first: payloads are mostly lists
         if not obj:
             return "[]"
-        body = sep.join([_dumps(item, inner) for item in obj])
+        body = sep.join([
+            _quote(x) if type(x) is str else int.__repr__(x) if type(x) is int else _dumps(x, inner)
+            for x in obj
+        ])
         return f"[{inner}{body}{nl}]"
     if isinstance(obj, str):
         return _quote(obj)
@@ -96,7 +100,7 @@ def _dumps(obj, nl: str = "\n") -> str:
         seen: dict[int, str] = {}  # the payload keeps every value alive, so no id is reused
         parts = []
         for key, value in sorted(obj.items()):
-            text = seen.get(id(value))
+            text = _quote(value) if type(value) is str else seen.get(id(value))
             if text is None:
                 text = seen[id(value)] = _dumps(value, inner)
             parts.append(f"{_quote(key)}: {text}")

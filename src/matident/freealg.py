@@ -7,7 +7,7 @@ for concatenation, but is rejected by identity queries downstream).
 
 Textual syntax, whitespace-insensitive:
 
-    polynomial := [sign] term (sign term)*
+    polynomial := '0' | [sign] term (sign term)*
     term       := [coefficient '*'] factor ('*' factor)*
     factor     := 'x' '[' element ';' integer ']'
     coefficient:= integer | integer '/' integer   (fractions only over Q)
@@ -91,8 +91,11 @@ def format_word(group: Group, word: Word) -> str:
     return MUL_PATTERN.join(f"x[{group.format(v.degree)};{v.index}]" for v in word)
 
 
-def format_polynomial(group: Group, f: FreePoly) -> str:
-    return f.render(lambda word: format_word(group, word))
+def format_polynomial(group: Group, f: FreePoly, texts: Optional[dict[Word, str]] = None) -> str:
+    """`texts`, when given, maps words to their text; f's other words are added."""
+    texts = {} if texts is None else texts
+    texts.update({word: format_word(group, word) for word in f.terms.keys() - texts.keys()})
+    return f.render(texts.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +126,8 @@ def parse_polynomial(
 ) -> FreePoly:
     """Parse the textual polynomial syntax into a canonical polynomial.
 
-    Each term is one match of `_TERM`.  On the accepting path `group.parse`
+    '0' reads as the zero polynomial, and otherwise each term is one match
+    of `_TERM`.  On the accepting path `group.parse`
     runs once per distinct literal text and `GVar` is built once per
     distinct (literal, index) text; a refused term goes to `_refuse`.
 
@@ -131,6 +135,8 @@ def parse_polynomial(
     word.  `parse_word` of that text builds the same word: it is one term
     with coefficient 1, and parsing is a pure function of the text.
     """
+    if text.strip() == "0":
+        return FreePoly(field, {})
     degrees: dict[str, Element] = {}
     letters: dict[tuple[str, str], GVar] = {}
     terms: list[tuple[Word, Coefficient]] = []

@@ -27,11 +27,12 @@ Bahturin-Drensky (Linear Algebra Appl. 357, 2002).
 
 Every producer reads signatures (`prefix_pairs`, `signatures`,
 `survivors`): eval, is-identity, certify, and `letter_matching` for
-equiv.  Only the certificate checkers walk chains, independent of the
-signature argument: `word_product_closed` gives one monomial, with
-coefficient 1, at (start row, end row) for every surviving chain.  The
-direct matrix-product oracle that checks all of this is in
-`tests/helpers.py`.
+equiv.  Derivations carry each word's prefix degrees from `prefix_pairs`
+and move them with the letters, since both swap rules keep them.  Only
+the certificate checkers walk chains, independent of the signature
+argument: `word_product_closed` gives one monomial, with coefficient 1,
+at (start row, end row) for every surviving chain.  The direct
+matrix-product oracle that checks all of this is in `tests/helpers.py`.
 """
 
 from __future__ import annotations
@@ -139,9 +140,10 @@ def prefix_pairs(group: Group, word: Word) -> tuple[list[tuple[GVar, Element]], 
     return pairs, d
 
 
-def signatures(grading: Grading, words: Collection[Word]) -> list[tuple]:
+def signatures(grading: Grading, words: Collection[Word], _degrees: Optional[list] = None) -> list:
     """Each word's signature: its sorted (letter, prefix degree) pairs and
-    its end degree.  Refuses the empty word; each letter is validated once."""
+    its end degree.  Refuses the empty word; each letter is validated once.
+    `_degrees`, when given, receives each word's list d_1..d_{q+1}."""
     if () in words:
         raise ValueError("polynomial has a term with the empty word")
     group = grading.group
@@ -150,6 +152,8 @@ def signatures(grading: Grading, words: Collection[Word]) -> list[tuple]:
     for word in words:
         pairs, end = prefix_pairs(group, word)
         keys.append((tuple(sorted(pairs)), end))
+        if _degrees is not None:
+            _degrees.append([d for _, d in pairs] + [end])
     return keys
 
 
@@ -220,13 +224,8 @@ def letter_matching(grading: Grading, m: Word, n: Word) -> Optional[tuple[int, .
     """
     if not m or not n:
         raise ValueError("degree sequence must be nonempty")
-    check_letters(grading.group, (m, n))
-    return _matching(grading, m, n)
-
-
-def _matching(grading: Grading, m: Word, n: Word) -> Optional[tuple[int, ...]]:
-    """`letter_matching` of two nonempty words whose letters are validated."""
     group = grading.group
+    check_letters(group, (m, n))
     if len(m) != len(n):
         return None
     pairs_m, end = prefix_pairs(group, m)

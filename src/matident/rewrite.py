@@ -22,7 +22,10 @@ Certifying groups the terms by signature (see `generic`): with a
 distinct tuple two nonempty evaluations are equal exactly when the
 signatures are, and otherwise share no entry, so every pairing is found
 by lookup in its class, and certify cost is linear in the term count
-plus the derivations, which skip the validation `signatures` has done.
+plus the derivations.  These skip the validation `signatures` has done
+and take each word's prefix degrees from it: a swap keeps every letter's
+prefix degree, so the degrees move with their letters (`_swap`) and no
+alignment step makes a group operation.
 Only the checkers walk chains: they compare end evaluations with
 `word_product_closed` and recompute empty chain sets with `Grading.lset`,
 replaying the working list independently of certify.
@@ -50,10 +53,10 @@ from .freealg import (
     word_degree,
 )
 from .generic import (
-    _matching,
     check_letters,
     evaluate,
     letter_matching,
+    prefix_pairs,
     require_distinct,
     signatures,
     survivors,
@@ -95,9 +98,6 @@ class RewriteStep:
         if len(self.split) != want:
             raise ValueError(f"{self.rule} needs {want} cut points, got {len(self.split)}")
 
-    def shifted(self, offset: int) -> "RewriteStep":
-        return RewriteStep(self.rule, tuple(c + offset for c in self.split))
-
     def inverse(self) -> "RewriteStep":
         """The step undoing this one on the swapped word."""
         if self.rule == NEUTRAL_SWAP:
@@ -124,7 +124,7 @@ def apply_step(group: Group, word: Word, step: RewriteStep) -> Word:
             raise StepError("side condition failed: first swapped block must have neutral degree")
         if word_degree(group, v) != eps:
             raise StepError("side condition failed: second swapped block must have neutral degree")
-        return word[:i] + v + u + word[k:]
+        return _swap(word, step)
     i, j, k, l = cuts
     u, t, v = word[i:j], word[j:k], word[k:l]
     du = word_degree(group, u)
@@ -134,7 +134,27 @@ def apply_step(group: Group, word: Word, step: RewriteStep) -> Word:
         raise StepError("side condition failed: swapped blocks must have equal degree")
     if word_degree(group, t) != group.inverse(du):
         raise StepError("side condition failed: middle block must have the inverse degree")
-    return word[:i] + v + t + u + word[l:]
+    return _swap(word, step)
+
+
+def _swap(seq: Sequence, step: RewriteStep) -> Sequence:
+    """The step's rearrangement of a word, or of its prefix degrees: a swap
+    keeps every letter's prefix degree, so the two lists move alike."""
+    if step.rule == NEUTRAL_SWAP:
+        i, j, k = step.split
+        return seq[:i] + seq[j:k] + seq[i:j] + seq[k:]
+    i, j, k, l = step.split
+    return seq[:i] + seq[k:l] + seq[j:k] + seq[i:j] + seq[l:]
+
+
+def _degrees_allow(d: Sequence, step: RewriteStep) -> bool:
+    """`apply_step`'s conditions, read from the word's prefix degrees d:
+    the block between cuts a < b has degree d[a]^-1 * d[b]."""
+    if step.rule == NEUTRAL_SWAP:
+        i, j, k = step.split
+        return 0 <= i < j < k < len(d) and d[i] == d[j] == d[k]
+    i, j, k, l = step.split
+    return 0 <= i < j < k < l < len(d) and d[i] != d[j] and d[k] == d[i] and d[l] == d[j]
 
 
 @dataclass(frozen=True)
@@ -190,19 +210,19 @@ def check_equivalence_certificate(
 
 
 def _alignment_step(
-    group: Group, msuf: Word, nsuf: Word, sigma: Sequence[int], a: int
+    dm: Sequence, dn: Sequence, p: int, sigma: Sequence[int], a: int
 ) -> tuple[str, RewriteStep]:
-    """One swap making the two suffixes start with the same letter.
+    """One swap, cut in whole-word positions, making the suffixes from p
+    start with the same letter.
 
-    `sigma` is the letter matching of the suffixes and `a` the 1-based
-    position in nsuf of msuf's leading letter.  Returns ("n", step) or
-    ("m", step) naming the side to rotate: when some value r sits before
-    position a while r+1 sits after, nsuf rotates; otherwise the positions
-    before a hold exactly msuf's top segment and msuf rotates instead.
-    A conjugate rotation collapses to a neutral swap of merged blocks
-    whenever its middle block is empty or all three blocks are neutral.
-    """
-    eps = group.identity()
+    `dm` and `dn` are the words' prefix degrees, `sigma` the letter
+    matching of the suffixes and `a` the 1-based position in n's suffix of
+    m's leading letter.  Returns ("n", step) or ("m", step) naming the side
+    to rotate: when some value r sits before position a while r+1 sits
+    after, n rotates; otherwise the positions before a hold exactly m's top
+    segment and m rotates.  A conjugate rotation collapses to a neutral swap
+    of merged blocks whenever its middle block is empty or all three blocks
+    are neutral (the block from p to p+c is neutral when d[p] == d[p+c])."""
     q = len(sigma)
     inv = [0] * (q + 1)
     for l, value in enumerate(sigma, start=1):
@@ -211,23 +231,21 @@ def _alignment_step(
     r = next((r for r in range(1, q) if inv[r] < a < inv[r + 1]), None)
     if r is not None:
         ir, ir1 = inv[r], inv[r + 1]
-        if ir + 1 == a or word_degree(group, nsuf[:ir]) == eps:
-            return "n", RewriteStep(NEUTRAL_SWAP, (0, a - 1, ir1 - 1))
-        return "n", RewriteStep(CONJUGATE_SWAP, (0, ir, a - 1, ir1 - 1))
-    b = q - a + 2
-    s1 = sigma[0]
-    if b == s1 or word_degree(group, msuf[: b - 1]) == eps:
-        return "m", RewriteStep(NEUTRAL_SWAP, (0, s1 - 1, q))
-    return "m", RewriteStep(CONJUGATE_SWAP, (0, b - 1, s1 - 1, q))
+        if ir + 1 == a or dn[p + ir] == dn[p]:
+            return "n", RewriteStep(NEUTRAL_SWAP, (p, p + a - 1, p + ir1 - 1))
+        return "n", RewriteStep(CONJUGATE_SWAP, (p, p + ir, p + a - 1, p + ir1 - 1))
+    b, s1 = q - a + 2, sigma[0]
+    if b == s1 or dm[p + b - 1] == dm[p]:
+        return "m", RewriteStep(NEUTRAL_SWAP, (p, p + s1 - 1, p + q))
+    return "m", RewriteStep(CONJUGATE_SWAP, (p, p + b - 1, p + s1 - 1, p + q))
 
 
 def derive_equivalence(grading: Grading, m: Word, n: Word) -> EquivalenceCertificate:
     """Derive a certificate from n to m.
 
     Requires a shared nonzero entry (and a distinct-entry grading).  The
-    derivation aligns one letter at a time: recover the letter matching of
-    the unaligned suffixes from their signatures (one per suffix and step,
-    trusting the letters that the precheck's matching validated), rotate
+    derivation aligns one letter at a time: read the letter matching of
+    the unaligned suffixes from their (letter, prefix degree) pairs, rotate
     whichever side the matching dictates so the leading letters agree, and
     strip.  Rotations applied to the m side are appended to the certificate
     inverted, so the replay runs n to m.  `certify_membership` runs the
@@ -235,17 +253,17 @@ def derive_equivalence(grading: Grading, m: Word, n: Word) -> EquivalenceCertifi
     and validated letters.
     """
     require_distinct(grading)
-    m = tuple(m)
-    n = tuple(n)
+    m, n = tuple(m), tuple(n)
     if letter_matching(grading, m, n) is None:
         raise ValueError("words do not share a nonzero entry; no derivation exists")
-    return _align(grading, m, n)
+    (pm, em), (pn, en) = prefix_pairs(grading.group, m), prefix_pairs(grading.group, n)
+    return _align(m, n, [d for _, d in pm] + [em], [d for _, d in pn] + [en])
 
 
-def _align(grading: Grading, m: Word, n: Word) -> EquivalenceCertificate:
+def _align(m: Word, n: Word, dm: list, dn: list) -> EquivalenceCertificate:
     """The alignment loop of `derive_equivalence`, for words with validated
-    letters that share an entry."""
-    group = grading.group
+    letters that share an entry, and their prefix degrees.  The words agree
+    before p, so whole-word degrees match the suffixes as `letter_matching` does."""
     m_cur, n_cur = m, n
     m_steps: list[RewriteStep] = []
     n_steps: list[RewriteStep] = []
@@ -254,18 +272,21 @@ def _align(grading: Grading, m: Word, n: Word) -> EquivalenceCertificate:
         if m_cur[p] == n_cur[p]:
             p += 1
             continue
-        msuf, nsuf = m_cur[p:], n_cur[p:]
-        sigma = _matching(grading, msuf, nsuf)
-        if sigma is None:
-            raise AssertionError("shared entry lost while stripping aligned letters")
-        a = sigma.index(1) + 1
-        side, step = _alignment_step(group, msuf, nsuf, sigma, a)
-        step = step.shifted(p)
+        slots: dict[tuple, list[int]] = {}
+        for a in range(len(m_cur), p, -1):
+            slots.setdefault((m_cur[a - 1], dm[a - 1]), []).append(a - p)
+        try:
+            sigma = tuple([slots[key].pop() for key in zip(n_cur[p:], dn[p:])])
+        except (KeyError, IndexError):
+            raise AssertionError("shared entry lost while stripping aligned letters") from None
+        side, step = _alignment_step(dm, dn, p, sigma, sigma.index(1) + 1)
+        if not _degrees_allow(dn if side == "n" else dm, step):
+            raise AssertionError(f"alignment built a step that does not apply: {step}")
         if side == "n":
-            n_cur = apply_step(group, n_cur, step)
+            n_cur, dn = _swap(n_cur, step), _swap(dn, step)
             n_steps.append(step)
         else:
-            m_cur = apply_step(group, m_cur, step)
+            m_cur, dm = _swap(m_cur, step), _swap(dm, step)
             m_steps.append(step)
     if m_cur != n_cur:
         raise AssertionError("alignment finished on different words")
@@ -354,7 +375,8 @@ def certify_membership(
     terms = f.sorted_terms()
     words = [word for word, _ in terms]
     coeffs = [coeff for _, coeff in terms]
-    keys = signatures(grading, words)
+    degrees: list[list] = []
+    keys = signatures(grading, words, degrees)
     alive = {key for key in set(keys) if survivors(grading, key)}
     classes: dict = {}  # surviving signature -> its live ids, ascending
     sums: dict = {}
@@ -375,7 +397,7 @@ def certify_membership(
                 raise AssertionError("zero sum with an uncancellable term")
             source = ids[1]
             rt, rs = bisect_left(live, target), bisect_left(live, source)
-            cert = _align(grading, words[target], words[source])
+            cert = _align(words[target], words[source], degrees[target], degrees[source])
             pairings.append(Pairing(target=rt, source=rs, certificate=cert))
             del ids[1], live[rs]
             coeffs[target] = field.add(coeffs[target], coeffs[source])
@@ -641,12 +663,15 @@ class _Reader:
         )
 
 
-def equivalence_to_dict(cert: EquivalenceCertificate, group: Group) -> dict:
+def equivalence_to_dict(
+    cert: EquivalenceCertificate, group: Group, texts: Optional[dict[Word, str]] = None
+) -> dict:
+    texts = texts or {}  # texts of the words already written in the document
     return {
         "format": CERTIFICATE_FORMAT,
         "type": "equivalence",
-        "start": format_word(group, cert.start),
-        "end": format_word(group, cert.end),
+        "start": texts.get(cert.start) or format_word(group, cert.start),
+        "end": texts.get(cert.end) or format_word(group, cert.end),
         "steps": [step_to_dict(s) for s in cert.steps],
     }
 
@@ -669,23 +694,26 @@ def justification_from_dict(obj: dict) -> Justification:
     )
 
 
-def membership_to_dict(cert: MembershipCertificate, group: Group) -> dict:
+def membership_to_dict(
+    cert: MembershipCertificate, group: Group, texts: Optional[dict[Word, str]] = None
+) -> dict:
     field = cert.input.field
+    texts = {} if texts is None else texts  # pairing and residual words are input words
     return {
         "format": CERTIFICATE_FORMAT,
         "type": "membership",
-        "input": format_polynomial(group, cert.input),
+        "input": format_polynomial(group, cert.input, texts),
         "pairings": [
             {
                 "target": pairing.target,
                 "source": pairing.source,
-                "certificate": equivalence_to_dict(pairing.certificate, group),
+                "certificate": equivalence_to_dict(pairing.certificate, group, texts),
             }
             for pairing in cert.pairings
         ],
         "residual": [
             {
-                "word": format_word(group, term.word),
+                "word": texts.get(term.word) or format_word(group, term.word),
                 "coefficient": field.format(term.coefficient),
                 "justification": justification_to_dict(term.justification),
             }
@@ -704,12 +732,14 @@ def bundle_to_dict(
     group: Group,
 ) -> dict:
     """The membership-bundle document for f, from each multihomogeneous
-    component with its certificate or its non-identity witness."""
+    component with its certificate or its non-identity witness.  Each
+    distinct word is formatted once, into the document's memo `texts`."""
+    texts: dict[Word, str] = {}
     components = []
     for component, outcome in outcomes:
         if isinstance(outcome, NonIdentityWitness):
             item: dict = {
-                "component": format_polynomial(group, component),
+                "component": format_polynomial(group, component, texts),
                 "identity": False,
                 "witness": {
                     "position": list(outcome.position),
@@ -717,10 +747,10 @@ def bundle_to_dict(
                 },
             }
         else:
-            cert = membership_to_dict(outcome, group)
+            cert = membership_to_dict(outcome, group, texts)
             text = cert["input"]  # certify's certificates hold their component as input
             if outcome.input is not component:
-                text = format_polynomial(group, component)
+                text = format_polynomial(group, component, texts)
             item = {
                 "component": text,
                 "identity": True,
@@ -731,7 +761,7 @@ def bundle_to_dict(
         "format": CERTIFICATE_FORMAT,
         "type": "membership-bundle",
         "field": str(f.field),
-        "input": format_polynomial(group, f),
+        "input": format_polynomial(group, f, texts),
         "components": components,
         "identity": all(item["identity"] for item in components),
     }

@@ -8,7 +8,9 @@ minimality oracle tests every proper factor and every coarsening on its
 own chain walk, the filter the prefix-degree masks replaced.  The
 certify oracle is the algorithm the indexed loop replaced: linear scans for
 every target and source, and a derivation that recovers each step's letter
-matching by comparing evaluation maps and walking naive chains.  The
+matching by comparing evaluation maps and walking naive chains, and tests
+block neutrality with group products on the current words, where
+`rewrite` reads both from prefix degrees carried along the derivation.  The
 equivalence checker oracle re-evaluates the word after every rewrite
 step, where `check_equivalence_certificate` compares the two ends once.
 """
@@ -20,7 +22,7 @@ import io
 import itertools
 import random
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from matident import (
     CayleyGroup,
@@ -53,8 +55,10 @@ from matident.rewrite import (
     NonIdentityWitness,
     Pairing,
     ResidualTerm,
+    CONJUGATE_SWAP,
+    NEUTRAL_SWAP,
+    RewriteStep,
     StepError,
-    _alignment_step,
     apply_step,
 )
 
@@ -427,6 +431,38 @@ def _merge_terms(field, work: list, target: int, source: int) -> list:
     return out
 
 
+def _alignment_step(
+    group: Group, msuf: Word, nsuf: Word, sigma: Sequence[int], a: int
+) -> tuple[str, RewriteStep]:
+    """One swap making the two suffixes start with the same letter.
+
+    `sigma` is the letter matching of the suffixes and `a` the 1-based
+    position in nsuf of msuf's leading letter.  Returns ("n", step) or
+    ("m", step) naming the side to rotate: when some value r sits before
+    position a while r+1 sits after, nsuf rotates; otherwise the positions
+    before a hold exactly msuf's top segment and msuf rotates instead.
+    A conjugate rotation collapses to a neutral swap of merged blocks
+    whenever its middle block is empty or all three blocks are neutral.
+    """
+    eps = group.identity()
+    q = len(sigma)
+    inv = [0] * (q + 1)
+    for l, value in enumerate(sigma, start=1):
+        inv[value] = l
+
+    r = next((r for r in range(1, q) if inv[r] < a < inv[r + 1]), None)
+    if r is not None:
+        ir, ir1 = inv[r], inv[r + 1]
+        if ir + 1 == a or word_degree(group, nsuf[:ir]) == eps:
+            return "n", RewriteStep(NEUTRAL_SWAP, (0, a - 1, ir1 - 1))
+        return "n", RewriteStep(CONJUGATE_SWAP, (0, ir, a - 1, ir1 - 1))
+    b = q - a + 2
+    s1 = sigma[0]
+    if b == s1 or word_degree(group, msuf[: b - 1]) == eps:
+        return "m", RewriteStep(NEUTRAL_SWAP, (0, s1 - 1, q))
+    return "m", RewriteStep(CONJUGATE_SWAP, (0, b - 1, s1 - 1, q))
+
+
 def derive_equivalence_stepwise(grading: Grading, m, n) -> EquivalenceCertificate:
     """`derive_equivalence` with the letter matching of every alignment step
     recovered through the oracles `matching_entry` and `matching_permutation`
@@ -449,7 +485,7 @@ def derive_equivalence_stepwise(grading: Grading, m, n) -> EquivalenceCertificat
         assert match is not None, "shared entry lost while stripping aligned letters"
         sigma = matching_permutation(grading, msuf, nsuf, match.position)
         side, step = _alignment_step(group, msuf, nsuf, sigma, sigma.index(1) + 1)
-        step = step.shifted(p)
+        step = RewriteStep(step.rule, tuple(c + p for c in step.split))
         if side == "n":
             n_cur = apply_step(group, n_cur, step)
             n_steps.append(step)
@@ -583,8 +619,6 @@ def random_neutral_word(rng: random.Random, grading: Grading, length: int, index
 
 def valid_rewrite_steps(group, word) -> list:
     """All neutral/conjugate swaps applicable to the word."""
-    from matident.rewrite import CONJUGATE_SWAP, NEUTRAL_SWAP, RewriteStep
-
     eps = group.identity()
     L = len(word)
     prefix = [eps]
@@ -612,8 +646,6 @@ def valid_rewrite_steps(group, word) -> list:
 
 def random_rewrite_variant(rng: random.Random, grading: Grading, word, max_steps: int = 4):
     """Apply up to max_steps random valid swaps; returns the reached word."""
-    from matident.rewrite import apply_step
-
     group = grading.group
     current = tuple(word)
     for _ in range(rng.randint(0, max_steps)):
@@ -833,6 +865,8 @@ def _parse_coefficient(sc: _Scanner, field: Field) -> Coefficient:
 
 def parse_polynomial_stepwise(text: str, group: Group, field: Field) -> FreePoly:
     """Parse the textual polynomial syntax into a canonical polynomial."""
+    if text.strip() == "0":
+        return FreePoly(field, {})
     sc = _Scanner(text)
     terms: list[tuple[Word, Coefficient]] = []
     first = True

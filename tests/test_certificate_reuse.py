@@ -1,11 +1,12 @@
-"""How often certify and check-cert parse, evaluate and validate a word.
+"""How often certify and check-cert parse, evaluate, validate and write a word.
 
 Reading a bundle parses each polynomial text once and reads every word
 text that is a term's factor text from the parsed term; the membership
 checker evaluates each distinct term word once per certificate; certify's
-derivations skip `letter_matching`, whose letters `signatures` validated.
-Counters wrap the names `rewrite` calls, so each test also shows which
-calls a path makes.
+derivations skip `letter_matching`, whose letters `signatures` validated,
+and compute each term's prefix degrees once; writing a bundle formats each
+distinct word once.  Counters wrap the names `rewrite` calls, so each test
+also shows which calls a path makes.
 """
 
 import json
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from matident import CyclicGroup, GVar, Grading, IntegerGroup, RATIONALS
-from matident import generic, rewrite
+from matident import freealg, generic, rewrite
 from matident.freealg import multihomogeneous_components, parse_polynomial
 from matident.rewrite import (
     EquivalenceCertificate,
@@ -131,6 +132,34 @@ def test_certify_makes_no_letter_matching_call(monkeypatch, name, seed):
         assert isinstance(cert, MembershipCertificate)
         pairings += len(cert.pairings)
     assert pairings and calls == [[], []]
+
+
+@pytest.mark.parametrize("name,seed", CASES)
+def test_certify_computes_prefix_degrees_once_per_term(monkeypatch, name, seed):
+    """Derivations rearrange each term's prefix degrees with its letters,
+    so no alignment step applies a step or multiplies a block's degrees."""
+    grading = GRADINGS[name]
+    components = multihomogeneous_components(_identity(grading, seed))
+    expected = [certify_membership(grading, c) for c in components]
+    prefix = _counting(monkeypatch, generic, "prefix_pairs", arg=1)
+    applied = _counting(monkeypatch, rewrite, "apply_step", arg=1)
+    degrees = _counting(monkeypatch, rewrite, "word_degree", arg=1)
+    assert [certify_membership(grading, c) for c in components] == expected
+    assert sum(len(cert.pairings) for cert in expected)
+    assert sorted(prefix) == sorted(word for c in components for word in c.terms)
+    assert applied == degrees == []
+
+
+@pytest.mark.parametrize("name,seed", CASES)
+def test_bundle_to_dict_formats_each_word_once(monkeypatch, name, seed):
+    grading = GRADINGS[name]
+    f = _identity(grading, seed)
+    outcomes = [(c, certify_membership(grading, c)) for c in multihomogeneous_components(f)]
+    expected = json.dumps(bundle_to_dict(f, outcomes, grading.group))
+    formatted = [_counting(monkeypatch, module, "format_word", arg=1) for module in (freealg, rewrite)]
+    assert json.dumps(bundle_to_dict(f, outcomes, grading.group)) == expected
+    words = formatted[0] + formatted[1]
+    assert sorted(words) == sorted(f.terms)
 
 
 def test_bundle_to_dict_formats_each_polynomial_once(monkeypatch):

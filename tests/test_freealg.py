@@ -183,8 +183,6 @@ words_st = st.lists(
 @settings(max_examples=150, deadline=None)
 def test_format_parse_roundtrip(items):
     f = FreePoly.from_terms(RATIONALS, [(w, Fraction(c)) for w, c in items])
-    if f.is_zero():
-        return
     text = format_polynomial(Z4, f)
     assert parse_polynomial(text, Z4, RATIONALS) == f
 
@@ -194,6 +192,19 @@ def test_format_zero_and_words():
     assert format_word(Z4, (GVar(1, 1), GVar(3, 2))) == "x[1;1]*x[3;2]"
     with pytest.raises(ValueError):
         format_word(Z4, ())
+
+
+def test_zero_reads_as_the_zero_polynomial():
+    # '0' is what format_polynomial writes for a polynomial that cancels
+    for text in ("0", " 0\n", "\t0 \xa0"):
+        for parse in (parse_polynomial, parse_polynomial_stepwise):
+            assert parse(text, Z4, RATIONALS) == free_poly(RATIONALS)
+    for text in ("00", "0 0", "-0", "+0", "0 + x[1;1]", "x[1;1] + 0"):
+        refused = _outcome(parse_polynomial, text, Z4, RATIONALS)
+        assert refused[0] is ParseError
+        assert refused == _outcome(parse_polynomial_stepwise, text, Z4, RATIONALS)
+    with pytest.raises(ValueError, match="not a single word"):
+        parse_word("0", Z4)
 
 
 def test_parse_word():
