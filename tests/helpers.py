@@ -46,8 +46,10 @@ from matident.freealg import (
 )
 from matident.generic import GenericMatrix, evaluate, require_distinct, word_product_closed
 from matident.rewrite import (
+    CONJUGATE_SWAP,
     JUSTIFY_EMPTY_LSET,
     JUSTIFY_OUTSIDE_SUPPORT,
+    NEUTRAL_SWAP,
     CheckResult,
     EquivalenceCertificate,
     Justification,
@@ -55,8 +57,6 @@ from matident.rewrite import (
     NonIdentityWitness,
     Pairing,
     ResidualTerm,
-    CONJUGATE_SWAP,
-    NEUTRAL_SWAP,
     RewriteStep,
     StepError,
     apply_step,
