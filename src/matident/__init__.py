@@ -12,7 +12,6 @@ from .freealg import (
     GVar,
     format_polynomial,
     format_word,
-    is_multihomogeneous,
     multihomogeneous_components,
     parse_polynomial,
     parse_word,
@@ -20,7 +19,6 @@ from .freealg import (
 )
 from .generic import (
     DistinctTupleError,
-    GenericMatrix,
     evaluate,
     is_graded_identity,
     word_product_closed,

@@ -198,10 +198,8 @@ def cmd_eval(args: argparse.Namespace, grading: Grading) -> Reply:
     matrix = evaluate(grading, poly)
     fmt = grading.group.format
     # each entry is rendered once, for the payload and the "(i,j): p" lines
-    entries = {
-        f"({i},{j})": render_poly(matrix.entries[(i, j)], fmt) for (i, j) in sorted(matrix.entries)
-    }
-    payload = {"field": str(field), "zero": matrix.is_zero(), "entries": entries}
+    entries = {f"({i},{j})": render_poly(matrix[(i, j)], fmt) for (i, j) in sorted(matrix)}
+    payload = {"field": str(field), "zero": not matrix, "entries": entries}
     human = "\n".join(f"{pos}: {text}" for pos, text in entries.items()) or "0"
     return payload, human, False
 

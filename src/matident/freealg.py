@@ -67,12 +67,6 @@ class FreePoly(SparsePoly):
     sort_key = staticmethod(lambda word: (len(word), word))
 
 
-def is_multihomogeneous(f: FreePoly) -> bool:
-    """True when all terms share the same per-variable occurrence counts."""
-    degrees = {multidegree(w) for w in f.terms}
-    return len(degrees) <= 1
-
-
 def multihomogeneous_components(f: FreePoly) -> list[FreePoly]:
     """Partition terms by multidegree; components sum back to the input."""
     buckets: dict[tuple, dict] = {}

@@ -21,25 +21,27 @@ Two nonempty word evaluations are either equal or share no entry
 `evaluate` and `is_graded_identity` sum the coefficients of f per
 signature class and read each nonzero class's surviving rows from the
 masks; the identity decision builds no monomial, and `evaluate` builds
-monomials only for the surviving nonzero classes.  This is the path
+monomials only for the surviving nonzero classes and returns just the
+nonzero entries, as a {(row, col): polynomial} map.  This is the path
 argument behind the bases of Vasilovsky (Proc. AMS 127, 1999) and
 Bahturin-Drensky (Linear Algebra Appl. 357, 2002).
 
 Every producer reads signatures (`prefix_pairs`, `signatures`,
-`survivors`): eval, is-identity, certify, and `letter_matching` for
-equiv.  Derivations carry each word's prefix degrees from `prefix_pairs`
-and move them with the letters, since both swap rules keep them.  Only
-the certificate checkers walk chains, independent of the signature
-argument: `word_product_closed` gives one monomial, with coefficient 1,
-at (start row, end row) for every surviving chain.  The direct
-matrix-product oracle that checks all of this is in `tests/helpers.py`.
+`survivors`): eval, is-identity, certify and equiv, where two words share
+an entry exactly when their signatures are equal and survive.
+Derivations carry each word's prefix degrees from `signatures` and move
+them with the letters, since both swap rules keep them.  Only the
+certificate checkers walk chains, independent of the signature argument:
+`word_product_closed` gives one monomial, with coefficient 1, at (start
+row, end row) for every surviving chain.  The direct matrix-product
+oracle that checks all of this is in `tests/helpers.py`.
 """
 
 from __future__ import annotations
 
 from typing import Collection, Iterable, Optional, Sequence
 
-from .commpoly import Coefficient, Field, Monomial, Poly, YVar, accumulate
+from .commpoly import Coefficient, Monomial, Poly, YVar, accumulate
 from .freealg import FreePoly, GVar, Word, degree_sequence
 from .grading import Grading
 from .groups import Element, Group
@@ -55,37 +57,6 @@ def require_distinct(grading: Grading) -> None:
             "grading tuple has repeated entries; identity decision is only "
             "supported for pairwise-distinct tuples"
         )
-
-
-class GenericMatrix:
-    """Sparse n x n matrix with polynomial entries (1-based positions)."""
-
-    __slots__ = ("field", "n", "entries")
-
-    def __init__(self, field: Field, n: int, entries: dict):
-        self.field = field
-        self.n = n
-        self.entries = {pos: p for pos, p in entries.items() if not p.is_zero()}
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def first_nonzero(self) -> Optional[tuple[tuple[int, int], Poly]]:
-        """Entry at the row-major first nonzero position, if any."""
-        if not self.entries:
-            return None
-        pos = min(self.entries)
-        return pos, self.entries[pos]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GenericMatrix):
-            return NotImplemented
-        return self.field == other.field and self.n == other.n and self.entries == other.entries
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"GenericMatrix(n={self.n}, entries={len(self.entries)})"
 
 
 def _chain_monomial(word: Word, path: Sequence[int]) -> Monomial:
@@ -113,15 +84,16 @@ def word_product_closed(grading: Grading, word: Word) -> dict[tuple[int, int], M
 
 
 def check_letters(group: Group, words: Iterable[Word]) -> None:
-    """Validate each distinct letter of the words once, with `group.check`.
+    """Validate each distinct degree of the words' letters once, with
+    `group.check`.
 
-    Letters are told apart by object, not by value: a value key would
-    merge GVar(1, 1) with GVar(True, 1) and let the second through
-    unchecked.  The parser makes one object per distinct letter, so
-    parsed input is checked once per letter.
+    Degrees are told apart by object, not by value: a value key would
+    merge 1 with True and let GVar(True, 1) through unchecked.  The parser
+    makes one object per distinct element literal, so parsed input is
+    checked once per literal.
     """
-    for v in {id(v): v for word in words for v in word}.values():
-        group.check(v.degree)
+    for d in {id(v.degree): v.degree for word in words for v in word}.values():
+        group.check(d)
 
 
 def prefix_pairs(group: Group, word: Word) -> tuple[list[tuple[GVar, Element]], Element]:
@@ -142,8 +114,9 @@ def prefix_pairs(group: Group, word: Word) -> tuple[list[tuple[GVar, Element]], 
 
 def signatures(grading: Grading, words: Collection[Word], _degrees: Optional[list] = None) -> list:
     """Each word's signature: its sorted (letter, prefix degree) pairs and
-    its end degree.  Refuses the empty word; each letter is validated once.
-    `_degrees`, when given, receives each word's list d_1..d_{q+1}."""
+    its end degree.  Refuses the empty word; each letter degree is
+    validated once.  `_degrees`, when given, receives each word's list
+    d_1..d_{q+1}."""
     if () in words:
         raise ValueError("polynomial has a term with the empty word")
     group = grading.group
@@ -172,8 +145,9 @@ def survivors(grading: Grading, key: tuple) -> int:
     return grading.survivors([end] + [d for _, d in pairs])
 
 
-def evaluate(grading: Grading, f: FreePoly) -> GenericMatrix:
-    """Substitute generic matrices for the variables of f.
+def evaluate(grading: Grading, f: FreePoly) -> dict[tuple[int, int], Poly]:
+    """Substitute generic matrices for the variables of f: the nonzero
+    entries of the result, as {(row, col): polynomial} with 1-based rows.
 
     Terms are summed per evaluation class (see `_classes`), and only the
     classes with a nonzero sum and a surviving start row build monomials:
@@ -198,7 +172,7 @@ def evaluate(grading: Grading, f: FreePoly) -> GenericMatrix:
             mask &= mask - 1
             mono = _chain_monomial(letters, [table[k] for table in tables])
             entries.setdefault((k, end_table[k]), {})[mono] = coeff
-    return GenericMatrix(f.field, grading.n, {pos: Poly(f.field, t) for pos, t in entries.items()})
+    return {pos: Poly(f.field, t) for pos, t in entries.items()}
 
 
 def is_graded_identity(grading: Grading, f: FreePoly) -> bool:
@@ -209,33 +183,3 @@ def is_graded_identity(grading: Grading, f: FreePoly) -> bool:
     """
     return not any(survivors(grading, key) for key in _classes(grading, f))
 
-
-def letter_matching(grading: Grading, m: Word, n: Word) -> Optional[tuple[int, ...]]:
-    """The letter matching of two words that share an evaluation entry.
-
-    Returns sigma with `sigma[l-1]` the 1-based position in m of n's l-th
-    letter, or None when the evaluations share no entry.  With a distinct
-    tuple two nonempty word evaluations are either equal or disjoint, and
-    they are equal exactly when the words have one signature; the chain
-    from start row k carries the pair (w_i, d_i) on the row of g_k * d_i,
-    so the matching pairs equal (letter, prefix degree) pairs.  When
-    repeated letters admit several matchings, the lexicographically least
-    one is returned.
-    """
-    if not m or not n:
-        raise ValueError("degree sequence must be nonempty")
-    group = grading.group
-    check_letters(group, (m, n))
-    if len(m) != len(n):
-        return None
-    pairs_m, end = prefix_pairs(group, m)
-    pairs_n, end_n = prefix_pairs(group, n)
-    key = (tuple(sorted(pairs_m)), end)
-    if key != (tuple(sorted(pairs_n)), end_n) or not survivors(grading, key):
-        return None
-    # n's l-th letter takes the least unused m-position with the same pair;
-    # greedy least choice is lexicographically least.
-    slots: dict[tuple, list[int]] = {}
-    for a in range(len(m), 0, -1):
-        slots.setdefault(pairs_m[a - 1], []).append(a)
-    return tuple(slots[pair].pop() for pair in pairs_n)

@@ -46,7 +46,6 @@ from .freealg import (
     degree_sequence,
     format_polynomial,
     format_word,
-    is_multihomogeneous,
     multihomogeneous_components,
     parse_polynomial,
     parse_word,
@@ -55,8 +54,6 @@ from .freealg import (
 from .generic import (
     check_letters,
     evaluate,
-    letter_matching,
-    prefix_pairs,
     require_distinct,
     signatures,
     survivors,
@@ -243,27 +240,29 @@ def _alignment_step(
 def derive_equivalence(grading: Grading, m: Word, n: Word) -> EquivalenceCertificate:
     """Derive a certificate from n to m.
 
-    Requires a shared nonzero entry (and a distinct-entry grading).  The
-    derivation aligns one letter at a time: read the letter matching of
-    the unaligned suffixes from their (letter, prefix degree) pairs, rotate
-    whichever side the matching dictates so the leading letters agree, and
-    strip.  Rotations applied to the m side are appended to the certificate
-    inverted, so the replay runs n to m.  `certify_membership` runs the
-    same alignment without the precheck: its pairs have equal signatures
-    and validated letters.
+    Requires a shared nonzero entry (and a distinct-entry grading): equal
+    signatures with a surviving start row.  The derivation aligns one
+    letter at a time: read the letter matching of the unaligned suffixes
+    from their (letter, prefix degree) pairs, rotate whichever side the
+    matching dictates so the leading letters agree, and strip.  Rotations
+    applied to the m side are appended to the certificate inverted, so the
+    replay runs n to m.  `certify_membership` runs the same alignment
+    without the precheck: its pairs have equal surviving signatures.
     """
     require_distinct(grading)
     m, n = tuple(m), tuple(n)
-    if letter_matching(grading, m, n) is None:
+    degrees: list[list] = []
+    key_m, key_n = signatures(grading, (m, n), degrees)
+    if key_m != key_n or not survivors(grading, key_m):
         raise ValueError("words do not share a nonzero entry; no derivation exists")
-    (pm, em), (pn, en) = prefix_pairs(grading.group, m), prefix_pairs(grading.group, n)
-    return _align(m, n, [d for _, d in pm] + [em], [d for _, d in pn] + [en])
+    return _align(m, n, *degrees)
 
 
 def _align(m: Word, n: Word, dm: list, dn: list) -> EquivalenceCertificate:
     """The alignment loop of `derive_equivalence`, for words with validated
     letters that share an entry, and their prefix degrees.  The words agree
-    before p, so whole-word degrees match the suffixes as `letter_matching` does."""
+    before p, so their suffixes carry equal (letter, prefix degree) pairs;
+    each of n's letters takes the least unused m-position of its pair."""
     m_cur, n_cur = m, n
     m_steps: list[RewriteStep] = []
     n_steps: list[RewriteStep] = []
@@ -358,25 +357,27 @@ def certify_membership(
     Terms left at the end vanish individually and are recorded with their
     reason.
 
-    Each term's signature is computed once.  Terms with no surviving
-    start row vanish on their own and are left for the residual; the
-    others are grouped by signature, which gives the classes of their
-    nonempty evaluations.  The zero test sums coefficients per class, and
-    a nonzero sum takes its witness from `evaluate`.  Terms keep the ids
-    of their sorted order; the target is the next live id in a class and
-    the source the next id of that class.  Pairings record ranks among
-    the live ids, and coefficients are kept by id until the residual is
-    built at the end.
+    Each term's signature is computed once.  A signature's sorted pairs
+    list its word's sorted letters, so f is multihomogeneous exactly when
+    all signatures give one letter tuple.  Terms with no surviving start
+    row vanish on their own and are left for the residual; the others are
+    grouped by signature, which gives the classes of their nonempty
+    evaluations.  The zero test sums coefficients per class, and a nonzero
+    sum takes its witness at the row-major first entry of `evaluate`.
+    Terms keep the ids of their sorted order; the target is the next live
+    id in a class and the source the next id of that class.  Pairings
+    record ranks among the live ids, and coefficients are kept by id until
+    the residual is built at the end.
     """
     require_distinct(grading)
-    if not is_multihomogeneous(f):
-        raise ValueError("input must be multihomogeneous; decompose first")
     field = f.field
     terms = f.sorted_terms()
     words = [word for word, _ in terms]
     coeffs = [coeff for _, coeff in terms]
     degrees: list[list] = []
     keys = signatures(grading, words, degrees)
+    if len({tuple([v for v, _ in pairs]) for pairs, _ in keys}) > 1:
+        raise ValueError("input must be multihomogeneous; decompose first")
     alive = {key for key in set(keys) if survivors(grading, key)}
     classes: dict = {}  # surviving signature -> its live ids, ascending
     sums: dict = {}
@@ -385,7 +386,7 @@ def certify_membership(
             classes.setdefault(key, deque()).append(tid)
             accumulate(field, sums, key, coeffs[tid])
     if sums:
-        position, entry = evaluate(grading, f).first_nonzero()
+        position, entry = min(evaluate(grading, f).items())  # positions are distinct
         return NonIdentityWitness(position=position, entry=entry)
 
     live = list(range(len(words)))

@@ -40,11 +40,10 @@ from matident.freealg import (
     MUL_PATTERN,
     ParseError,
     Word,
-    is_multihomogeneous,
     multidegree,
     word_degree,
 )
-from matident.generic import GenericMatrix, evaluate, require_distinct, word_product_closed
+from matident.generic import evaluate, require_distinct, word_product_closed
 from matident.rewrite import (
     CONJUGATE_SWAP,
     JUSTIFY_EMPTY_LSET,
@@ -139,6 +138,11 @@ def field_mul(field, a, b):
     return a * b % field.p if field.characteristic else a * b
 
 
+def is_multihomogeneous(f: FreePoly) -> bool:
+    """True when all terms share the same per-variable occurrence counts."""
+    return len({multidegree(w) for w in f.terms}) <= 1
+
+
 def is_multilinear(f: FreePoly) -> bool:
     """True when every term is a permutation of one common variable set.
 
@@ -174,10 +178,21 @@ def entry_product(p: Poly, q: Poly) -> Poly:
     return Poly(f, terms)
 
 
-class OracleMatrix(GenericMatrix):
-    """A generic matrix with the ring operations of the direct-product oracle."""
+class OracleMatrix:
+    """An n x n matrix of polynomials (1-based positions, zero entries
+    dropped) with the ring operations of the direct-product oracle."""
 
-    __slots__ = ()
+    __slots__ = ("field", "n", "entries")
+
+    def __init__(self, field: Field, n: int, entries: dict):
+        self.field = field
+        self.n = n
+        self.entries = {pos: p for pos, p in entries.items() if not p.is_zero()}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OracleMatrix):
+            return NotImplemented
+        return (self.field, self.n, self.entries) == (other.field, other.n, other.entries)
 
     @classmethod
     def zero(cls, field, n: int) -> "OracleMatrix":
@@ -258,20 +273,18 @@ def closed_matrix(grading: Grading, field, word) -> OracleMatrix:
     )
 
 
-def sum_evaluations(
-    field: Field, n: int, weighted: Iterable[tuple[dict, Coefficient]]
-) -> GenericMatrix:
+def sum_evaluations(field: Field, weighted: Iterable[tuple[dict, Coefficient]]) -> dict:
     """Add each coefficient at every monomial of its word evaluation.
 
     `weighted` yields (word_product_closed map, coefficient) pairs; the
-    result is the n x n generic matrix of their sum, the chain-path form
-    of `evaluate`.
+    result is the nonzero entries of their sum, the chain-path form of
+    `evaluate`.
     """
     acc: dict = {}
     for entries, coeff in weighted:
         for pos, mono in entries.items():
             accumulate(field, acc.setdefault(pos, {}), mono, coeff)
-    return GenericMatrix(field, n, {pos: Poly(field, t) for pos, t in acc.items()})
+    return {pos: Poly(field, t) for pos, t in acc.items() if t}
 
 
 def evaluate_direct(grading: Grading, f: FreePoly) -> OracleMatrix:
@@ -503,9 +516,9 @@ def certify_membership_linear(grading: Grading, f: FreePoly):
     target) and calls `matching_entry` on every later term until one shares
     an entry (the source).  The oracle for the indexed loop."""
     total = evaluate(grading, f)
-    if not total.is_zero():
-        position, entry = total.first_nonzero()
-        return NonIdentityWitness(position=position, entry=entry)
+    if total:
+        position = min(total)
+        return NonIdentityWitness(position=position, entry=total[position])
     work = f.sorted_terms()
     pairings = []
     while True:

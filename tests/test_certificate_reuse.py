@@ -2,10 +2,11 @@
 
 Reading a bundle parses each polynomial text once and reads every word
 text that is a term's factor text from the parsed term; the membership
-checker evaluates each distinct term word once per certificate; certify's
-derivations skip `letter_matching`, whose letters `signatures` validated,
-and compute each term's prefix degrees once; writing a bundle formats each
-distinct word once.  Counters wrap the names `rewrite` calls, so each test
+checker evaluates each distinct term word once per certificate; certify
+makes one `signatures` pass, which also decides multihomogeneity, and
+its derivations skip `derive_equivalence`'s precheck and compute each
+term's prefix degrees once; writing a bundle formats each distinct word
+once.  Counters wrap the names `rewrite` calls, so each test
 also shows which calls a path makes.
 """
 
@@ -124,14 +125,31 @@ def test_check_evaluates_each_term_word_once(monkeypatch, name, seed):
 
 @pytest.mark.parametrize("name,seed", CASES)
 def test_certify_makes_no_letter_matching_call(monkeypatch, name, seed):
+    """Each pairing's letter matching is read inside `_align`, never through
+    `derive_equivalence`, whose precheck would recompute the signatures."""
     grading = GRADINGS[name]
-    calls = [_counting(monkeypatch, module, "letter_matching") for module in (rewrite, generic)]
+    calls = _counting(monkeypatch, rewrite, "derive_equivalence", arg=1)
     pairings = 0
     for component in multihomogeneous_components(_identity(grading, seed)):
         cert = certify_membership(grading, component)
         assert isinstance(cert, MembershipCertificate)
         pairings += len(cert.pairings)
-    assert pairings and calls == [[], []]
+    assert pairings and calls == []
+
+
+@pytest.mark.parametrize("name,seed", CASES)
+def test_certify_makes_one_signatures_pass(monkeypatch, name, seed):
+    """The multihomogeneity check reads the signatures, so certify on an
+    identity builds no multidegree."""
+    grading = GRADINGS[name]
+    components = multihomogeneous_components(_identity(grading, seed))
+    passes = _counting(monkeypatch, rewrite, "signatures", arg=1)
+    multidegrees = _counting(monkeypatch, freealg, "multidegree")
+    for component in components:
+        passes.clear()
+        assert isinstance(certify_membership(grading, component), MembershipCertificate)
+        assert [sorted(words) for words in passes] == [sorted(component.terms)]
+    assert multidegrees == []
 
 
 @pytest.mark.parametrize("name,seed", CASES)

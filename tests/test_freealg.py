@@ -14,7 +14,6 @@ from matident.freealg import (
     degree_sequence,
     format_polynomial,
     format_word,
-    is_multihomogeneous,
     multidegree,
     multihomogeneous_components,
     parse_polynomial,
@@ -24,6 +23,7 @@ from matident.freealg import (
 
 from helpers import (
     free_poly,
+    is_multihomogeneous,
     is_multilinear,
     parse_polynomial_stepwise,
     poly_sum,

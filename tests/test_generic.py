@@ -22,9 +22,11 @@ from matident.freealg import parse_polynomial, parse_word, word_degree
 from matident.generic import (
     evaluate,
     is_graded_identity,
-    letter_matching,
+    signatures,
+    survivors,
     word_product_closed,
 )
+from matident.rewrite import NonIdentityWitness, certify_membership
 
 from helpers import (
     alpha_checks,
@@ -68,13 +70,20 @@ def term(*vars_):
     return Poly(RATIONALS, {mono(*vars_): RATIONALS.one})
 
 
+def shares_entry(grading, m, n) -> bool:
+    """The engine's shared-entry predicate, as `derive_equivalence` and
+    certify read it: equal signatures with a surviving start row."""
+    key_m, key_n = signatures(grading, (m, n))
+    return key_m == key_n and bool(survivors(grading, key_m))
+
+
 def test_generic_matrix_examples():
     a = generic_matrix(GR_Z2, RATIONALS, 1, 1)
     assert set(a.entries) == {(1, 2), (2, 1)}
     assert a.entries[(1, 2)] == term(YVar(1, 1, 1))
     assert a.entries[(2, 1)] == term(YVar(1, 1, 2))
 
-    assert generic_matrix(GR_Z4, RATIONALS, 2, 1).is_zero()
+    assert not generic_matrix(GR_Z4, RATIONALS, 2, 1).entries
 
     b = generic_matrix(GR_Z4, RATIONALS, 1, 1)
     assert set(b.entries) == {(1, 2)}
@@ -96,10 +105,10 @@ def test_single_letter_equals_generic_matrix():
 
 def test_monomial_identity_word_evaluates_to_zero():
     w = parse_word("x[1;1]*x[1;2]", Z4)
-    assert word_product_direct(GR_Z4, RATIONALS, w).is_zero()
+    assert not word_product_direct(GR_Z4, RATIONALS, w).entries
     assert word_product_closed(GR_Z4, w) == {}
     # one signature, but no entry to share
-    assert letter_matching(GR_Z4, w, w) is None
+    assert not shares_entry(GR_Z4, w, w)
 
 
 def test_closed_form_entry_example():
@@ -128,13 +137,13 @@ def test_closed_equals_direct_over_prime_field():
 
 def test_evaluate_linearity_and_identity_instance():
     f = parse_polynomial("x[0;1]*x[0;2] - x[0;2]*x[0;1]", Z2, RATIONALS)
-    assert evaluate(GR_Z2, f).is_zero()
+    assert evaluate(GR_Z2, f) == {}
 
     g = parse_polynomial("x[1;1]", Z2, RATIONALS)
-    assert not evaluate(GR_Z2, g).is_zero()
+    assert evaluate(GR_Z2, g)
 
     h = parse_polynomial("x[1;1]*x[1;2] - x[1;1]*x[1;2]", Z2, RATIONALS)
-    assert h.is_zero() and evaluate(GR_Z2, h).is_zero()
+    assert h.is_zero() and evaluate(GR_Z2, h) == {}
 
 
 def test_evaluate_rejects_empty_word_terms():
@@ -228,27 +237,8 @@ def test_matching_entry_of_first_letter_strips():
         for _ in range(15):
             m = random_swappable_word(rng, grading)
             n = (m[0],) + random_rewrite_variant(rng, grading, m[1:])
-            assert letter_matching(grading, m, n) is not None
-            assert letter_matching(grading, m[1:], n[1:]) is not None
-
-
-def test_matching_entry_agrees_with_compared_evaluations():
-    # the engine's letter matching exists exactly when the two evaluations
-    # share an entry, and equals the oracle's matching at the first one
-    rng = random.Random(556)
-    for grading in FACT_GRADINGS:
-        for _ in range(40):
-            m = random_swappable_word(rng, grading, index_pool=3)
-            n = rng.choice(
-                [
-                    tuple(rng.sample(m, len(m))),
-                    random_rewrite_variant(rng, grading, m),
-                    random_word(rng, grading, len(m), index_pool=3),
-                ]
-            )
-            want = matching_entry(grading, m, n)
-            sigma = letter_matching(grading, m, n)
-            assert sigma == (want and matching_permutation(grading, m, n, want.position))
+            assert shares_entry(grading, m, n)
+            assert shares_entry(grading, m[1:], n[1:])
 
 
 @settings(max_examples=300, deadline=None)
@@ -259,7 +249,7 @@ def test_matching_entry_agrees_with_compared_evaluations():
 )
 def test_shared_entry_means_equal_evaluations(seed, which, kind):
     # with a distinct tuple, two word evaluations that share one entry are
-    # equal, and the letter matching exists exactly then
+    # equal, and they share one exactly when the signatures are equal and survive
     rng = random.Random(seed)
     grading = FACT_GRADINGS[which]
     m = random_swappable_word(rng, grading, index_pool=3)
@@ -274,7 +264,7 @@ def test_shared_entry_means_equal_evaluations(seed, which, kind):
     shared = any(em[pos] == en[pos] for pos in em.keys() & en.keys())
     if shared:
         assert em == en
-    assert (letter_matching(grading, m, n) is not None) == shared
+    assert shares_entry(grading, m, n) == shared
 
 
 ORACLE_GRADINGS = FACT_GRADINGS + [
@@ -331,10 +321,10 @@ def test_evaluate_agrees_with_independent_oracles(seed, which, field):
     f = free_poly(field, *terms.items())
 
     got = evaluate(grading, f)
-    assert got == evaluate_direct(grading, f)
+    assert got == evaluate_direct(grading, f).entries
     chains = ((word_product_closed(grading, w), c) for w, c in f.terms.items())
-    assert got == sum_evaluations(field, grading.n, chains)
-    assert is_graded_identity(grading, f) == got.is_zero()
+    assert got == sum_evaluations(field, chains)
+    assert is_graded_identity(grading, f) == (not got)
 
 
 def test_matching_permutation_four_letter_example():
@@ -378,6 +368,32 @@ def test_matching_permutation_with_repeated_letters():
 
 def test_first_nonzero_is_row_major():
     m = evaluate(GR_Z2, parse_polynomial("x[1;2] + x[0;1]", Z2, RATIONALS))
-    pos, poly = m.first_nonzero()
-    assert pos == (1, 1)
-    assert poly == term(YVar(0, 1, 1))
+    assert min(m) == (1, 1)
+    assert m[(1, 1)] == term(YVar(0, 1, 1))
+    # certify's witness is the row-major first entry of the evaluation
+    f = parse_polynomial("x[1;1]*x[1;2] - x[1;2]*x[1;1]", Z2, RATIONALS)
+    assert sorted(evaluate(GR_Z2, f)) == [(1, 1), (2, 2)]
+    witness = certify_membership(GR_Z2, f)
+    assert witness == NonIdentityWitness((1, 1), evaluate(GR_Z2, f)[(1, 1)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    which=st.integers(0, len(suite_gradings()) - 1),
+    field=st.sampled_from([RATIONALS, PrimeField(2), PrimeField(3)]),
+)
+def test_evaluate_returns_only_nonzero_entries(seed, which, field):
+    # rewrite variants with coefficients that cancel over some fields, so
+    # some classes, and the entries they would fill, sum to zero
+    rng = random.Random(seed)
+    grading = suite_gradings()[which]
+    terms: dict = {}
+    for _ in range(rng.randint(1, 3)):
+        base = random_swappable_word(rng, grading, index_pool=3)
+        for word in (base, random_rewrite_variant(rng, grading, base)):
+            terms[word] = terms.get(word, 0) + rng.choice((-2, -1, 1, 2))
+    f = free_poly(field, *terms.items())
+    got = evaluate(grading, f)
+    assert not any(entry.is_zero() for entry in got.values())
+    assert got == evaluate_direct(grading, f).entries

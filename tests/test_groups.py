@@ -15,7 +15,7 @@ from matident import (
     validate_cayley,
 )
 from matident.freealg import GVar, format_word, parse_polynomial, parse_word
-from matident.generic import evaluate, is_graded_identity, letter_matching
+from matident.generic import evaluate, is_graded_identity
 from matident.rewrite import (
     NEUTRAL_SWAP,
     EquivalenceCertificate,
@@ -211,8 +211,9 @@ def test_membership_checks():
 
 def test_arithmetic_is_validated_only_at_the_boundary(monkeypatch):
     # Z8xZ8 with every element in the tuple: the n entries are checked when
-    # the grading is built and each distinct letter once when the decision
-    # reads it; the step tables' n group operations per degree check nothing.
+    # the grading is built and each distinct degree object once when the
+    # decision reads it; the step tables' n group operations per degree
+    # check nothing.
     group = ProductGroup([CyclicGroup(8), CyclicGroup(8)])
     rng = random.Random(64)
     elements = list(group.elements())
@@ -223,9 +224,10 @@ def test_arithmetic_is_validated_only_at_the_boundary(monkeypatch):
             for length in (1, 5, 16, 64)
         ],
     )
-    # the parser makes one object per distinct letter: 3 letters, 8 occurrences
+    # the parser makes one degree object per distinct literal: 3 literals,
+    # 4 letters, 8 occurrences
     parsed = parse_polynomial(
-        "x[(1,2);1]*x[(3,4);2]*x[(1,2);1] + 2*x[(3,4);2]*x[(1,2);1]*x[(1,2);1]"
+        "x[(1,2);1]*x[(3,4);2]*x[(1,2);1] + 2*x[(3,4);2]*x[(1,2);2]*x[(1,2);1]"
         " - x[(0,5);3]*x[(3,4);2]",
         group,
         RATIONALS,
@@ -245,18 +247,23 @@ def test_arithmetic_is_validated_only_at_the_boundary(monkeypatch):
         if len(derive_equivalence(grading, m, n).steps) >= 2:
             break
 
+    def degrees(words) -> int:
+        return len({id(v.degree) for word in words for v in word})
+
+    assert degrees(built.terms) < sum(len(word) for word in built.terms)
+    assert len({v for word in parsed.terms for v in word}) == 4
     monkeypatch.setattr(Group, "check", counted)
-    for f, letters in ((built, sum(len(word) for word in built.terms)), (parsed, 3)):
+    for f, checked in ((built, degrees(built.terms)), (parsed, 3)):
         calls.clear()
         grading = Grading(group, 64, elements)
         assert len(calls) == 64
         assert not is_graded_identity(grading, f)
-        assert len(calls) == 64 + letters
-    # the derivation checks each distinct letter once, in its first
-    # matching, and trusts them in every later alignment step
+        assert len(calls) == 64 + checked
+    # the derivation checks each distinct degree once, in its precheck,
+    # and trusts them in every alignment step
     calls.clear()
     derive_equivalence(grading, m, n)
-    assert len(calls) == len({id(v) for v in m + n})
+    assert len(calls) == degrees((m, n))
 
 
 @pytest.mark.parametrize(
@@ -276,7 +283,7 @@ def test_letters_equal_to_an_element_are_still_checked(grading, a, b):
         with pytest.raises(ValueError, match="is not an element"):
             query(grading, f)
     with pytest.raises(ValueError, match="is not an element"):
-        letter_matching(grading, word, word)
+        derive_equivalence(grading, word, word)
     # the checkers validate the letters before a step runs group
     # arithmetic on them, even a step that does not apply
     outside = RewriteStep(NEUTRAL_SWAP, (0, 1, 3))

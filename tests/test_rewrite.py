@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matident import (
     CyclicGroup,
@@ -43,6 +45,7 @@ from matident.rewrite import (
 from helpers import (
     evaluate_direct,
     free_poly,
+    is_multihomogeneous,
     random_rewrite_variant,
     random_swappable_word,
     s3_group,
@@ -243,6 +246,35 @@ def test_certify_requires_multihomogeneous():
     f = parse_polynomial("x[0;1] + x[0;1]*x[0;2]", Z2, RATIONALS)
     with pytest.raises(ValueError, match="multihomogeneous"):
         certify_membership(GR_Z2, f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    which=st.integers(0, len(suite_gradings()) - 1),
+    mixed=st.booleans(),
+)
+def test_certify_refuses_exactly_the_inputs_the_oracle_calls_mixed(seed, which, mixed):
+    # permutations of one word are multihomogeneous; a second word of the
+    # same length over few letters may or may not share its multidegree
+    rng = random.Random(seed)
+    grading = suite_gradings()[which]
+    support = grading.support()
+
+    def word(length):
+        return tuple(GVar(rng.choice(support), rng.randint(1, 2)) for _ in range(length))
+
+    base = word(rng.randint(1, 4))
+    words = [base] + [tuple(rng.sample(base, len(base))) for _ in range(rng.randint(0, 2))]
+    if mixed:
+        words.append(word(rng.choice((len(base), rng.randint(1, 4)))))
+    f = free_poly(RATIONALS, *((w, rng.choice((-2, -1, 1, 2))) for w in words))
+    if is_multihomogeneous(f):
+        assert isinstance(certify_membership(grading, f), (MembershipCertificate, NonIdentityWitness))
+    else:
+        with pytest.raises(ValueError) as exc:
+            certify_membership(grading, f)
+        assert str(exc.value) == "input must be multihomogeneous; decompose first"
 
 
 def test_certify_zero_polynomial():
