@@ -68,11 +68,13 @@ class FreePoly(SparsePoly):
 
 
 def multihomogeneous_components(f: FreePoly) -> list[FreePoly]:
-    """Partition terms by multidegree; components sum back to the input."""
+    """Partition terms by their sorted letters, which fix the multidegree,
+    and order the parts by multidegree; components sum back to the input."""
     buckets: dict[tuple, dict] = {}
     for word, c in f.terms.items():
-        buckets.setdefault(multidegree(word), {})[word] = c
-    return [FreePoly(f.field, terms) for _, terms in sorted(buckets.items())]
+        buckets.setdefault(tuple(sorted(word)), {})[word] = c
+    ordered = sorted(buckets.values(), key=lambda terms: multidegree(next(iter(terms))))
+    return [FreePoly(f.field, terms) for terms in ordered]
 
 
 # ---------------------------------------------------------------------------

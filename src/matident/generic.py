@@ -26,10 +26,11 @@ nonzero entries, as a {(row, col): polynomial} map.  This is the path
 argument behind the bases of Vasilovsky (Proc. AMS 127, 1999) and
 Bahturin-Drensky (Linear Algebra Appl. 357, 2002).
 
-Every producer reads signatures (`prefix_pairs`, `signatures`,
-`survivors`): eval, is-identity, certify and equiv, where two words share
-an entry exactly when their signatures are equal and survive.
-Derivations carry each word's prefix degrees from `signatures` and move
+Every producer reads signatures (`signatures` from `prefix_degrees`, and
+`survivors`): eval, is-identity, certify, which reads a non-identity's
+witness from its class sums (`_entries`), and equiv, where two words
+share an entry exactly when their signatures are equal and survive.
+Derivations take each word's prefix degrees from `signatures` and move
 them with the letters, since both swap rules keep them.  Only the
 certificate checkers walk chains, independent of the signature argument:
 `word_product_closed` gives one monomial, with coefficient 1, at (start
@@ -39,10 +40,10 @@ oracle that checks all of this is in `tests/helpers.py`.
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Collection, Iterable, Sequence
 
-from .commpoly import Coefficient, Monomial, Poly, YVar, accumulate
-from .freealg import FreePoly, GVar, Word, degree_sequence
+from .commpoly import Coefficient, Field, Monomial, Poly, YVar, accumulate
+from .freealg import FreePoly, Word, degree_sequence
 from .grading import Grading
 from .groups import Element, Group
 
@@ -96,45 +97,36 @@ def check_letters(group: Group, words: Iterable[Word]) -> None:
         group.check(d)
 
 
-def prefix_pairs(group: Group, word: Word) -> tuple[list[tuple[GVar, Element]], Element]:
-    """A word's (letter, prefix degree) pairs in word order, and its end degree.
-
-    The prefix degrees are d_1 = e and d_{i+1} = d_i * deg(w_i), and the
-    end degree is d_{q+1}.  Sorted, the pairs with the end degree are the
-    word's signature.  Trusts its letters (see `check_letters`).
-    """
+def prefix_degrees(group: Group, word: Word) -> list[Element]:
+    """A word's prefix degrees d_1 = e, d_{i+1} = d_i * deg(w_i), through
+    its end degree d_{q+1}.  Trusts its letters (see `check_letters`)."""
     op = group.op
-    d = group.identity()
-    pairs = []
+    degrees = [group.identity()]
     for v in word:
-        pairs.append((v, d))
-        d = op(d, v.degree)
-    return pairs, d
+        degrees.append(op(degrees[-1], v.degree))
+    return degrees
 
 
-def signatures(grading: Grading, words: Collection[Word], _degrees: Optional[list] = None) -> list:
-    """Each word's signature: its sorted (letter, prefix degree) pairs and
-    its end degree.  Refuses the empty word; each letter degree is
-    validated once.  `_degrees`, when given, receives each word's list
-    d_1..d_{q+1}."""
+def signatures(grading: Grading, words: Collection[Word]) -> list[tuple[tuple, list[Element]]]:
+    """Each word's signature, its sorted (letter, prefix degree) pairs and
+    its end degree, with the word's `prefix_degrees`.  Refuses the empty
+    word; each letter degree is validated once."""
     if () in words:
         raise ValueError("polynomial has a term with the empty word")
     group = grading.group
     check_letters(group, words)
-    keys = []
+    out = []
     for word in words:
-        pairs, end = prefix_pairs(group, word)
-        keys.append((tuple(sorted(pairs)), end))
-        if _degrees is not None:
-            _degrees.append([d for _, d in pairs] + [end])
-    return keys
+        d = prefix_degrees(group, word)
+        out.append(((tuple(sorted(zip(word, d))), d[-1]), d))
+    return out
 
 
 def _classes(grading: Grading, f: FreePoly) -> dict[tuple, Coefficient]:
     """Coefficient sums of f's terms per signature, zero sums dropped."""
     require_distinct(grading)
     classes: dict = {}
-    for key, coeff in zip(signatures(grading, f.terms), f.terms.values()):
+    for (key, _), coeff in zip(signatures(grading, f.terms), f.terms.values()):
         accumulate(f.field, classes, key, coeff)
     return classes
 
@@ -158,8 +150,13 @@ def evaluate(grading: Grading, f: FreePoly) -> dict[tuple[int, int], Poly]:
     other tuples a generic matrix needs more than one variable per row, so
     they raise DistinctTupleError.
     """
+    return _entries(grading, f.field, _classes(grading, f))
+
+
+def _entries(grading: Grading, field: Field, classes: dict) -> dict[tuple[int, int], Poly]:
+    """`evaluate`'s entries from the coefficient sum of each signature class."""
     entries: dict = {}
-    for key, coeff in _classes(grading, f).items():
+    for key, coeff in classes.items():
         mask = survivors(grading, key)
         if not mask:
             continue
@@ -172,7 +169,7 @@ def evaluate(grading: Grading, f: FreePoly) -> dict[tuple[int, int], Poly]:
             mask &= mask - 1
             mono = _chain_monomial(letters, [table[k] for table in tables])
             entries.setdefault((k, end_table[k]), {})[mono] = coeff
-    return {pos: Poly(f.field, t) for pos, t in entries.items()}
+    return {pos: Poly(field, t) for pos, t in entries.items()}
 
 
 def is_graded_identity(grading: Grading, f: FreePoly) -> bool:

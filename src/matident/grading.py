@@ -71,8 +71,8 @@ class Grading:
 
     def __init__(self, group: Group, n: int, entries: Sequence[Element]) -> None:
         entries = tuple(entries)
-        if n < 1:
-            raise ValueError(f"matrix size must be >= 1, got {n}")
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"matrix size must be an integer >= 1, got {n!r}")
         if len(entries) != n:
             raise ValueError(f"grading tuple has {len(entries)} entries, expected {n}")
         for e in entries:

@@ -22,8 +22,8 @@ Certifying groups the terms by signature (see `generic`): with a
 distinct tuple two nonempty evaluations are equal exactly when the
 signatures are, and otherwise share no entry, so every pairing is found
 by lookup in its class, and certify cost is linear in the term count
-plus the derivations.  These skip the validation `signatures` has done
-and take each word's prefix degrees from it: a swap keeps every letter's
+plus the derivations, which skip the validation `signatures` has done and
+take each word's prefix degrees from it: a swap keeps every letter's
 prefix degree, so the degrees move with their letters (`_swap`) and no
 alignment step makes a group operation.
 Only the checkers walk chains: they compare end evaluations with
@@ -52,8 +52,8 @@ from .freealg import (
     word_degree,
 )
 from .generic import (
+    _entries,
     check_letters,
-    evaluate,
     require_distinct,
     signatures,
     survivors,
@@ -251,11 +251,10 @@ def derive_equivalence(grading: Grading, m: Word, n: Word) -> EquivalenceCertifi
     """
     require_distinct(grading)
     m, n = tuple(m), tuple(n)
-    degrees: list[list] = []
-    key_m, key_n = signatures(grading, (m, n), degrees)
+    (key_m, dm), (key_n, dn) = signatures(grading, (m, n))
     if key_m != key_n or not survivors(grading, key_m):
         raise ValueError("words do not share a nonzero entry; no derivation exists")
-    return _align(m, n, *degrees)
+    return _align(m, n, dm, dn)
 
 
 def _align(m: Word, n: Word, dm: list, dn: list) -> EquivalenceCertificate:
@@ -357,13 +356,14 @@ def certify_membership(
     Terms left at the end vanish individually and are recorded with their
     reason.
 
-    Each term's signature is computed once.  A signature's sorted pairs
-    list its word's sorted letters, so f is multihomogeneous exactly when
-    all signatures give one letter tuple.  Terms with no surviving start
-    row vanish on their own and are left for the residual; the others are
-    grouped by signature, which gives the classes of their nonempty
-    evaluations.  The zero test sums coefficients per class, and a nonzero
-    sum takes its witness at the row-major first entry of `evaluate`.
+    Each term's prefix degrees and signature are computed once.  A
+    signature's sorted pairs list its word's sorted letters, so f is
+    multihomogeneous exactly when all signatures give one letter tuple.
+    Terms with no surviving start row vanish on their own and are left for
+    the residual; the others are grouped by signature, which gives the
+    classes of their nonempty evaluations.  The zero test sums coefficients
+    per class, and a nonzero sum takes its witness at the row-major first
+    entry of the evaluation those sums give (`_entries`, as in `evaluate`).
     Terms keep the ids of their sorted order; the target is the next live
     id in a class and the source the next id of that class.  Pairings
     record ranks among the live ids, and coefficients are kept by id until
@@ -374,8 +374,8 @@ def certify_membership(
     terms = f.sorted_terms()
     words = [word for word, _ in terms]
     coeffs = [coeff for _, coeff in terms]
-    degrees: list[list] = []
-    keys = signatures(grading, words, degrees)
+    sigs = signatures(grading, words)
+    keys = [key for key, _ in sigs]
     if len({tuple([v for v, _ in pairs]) for pairs, _ in keys}) > 1:
         raise ValueError("input must be multihomogeneous; decompose first")
     alive = {key for key in set(keys) if survivors(grading, key)}
@@ -386,7 +386,7 @@ def certify_membership(
             classes.setdefault(key, deque()).append(tid)
             accumulate(field, sums, key, coeffs[tid])
     if sums:
-        position, entry = min(evaluate(grading, f).items())  # positions are distinct
+        position, entry = min(_entries(grading, field, sums).items())  # positions are distinct
         return NonIdentityWitness(position=position, entry=entry)
 
     live = list(range(len(words)))
@@ -398,7 +398,7 @@ def certify_membership(
                 raise AssertionError("zero sum with an uncancellable term")
             source = ids[1]
             rt, rs = bisect_left(live, target), bisect_left(live, source)
-            cert = _align(words[target], words[source], degrees[target], degrees[source])
+            cert = _align(words[target], words[source], sigs[target][1], sigs[source][1])
             pairings.append(Pairing(target=rt, source=rs, certificate=cert))
             del ids[1], live[rs]
             coeffs[target] = field.add(coeffs[target], coeffs[source])

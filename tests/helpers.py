@@ -143,6 +143,15 @@ def is_multihomogeneous(f: FreePoly) -> bool:
     return len({multidegree(w) for w in f.terms}) <= 1
 
 
+def multidegree_components(f: FreePoly) -> list[FreePoly]:
+    """Oracle for `multihomogeneous_components`: one bucket per term
+    `multidegree`, listed in multidegree order."""
+    buckets: dict[tuple, dict] = {}
+    for word, c in f.terms.items():
+        buckets.setdefault(multidegree(word), {})[word] = c
+    return [FreePoly(f.field, terms) for _, terms in sorted(buckets.items())]
+
+
 def is_multilinear(f: FreePoly) -> bool:
     """True when every term is a permutation of one common variable set.
 

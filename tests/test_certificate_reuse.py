@@ -3,10 +3,10 @@
 Reading a bundle parses each polynomial text once and reads every word
 text that is a term's factor text from the parsed term; the membership
 checker evaluates each distinct term word once per certificate; certify
-makes one `signatures` pass, which also decides multihomogeneity, and
-its derivations skip `derive_equivalence`'s precheck and compute each
-term's prefix degrees once; writing a bundle formats each distinct word
-once.  Counters wrap the names `rewrite` calls, so each test
+makes one `signatures` pass, which also decides multihomogeneity and
+gives a non-identity's witness, and its derivations skip
+`derive_equivalence`'s precheck and compute each term's prefix degrees
+once; writing a bundle formats each distinct word once.  Counters wrap the names `rewrite` calls, so each test
 also shows which calls a path makes.
 """
 
@@ -23,6 +23,7 @@ from matident.freealg import multihomogeneous_components, parse_polynomial
 from matident.rewrite import (
     EquivalenceCertificate,
     MembershipCertificate,
+    NonIdentityWitness,
     Pairing,
     bundle_from_dict,
     bundle_to_dict,
@@ -34,6 +35,7 @@ from matident.rewrite import (
 
 from helpers import (
     check_equivalence_certificate_stepwise,
+    free_poly,
     poly_sum,
     random_identity_component,
     s3_group,
@@ -159,13 +161,30 @@ def test_certify_computes_prefix_degrees_once_per_term(monkeypatch, name, seed):
     grading = GRADINGS[name]
     components = multihomogeneous_components(_identity(grading, seed))
     expected = [certify_membership(grading, c) for c in components]
-    prefix = _counting(monkeypatch, generic, "prefix_pairs", arg=1)
+    prefix = _counting(monkeypatch, generic, "prefix_degrees", arg=1)
     applied = _counting(monkeypatch, rewrite, "apply_step", arg=1)
     degrees = _counting(monkeypatch, rewrite, "word_degree", arg=1)
     assert [certify_membership(grading, c) for c in components] == expected
     assert sum(len(cert.pairings) for cert in expected)
     assert sorted(prefix) == sorted(word for c in components for word in c.terms)
     assert applied == degrees == []
+
+
+@pytest.mark.parametrize("name,seed", CASES)
+def test_certify_witness_computes_prefix_degrees_once_per_term(monkeypatch, name, seed):
+    """On a non-identity component, certify reads its witness from the
+    class sums of its one `signatures` pass, not from a second pass
+    through `evaluate`."""
+    grading = GRADINGS[name]
+    component = multihomogeneous_components(_identity(grading, seed))[0]
+    live = next(w for w in sorted(component.terms) if generic.word_product_closed(grading, w))
+    f = poly_sum(component, free_poly(RATIONALS, (live, 1)))
+    expected = min(generic.evaluate(grading, f).items())
+    prefix = _counting(monkeypatch, generic, "prefix_degrees", arg=1)
+    witness = certify_membership(grading, f)
+    assert isinstance(witness, NonIdentityWitness)
+    assert (witness.position, witness.entry) == expected
+    assert sorted(prefix) == sorted(f.terms)
 
 
 @pytest.mark.parametrize("name,seed", CASES)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matident import CyclicGroup, FreePoly, GVar, IntegerGroup, RATIONALS, PrimeField
+from matident import freealg
 from matident.freealg import (
     ParseError,
     degree_sequence,
@@ -25,9 +26,11 @@ from helpers import (
     free_poly,
     is_multihomogeneous,
     is_multilinear,
+    multidegree_components,
     parse_polynomial_stepwise,
     poly_sum,
     s3_group,
+    suite_gradings,
     z2z2_group,
 )
 
@@ -89,6 +92,59 @@ def test_components_random_resum():
         comps = multihomogeneous_components(f)
         assert all(is_multihomogeneous(comp) for comp in comps)
         assert poly_sum(free_poly(RATIONALS), *comps) == f
+
+
+@st.composite
+def rearranged_polynomials(draw):
+    """Terms that rearrange a few letter multisets over a suite grading's
+    support with indices 1 and 2, so letters repeat within a word and
+    several components share letters."""
+    grading = draw(st.sampled_from(suite_gradings()))
+    letter = st.sampled_from([GVar(h, i) for h in grading.support() for i in (1, 2)])
+    multisets = draw(st.lists(st.lists(letter, min_size=1, max_size=5), min_size=1, max_size=4))
+    terms = []
+    for letters in multisets:
+        for _ in range(draw(st.integers(1, 4))):
+            word = tuple(draw(st.permutations(letters)))
+            terms.append((word, Fraction(draw(st.integers(-3, 3)))))
+    return FreePoly.from_terms(RATIONALS, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rearranged_polynomials())
+def test_components_match_the_multidegree_oracle(f):
+    assert multihomogeneous_components(f) == multidegree_components(f)
+
+
+def test_components_keep_multidegree_order_not_sorted_word_order():
+    # sorted letters put x1*x1*x2 first, multidegree order puts x1*x2*x2 first
+    f = parse_polynomial("x[1;1]*x[1;1]*x[1;2] + x[1;2]*x[1;1]*x[1;2]", Z4, RATIONALS)
+    comps = multihomogeneous_components(f)
+    assert comps == multidegree_components(f)
+    assert [sorted(c.terms) for c in comps] == [
+        [parse_word("x[1;2]*x[1;1]*x[1;2]", Z4)],
+        [parse_word("x[1;1]*x[1;1]*x[1;2]", Z4)],
+    ]
+
+
+def test_components_compute_one_multidegree_each(monkeypatch):
+    calls = []
+    original = freealg.multidegree
+
+    def counting(word):
+        calls.append(word)
+        return original(word)
+
+    monkeypatch.setattr(freealg, "multidegree", counting)
+    f = parse_polynomial(
+        "x[1;1]*x[3;2] - x[3;2]*x[1;1] + 2*x[1;1]*x[1;1]*x[2;1] - x[2;1]*x[1;1]*x[1;1]"
+        " + x[1;1]*x[2;1]*x[1;1] + x[0;1]",
+        Z4,
+        RATIONALS,
+    )
+    comps = multihomogeneous_components(f)
+    assert len(f.terms) == 6 and len(comps) == 3
+    assert len(calls) == len(comps)
 
 
 def test_is_multilinear():

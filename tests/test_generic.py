@@ -73,7 +73,7 @@ def term(*vars_):
 def shares_entry(grading, m, n) -> bool:
     """The engine's shared-entry predicate, as `derive_equivalence` and
     certify read it: equal signatures with a surviving start row."""
-    key_m, key_n = signatures(grading, (m, n))
+    (key_m, _), (key_n, _) = signatures(grading, (m, n))
     return key_m == key_n and bool(survivors(grading, key_m))
 
 

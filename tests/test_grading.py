@@ -231,6 +231,13 @@ def test_grading_constructor_validation():
     assert not Grading(CyclicGroup(2), 3, (0, 0, 1)).is_distinct
 
 
+@pytest.mark.parametrize("n,entries", [(True, (1,)), (2.0, (0, 1)), ("2", (0, 1))])
+def test_grading_refuses_a_non_integer_size(n, entries):
+    # grading_from_config checks 'n' before the tuple with its own message
+    with pytest.raises(ValueError, match="matrix size must be an integer"):
+        Grading(CyclicGroup(4), n, entries)
+
+
 def test_integer_group_grading():
     grading = Grading(IntegerGroup(), 3, (0, 1, 2))
     assert grading.support() == [-2, -1, 0, 1, 2]

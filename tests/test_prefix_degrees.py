@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matident import GVar
-from matident.generic import prefix_pairs
+from matident.freealg import word_degree
+from matident.generic import prefix_degrees
 from matident.rewrite import (
     CONJUGATE_SWAP,
     NEUTRAL_SWAP,
@@ -42,11 +43,6 @@ from helpers import (
 GRADINGS = suite_gradings()
 
 
-def _degrees(group, word) -> list:
-    pairs, end = prefix_pairs(group, word)
-    return [d for _, d in pairs] + [end]
-
-
 def _two_row_walk(rng, grading, length):
     """A row walk between two rows: its blocks alternate between two
     degrees and their inverses, so both swap rules apply often."""
@@ -64,15 +60,24 @@ def _words(rng, grading, count):
         yield _two_row_walk(rng, grading, 7)
 
 
+def test_prefix_degrees_are_the_degrees_of_the_prefixes():
+    rng = random.Random(2019)
+    for grading in GRADINGS + partial_cayley_gradings():
+        group = grading.group
+        for word in _words(rng, grading, 4):
+            expected = [word_degree(group, word[:i]) for i in range(len(word) + 1)]
+            assert prefix_degrees(group, word) == expected
+
+
 def test_swaps_move_prefix_degrees_with_their_letters():
     rng = random.Random(2020)
     swaps = 0
     for grading in GRADINGS + partial_cayley_gradings():
         group = grading.group
         for word in _words(rng, grading, 8):
-            before = _degrees(group, word)
+            before = prefix_degrees(group, word)
             for step in valid_rewrite_steps(group, word):
-                assert _degrees(group, apply_step(group, word, step)) == _swap(before, step)
+                assert prefix_degrees(group, apply_step(group, word, step)) == _swap(before, step)
                 swaps += 1
     assert swaps > 1000
 
@@ -90,7 +95,7 @@ def test_degree_form_accepts_exactly_the_steps_apply_step_accepts():
         group = grading.group
         for _ in range(4):
             for word in (random_word(rng, grading, 5, 2), _two_row_walk(rng, grading, 5)):
-                d = _degrees(group, word)
+                d = prefix_degrees(group, word)
                 for rule, count in ((NEUTRAL_SWAP, 3), (CONJUGATE_SWAP, 4)):
                     for cuts in _cut_points(len(word), count):
                         step = RewriteStep(rule, cuts)
