@@ -15,7 +15,6 @@ from .freealg import (
     multihomogeneous_components,
     parse_polynomial,
     parse_word,
-    word_degree,
 )
 from .generic import (
     DistinctTupleError,

@@ -41,14 +41,6 @@ class GVar(NamedTuple):
 Word = tuple  # tuple[GVar, ...]
 
 
-def word_degree(group: Group, word: Word) -> Element:
-    """Ordered product of the letter degrees; empty word gives the identity."""
-    acc = group.identity()
-    for v in word:
-        acc = group.op(acc, v.degree)
-    return acc
-
-
 def degree_sequence(word: Word) -> tuple[Element, ...]:
     return tuple(v.degree for v in word)
 

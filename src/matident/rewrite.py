@@ -10,8 +10,8 @@ Both preserve the generic evaluation of the word exactly.  An equivalence
 certificate is a replayable list of such steps from one word to another; a
 membership certificate reduces a multihomogeneous polynomial, pairing off
 terms through equivalence certificates until every remaining term is a
-monomial identity on its own.  Verifiers recompute every side condition
-from scratch and compare the generic evaluations of each pairing's two
+monomial identity on its own.  Verifiers replay every step's side
+conditions and compare the generic evaluations of each pairing's two
 ends, so checking is independent of how a certificate was produced.  The
 membership checker replays each pairing on the input's own term words,
 whose letters it has validated, and evaluates each distinct term word
@@ -23,12 +23,15 @@ distinct tuple two nonempty evaluations are equal exactly when the
 signatures are, and otherwise share no entry, so every pairing is found
 by lookup in its class, and certify cost is linear in the term count
 plus the derivations, which skip the validation `signatures` has done and
-take each word's prefix degrees from it: a swap keeps every letter's
-prefix degree, so the degrees move with their letters (`_swap`) and no
-alignment step makes a group operation.
-Only the checkers walk chains: they compare end evaluations with
-`word_product_closed` and recompute empty chain sets with `Grading.lset`,
-replaying the working list independently of certify.
+take each word's prefix degrees from it.  Derivation and check share one
+swap rule, `apply_step`, on prefix degrees: the block between cuts a < b
+has degree d[a]^-1 * d[b], so each side condition is one comparison, and
+a swap keeps every letter's prefix degree, so the degrees move with their
+letters (`_swap`) and no step makes a group operation.
+Only the checkers walk chains: their verdict rests on comparing end
+evaluations with `word_product_closed`, which reads no prefix degree, and
+they recompute empty chain sets with `Grading.lset`, replaying the
+working list independently of certify.
 """
 
 from __future__ import annotations
@@ -49,11 +52,11 @@ from .freealg import (
     multihomogeneous_components,
     parse_polynomial,
     parse_word,
-    word_degree,
 )
 from .generic import (
     _entries,
     check_letters,
+    prefix_degrees,
     require_distinct,
     signatures,
     survivors,
@@ -104,9 +107,11 @@ class RewriteStep:
         return RewriteStep(CONJUGATE_SWAP, (i, i + l - k, i + l - j, l))
 
 
-def apply_step(group: Group, word: Word, step: RewriteStep) -> Word:
-    """Apply one swap, checking the factorization and degree conditions."""
-    eps = group.identity()
+def apply_step(word: Word, degrees: Sequence, step: RewriteStep) -> tuple[Word, Sequence]:
+    """Apply one swap to a word and its prefix degrees d (`prefix_degrees`),
+    checking the cut points, then the side conditions: the block between
+    cuts a < b has degree d[a]^-1 * d[b], so each condition compares two
+    prefix degrees.  Returns both lists rearranged alike (`_swap`)."""
     cuts = step.split
     if any(cuts[a] >= cuts[a + 1] for a in range(len(cuts) - 1)):
         raise StepError(f"factorization mismatch: cut points {cuts} must increase")
@@ -116,22 +121,19 @@ def apply_step(group: Group, word: Word, step: RewriteStep) -> Word:
         )
     if step.rule == NEUTRAL_SWAP:
         i, j, k = cuts
-        u, v = word[i:j], word[j:k]
-        if word_degree(group, u) != eps:
+        if degrees[i] != degrees[j]:
             raise StepError("side condition failed: first swapped block must have neutral degree")
-        if word_degree(group, v) != eps:
+        if degrees[j] != degrees[k]:
             raise StepError("side condition failed: second swapped block must have neutral degree")
-        return _swap(word, step)
-    i, j, k, l = cuts
-    u, t, v = word[i:j], word[j:k], word[k:l]
-    du = word_degree(group, u)
-    if du == eps:
-        raise StepError("side condition failed: swapped blocks must have non-neutral degree")
-    if word_degree(group, v) != du:
-        raise StepError("side condition failed: swapped blocks must have equal degree")
-    if word_degree(group, t) != group.inverse(du):
-        raise StepError("side condition failed: middle block must have the inverse degree")
-    return _swap(word, step)
+    else:
+        i, j, k, l = cuts
+        if degrees[i] == degrees[j]:
+            raise StepError("side condition failed: swapped blocks must have non-neutral degree")
+        if degrees[k] != degrees[i]:
+            raise StepError("side condition failed: middle block must have the inverse degree")
+        if degrees[l] != degrees[j]:
+            raise StepError("side condition failed: swapped blocks must have equal degree")
+    return _swap(word, step), _swap(degrees, step)
 
 
 def _swap(seq: Sequence, step: RewriteStep) -> Sequence:
@@ -142,16 +144,6 @@ def _swap(seq: Sequence, step: RewriteStep) -> Sequence:
         return seq[:i] + seq[j:k] + seq[i:j] + seq[k:]
     i, j, k, l = step.split
     return seq[:i] + seq[k:l] + seq[j:k] + seq[i:j] + seq[l:]
-
-
-def _degrees_allow(d: Sequence, step: RewriteStep) -> bool:
-    """`apply_step`'s conditions, read from the word's prefix degrees d:
-    the block between cuts a < b has degree d[a]^-1 * d[b]."""
-    if step.rule == NEUTRAL_SWAP:
-        i, j, k = step.split
-        return 0 <= i < j < k < len(d) and d[i] == d[j] == d[k]
-    i, j, k, l = step.split
-    return 0 <= i < j < k < l < len(d) and d[i] != d[j] and d[k] == d[i] and d[l] == d[j]
 
 
 @dataclass(frozen=True)
@@ -181,22 +173,26 @@ def check_equivalence_certificate(
 
     Accepts only when every step applies, the final word is the recorded
     end, and its evaluation equals the start's, which is evaluated first
-    to validate every letter (a swap only permutes them).  A repeated
-    tuple raises DistinctTupleError: equal evaluations prove nothing there.
+    to validate every letter (a swap only permutes them).  The start's
+    prefix degrees are then computed once and carried through the replay
+    by `apply_step`, the rule the derivation builds its steps with.  The
+    verdict rests on the comparison of the two end evaluations, chain
+    walks that read no prefix degree.  A repeated tuple raises
+    DistinctTupleError: equal evaluations prove nothing there.
 
     `_evaluate` replaces `word_product_closed` for the membership checker,
     which passes its per-check memo of the term words' evaluations.
     """
     require_distinct(grading)
     evaluate_word = _evaluate or partial(word_product_closed, grading)
-    group = grading.group
     current = tuple(cert.start)
     if not current:
         return CheckResult(False, "start word is empty")
     reference = evaluate_word(current)
+    degrees = prefix_degrees(grading.group, current)
     for idx, step in enumerate(cert.steps):
         try:
-            current = apply_step(group, current, step)
+            current, degrees = apply_step(current, degrees, step)
         except StepError as exc:
             return CheckResult(False, f"step {idx}: {exc}")
     if current != tuple(cert.end):
@@ -261,7 +257,9 @@ def _align(m: Word, n: Word, dm: list, dn: list) -> EquivalenceCertificate:
     """The alignment loop of `derive_equivalence`, for words with validated
     letters that share an entry, and their prefix degrees.  The words agree
     before p, so their suffixes carry equal (letter, prefix degree) pairs;
-    each of n's letters takes the least unused m-position of its pair."""
+    each of n's letters takes the least unused m-position of its pair.
+    Each built step goes through `apply_step`, the checker's swap rule,
+    which moves the degrees with the letters."""
     m_cur, n_cur = m, n
     m_steps: list[RewriteStep] = []
     n_steps: list[RewriteStep] = []
@@ -278,14 +276,14 @@ def _align(m: Word, n: Word, dm: list, dn: list) -> EquivalenceCertificate:
         except (KeyError, IndexError):
             raise AssertionError("shared entry lost while stripping aligned letters") from None
         side, step = _alignment_step(dm, dn, p, sigma, sigma.index(1) + 1)
-        if not _degrees_allow(dn if side == "n" else dm, step):
-            raise AssertionError(f"alignment built a step that does not apply: {step}")
-        if side == "n":
-            n_cur, dn = _swap(n_cur, step), _swap(dn, step)
-            n_steps.append(step)
-        else:
-            m_cur, dm = _swap(m_cur, step), _swap(dm, step)
-            m_steps.append(step)
+        try:
+            if side == "n":
+                n_cur, dn = apply_step(n_cur, dn, step)
+            else:
+                m_cur, dm = apply_step(m_cur, dm, step)
+        except StepError:
+            raise AssertionError(f"alignment built a step that does not apply: {step}") from None
+        (n_steps if side == "n" else m_steps).append(step)
     if m_cur != n_cur:
         raise AssertionError("alignment finished on different words")
     steps = tuple(n_steps) + tuple(s.inverse() for s in reversed(m_steps))

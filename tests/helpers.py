@@ -13,6 +13,8 @@ block neutrality with group products on the current words, where
 `rewrite` reads both from prefix degrees carried along the derivation.  The
 equivalence checker oracle re-evaluates the word after every rewrite
 step, where `check_equivalence_certificate` compares the two ends once.
+Both oracles apply steps with `apply_step_by_blocks`, which multiplies
+each block's letter degrees where `apply_step` compares prefix degrees.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from matident.freealg import (
     ParseError,
     Word,
     multidegree,
-    word_degree,
 )
 from matident.generic import evaluate, require_distinct, word_product_closed
 from matident.rewrite import (
@@ -58,7 +59,7 @@ from matident.rewrite import (
     ResidualTerm,
     RewriteStep,
     StepError,
-    apply_step,
+    _swap,
 )
 
 
@@ -438,6 +439,44 @@ def matching_permutation(grading: Grading, m, n, position) -> tuple[int, ...]:
     return tuple(sigma)
 
 
+def word_degree(group: Group, word) -> object:
+    """Ordered product of the letter degrees; empty word gives the identity."""
+    acc = group.identity()
+    for v in word:
+        acc = group.op(acc, v.degree)
+    return acc
+
+
+def apply_step_by_blocks(group: Group, word, step: RewriteStep):
+    """`rewrite.apply_step` on the word alone, with each side condition
+    read from the product of its blocks' letter degrees instead of from
+    prefix degrees.  Checks in `apply_step`'s order, with its messages."""
+    eps = group.identity()
+    cuts = step.split
+    if any(cuts[a] >= cuts[a + 1] for a in range(len(cuts) - 1)):
+        raise StepError(f"factorization mismatch: cut points {cuts} must increase")
+    if cuts[0] < 0 or cuts[-1] > len(word):
+        raise StepError(
+            f"factorization mismatch: cut points {cuts} outside word of length {len(word)}"
+        )
+    if step.rule == NEUTRAL_SWAP:
+        i, j, k = cuts
+        if word_degree(group, word[i:j]) != eps:
+            raise StepError("side condition failed: first swapped block must have neutral degree")
+        if word_degree(group, word[j:k]) != eps:
+            raise StepError("side condition failed: second swapped block must have neutral degree")
+        return _swap(word, step)
+    i, j, k, l = cuts
+    du = word_degree(group, word[i:j])
+    if du == eps:
+        raise StepError("side condition failed: swapped blocks must have non-neutral degree")
+    if word_degree(group, word[j:k]) != group.inverse(du):
+        raise StepError("side condition failed: middle block must have the inverse degree")
+    if word_degree(group, word[k:l]) != du:
+        raise StepError("side condition failed: swapped blocks must have equal degree")
+    return _swap(word, step)
+
+
 def _merge_terms(field, work: list, target: int, source: int) -> list:
     """Fold the source coefficient into the target and drop the source."""
     merged = field.add(work[target][1], work[source][1])
@@ -509,10 +548,10 @@ def derive_equivalence_stepwise(grading: Grading, m, n) -> EquivalenceCertificat
         side, step = _alignment_step(group, msuf, nsuf, sigma, sigma.index(1) + 1)
         step = RewriteStep(step.rule, tuple(c + p for c in step.split))
         if side == "n":
-            n_cur = apply_step(group, n_cur, step)
+            n_cur = apply_step_by_blocks(group, n_cur, step)
             n_steps.append(step)
         else:
-            m_cur = apply_step(group, m_cur, step)
+            m_cur = apply_step_by_blocks(group, m_cur, step)
             m_steps.append(step)
     assert m_cur == n_cur, "alignment finished on different words"
     steps = tuple(n_steps) + tuple(s.inverse() for s in reversed(m_steps))
@@ -583,7 +622,7 @@ def check_equivalence_certificate_stepwise(
     reference = word_product_closed(grading, current)
     for idx, step in enumerate(cert.steps):
         try:
-            current = apply_step(group, current, step)
+            current = apply_step_by_blocks(group, current, step)
         except StepError as exc:
             return CheckResult(False, f"step {idx}: {exc}")
         if word_product_closed(grading, current) != reference:
@@ -674,7 +713,7 @@ def random_rewrite_variant(rng: random.Random, grading: Grading, word, max_steps
         steps = valid_rewrite_steps(group, current)
         if not steps:
             break
-        current = apply_step(group, current, rng.choice(steps))
+        current = apply_step_by_blocks(group, current, rng.choice(steps))
     return current
 
 

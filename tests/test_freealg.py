@@ -19,7 +19,6 @@ from matident.freealg import (
     multihomogeneous_components,
     parse_polynomial,
     parse_word,
-    word_degree,
 )
 
 from helpers import (
@@ -31,6 +30,7 @@ from helpers import (
     poly_sum,
     s3_group,
     suite_gradings,
+    word_degree,
     z2z2_group,
 )
 

@@ -18,7 +18,7 @@ from matident import (
     YVar,
 )
 from matident.commpoly import Poly
-from matident.freealg import parse_polynomial, parse_word, word_degree
+from matident.freealg import parse_polynomial, parse_word
 from matident.generic import (
     evaluate,
     is_graded_identity,
@@ -42,6 +42,7 @@ from helpers import (
     random_word,
     suite_gradings,
     sum_evaluations,
+    word_degree,
     word_product_direct,
     zero_sum,
 )

@@ -2,13 +2,14 @@
 
 A word's prefix degrees d_1 = e, d_{i+1} = d_i * deg(w_i) (with the end
 degree d_{q+1} last) fix its generic evaluation together with its letters.
-Both swap rules keep every letter's prefix degree, so `derive_equivalence`
-carries each word's degree list through its steps (`_swap`) and checks
-each step it builds in degree form (`_degrees_allow`) instead of
-recomputing degrees.  These tests check both against `apply_step`, and pin
-its derivations to the oracle that recovers every step's letter matching
-from compared evaluations, on words whose (letter, prefix degree) pairs
-repeat.
+Both swap rules keep every letter's prefix degree, so `apply_step`, the
+one swap rule of derivation and check, reads each side condition from
+two prefix degrees and moves the degree list with the letters (`_swap`)
+instead of recomputing degrees.  These tests check it against
+`helpers.apply_step_by_blocks`, which multiplies each block's letter
+degrees, on every cut tuple, and pin `derive_equivalence` to the oracle
+that recovers every step's letter matching from compared evaluations, on
+words whose (letter, prefix degree) pairs repeat.
 """
 
 import itertools
@@ -17,27 +18,29 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matident import GVar
-from matident.freealg import word_degree
+from matident import CyclicGroup, GVar
 from matident.generic import prefix_degrees
 from matident.rewrite import (
     CONJUGATE_SWAP,
     NEUTRAL_SWAP,
     RewriteStep,
     StepError,
-    _degrees_allow,
     _swap,
     apply_step,
+    check_equivalence_certificate,
     derive_equivalence,
 )
 
 from helpers import (
+    apply_step_by_blocks,
     derive_equivalence_stepwise,
     partial_cayley_gradings,
+    random_rewrite_variant,
     random_swappable_word,
     random_word,
     suite_gradings,
     valid_rewrite_steps,
+    word_degree,
 )
 
 GRADINGS = suite_gradings()
@@ -77,7 +80,8 @@ def test_swaps_move_prefix_degrees_with_their_letters():
         for word in _words(rng, grading, 8):
             before = prefix_degrees(group, word)
             for step in valid_rewrite_steps(group, word):
-                assert prefix_degrees(group, apply_step(group, word, step)) == _swap(before, step)
+                swapped = apply_step_by_blocks(group, word, step)
+                assert prefix_degrees(group, swapped) == _swap(before, step)
                 swaps += 1
     assert swaps > 1000
 
@@ -88,9 +92,20 @@ def _cut_points(length: int, count: int):
     return itertools.product(range(-1, length + 2), repeat=count)
 
 
+def _outcome(apply, *args):
+    """What applying a step gives: its result, or the StepError's text."""
+    try:
+        return apply(*args)
+    except StepError as exc:
+        return str(exc)
+
+
 def test_degree_form_accepts_exactly_the_steps_apply_step_accepts():
+    """On every cut tuple, `apply_step` gives the block-degree oracle's
+    swapped word with that word's prefix degrees, or its exact error."""
     rng = random.Random(2021)
     accepted = {NEUTRAL_SWAP: 0, CONJUGATE_SWAP: 0}
+    conditions: set = set()  # the side-condition messages met
     for grading in GRADINGS + partial_cayley_gradings():
         group = grading.group
         for _ in range(4):
@@ -99,14 +114,17 @@ def test_degree_form_accepts_exactly_the_steps_apply_step_accepts():
                 for rule, count in ((NEUTRAL_SWAP, 3), (CONJUGATE_SWAP, 4)):
                     for cuts in _cut_points(len(word), count):
                         step = RewriteStep(rule, cuts)
-                        try:
-                            apply_step(group, word, step)
-                            applies = True
-                        except StepError:
-                            applies = False
-                        assert _degrees_allow(d, step) == applies, (word, step)
-                        accepted[rule] += applies
+                        got = _outcome(apply_step, word, d, step)
+                        expected = _outcome(apply_step_by_blocks, group, word, step)
+                        if isinstance(expected, str):
+                            assert got == expected, (word, step)
+                            if expected.startswith("side condition"):
+                                conditions.add(expected)
+                        else:
+                            assert got == (expected, prefix_degrees(group, expected)), (word, step)
+                            accepted[rule] += 1
     assert min(accepted.values()) > 50, accepted
+    assert len(conditions) == 5, conditions
 
 
 @st.composite
@@ -125,7 +143,7 @@ def related_words(draw):
         steps = valid_rewrite_steps(grading.group, other)
         if not steps:
             break
-        other = apply_step(grading.group, other, draw(st.sampled_from(steps)))
+        other = apply_step_by_blocks(grading.group, other, draw(st.sampled_from(steps)))
     if draw(st.booleans()):
         word, other = other, word
     return grading, word, other
@@ -136,3 +154,59 @@ def related_words(draw):
 def test_derivation_matches_the_stepwise_oracle(case):
     grading, m, n = case
     assert derive_equivalence(grading, m, n) == derive_equivalence_stepwise(grading, m, n)
+
+
+def _cyclic_derivations(seed: int) -> list:
+    """Certificates between nonzero words and words reached from them by
+    up to six swaps, over the cyclic gradings of the suite, each derived
+    and checked once so that the gradings' step tables are built."""
+    rng = random.Random(seed)
+    cases = []
+    for grading in GRADINGS:
+        if not isinstance(grading.group, CyclicGroup):
+            continue
+        for _ in range(12):
+            m = random_swappable_word(rng, grading, index_pool=2)
+            n = random_rewrite_variant(rng, grading, m, max_steps=6)
+            cert = derive_equivalence(grading, m, n)
+            assert check_equivalence_certificate(grading, cert)
+            cases.append((grading, cert))
+    assert len({len(cert.steps) for _, cert in cases}) > 3
+    return cases
+
+
+def _group_ops(monkeypatch) -> list:
+    """Count `CyclicGroup.op` calls (the dataclass is frozen, so the class
+    is patched)."""
+    calls = []
+    op = CyclicGroup.op
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return op(self, a, b)
+
+    monkeypatch.setattr(CyclicGroup, "op", counting)
+    return calls
+
+
+def test_checker_makes_one_group_operation_per_start_letter(monkeypatch):
+    """The checker computes the start's prefix degrees once and carries
+    them through the replay, so its group operations do not grow with the
+    step count."""
+    cases = _cyclic_derivations(2022)
+    ops = _group_ops(monkeypatch)
+    for grading, cert in cases:
+        ops.clear()
+        assert check_equivalence_certificate(grading, cert)
+        assert len(ops) == len(cert.start), (cert, len(cert.steps))
+
+
+def test_derivation_makes_one_group_operation_per_letter(monkeypatch):
+    """A derivation computes each word's prefix degrees once, and its
+    steps, applied through `apply_step`, make no group operation."""
+    cases = _cyclic_derivations(2023)
+    ops = _group_ops(monkeypatch)
+    for grading, cert in cases:
+        ops.clear()
+        assert derive_equivalence(grading, cert.end, cert.start) == cert
+        assert len(ops) == len(cert.end) + len(cert.start)

@@ -15,7 +15,7 @@ from matident import (
 from matident.commpoly import Poly, YVar
 from matident.freealg import GVar, parse_polynomial, parse_word
 from matident import rewrite
-from matident.generic import word_product_closed
+from matident.generic import prefix_degrees, word_product_closed
 from matident.rewrite import (
     CONJUGATE_SWAP,
     NEUTRAL_SWAP,
@@ -63,26 +63,39 @@ GR_Z4 = Grading(Z4, 2, (0, 1))
 def test_apply_neutral_swap_example():
     w = parse_word("x[1;1]*x[1;2]*x[1;3]*x[1;4]", Z2)
     step = RewriteStep(NEUTRAL_SWAP, (0, 2, 4))
-    assert apply_step(Z2, w, step) == parse_word("x[1;3]*x[1;4]*x[1;1]*x[1;2]", Z2)
+    swapped = parse_word("x[1;3]*x[1;4]*x[1;1]*x[1;2]", Z2)
+    assert apply_step(w, prefix_degrees(Z2, w), step) == (swapped, [0, 1, 0, 1, 0])
 
 
 def test_apply_conjugate_swap_example():
     w = parse_word("x[1;1]*x[1;3]*x[1;2]", Z2)
     step = RewriteStep(CONJUGATE_SWAP, (0, 1, 2, 3))
-    assert apply_step(Z2, w, step) == parse_word("x[1;2]*x[1;3]*x[1;1]", Z2)
+    swapped = parse_word("x[1;2]*x[1;3]*x[1;1]", Z2)
+    assert apply_step(w, prefix_degrees(Z2, w), step) == (swapped, [0, 1, 0, 1])
 
 
 def test_apply_step_side_condition_errors():
     w = parse_word("x[1;1]*x[1;2]*x[1;3]*x[1;4]", Z2)
+    d = prefix_degrees(Z2, w)
     with pytest.raises(StepError, match="neutral degree"):
-        apply_step(Z2, w, RewriteStep(NEUTRAL_SWAP, (0, 1, 2)))
+        apply_step(w, d, RewriteStep(NEUTRAL_SWAP, (0, 1, 2)))
     with pytest.raises(StepError, match="factorization mismatch"):
-        apply_step(Z2, w, RewriteStep(NEUTRAL_SWAP, (0, 2, 5)))
+        apply_step(w, d, RewriteStep(NEUTRAL_SWAP, (0, 2, 5)))
     with pytest.raises(StepError, match="factorization mismatch"):
-        apply_step(Z2, w, RewriteStep(NEUTRAL_SWAP, (2, 2, 4)))
+        apply_step(w, d, RewriteStep(NEUTRAL_SWAP, (2, 2, 4)))
     # conjugate swap needs non-neutral outer blocks
     with pytest.raises(StepError, match="non-neutral"):
-        apply_step(Z2, w, RewriteStep(CONJUGATE_SWAP, (0, 2, 3, 4)))
+        apply_step(w, d, RewriteStep(CONJUGATE_SWAP, (0, 2, 3, 4)))
+
+
+def test_conjugate_step_failing_both_block_conditions_reports_the_middle_block():
+    # u = x[1;1] has degree 1, t = x[1;2] degree 1 (not 3), v = x[2;3]
+    # degree 2 (not 1): the middle block is checked first, since it is the
+    # one comparison d[k] == d[i] of prefix degrees [0, 1, 2, 0]
+    w = parse_word("x[1;1]*x[1;2]*x[2;3]", Z4)
+    with pytest.raises(StepError) as exc:
+        apply_step(w, prefix_degrees(Z4, w), RewriteStep(CONJUGATE_SWAP, (0, 1, 2, 3)))
+    assert str(exc.value) == "side condition failed: middle block must have the inverse degree"
 
 
 def test_step_inverse_round_trip():
@@ -90,9 +103,11 @@ def test_step_inverse_round_trip():
     for grading in suite_gradings()[:3]:
         for _ in range(20):
             w = random_swappable_word(rng, grading)
+            d = prefix_degrees(grading.group, w)
             for step in valid_rewrite_steps(grading.group, w):
-                swapped = apply_step(grading.group, w, step)
-                assert apply_step(grading.group, swapped, step.inverse()) == w
+                swapped, ds = apply_step(w, d, step)
+                assert ds == prefix_degrees(grading.group, swapped)
+                assert apply_step(swapped, ds, step.inverse()) == (w, d)
 
 
 def test_steps_preserve_generic_evaluation():
@@ -101,8 +116,9 @@ def test_steps_preserve_generic_evaluation():
         for _ in range(15):
             w = random_swappable_word(rng, grading)
             before = word_product_closed(grading, w)
+            d = prefix_degrees(grading.group, w)
             for step in valid_rewrite_steps(grading.group, w):
-                after = word_product_closed(grading, apply_step(grading.group, w, step))
+                after = word_product_closed(grading, apply_step(w, d, step)[0])
                 assert after == before
 
 
@@ -136,15 +152,14 @@ def test_checkers_reject_a_step_that_changes_the_evaluation(monkeypatch):
     # A swap preserves the generic evaluation only under its side
     # conditions.  With them gone, the replay reaches the recorded end and
     # only the comparison of the two end evaluations rejects.
-    def unchecked_swap(group, word, step):
-        i, j, k = step.split
-        return word[:i] + word[j:k] + word[i:j] + word[k:]
+    def unchecked_swap(word, degrees, step):
+        return rewrite._swap(word, step), rewrite._swap(degrees, step)
 
     monkeypatch.setattr(rewrite, "apply_step", unchecked_swap)
     grading = Grading(Z4, 4, (0, 1, 2, 3))
     start = parse_word("x[1;1]*x[2;2]*x[1;3]", Z4)
     step = RewriteStep(NEUTRAL_SWAP, (0, 1, 2))
-    end = unchecked_swap(Z4, start, step)
+    end = rewrite._swap(start, step)
     assert word_product_closed(grading, end) != word_product_closed(grading, start)
     reason = "generic evaluation changed between start and end"
     eq = EquivalenceCertificate(start, (step,), end)
