@@ -439,7 +439,7 @@ def matching_permutation(grading: Grading, m, n, position) -> tuple[int, ...]:
     return tuple(sigma)
 
 
-def word_degree(group: Group, word) -> object:
+def word_degree(group: Group, word):
     """Ordered product of the letter degrees; empty word gives the identity."""
     acc = group.identity()
     for v in word:
