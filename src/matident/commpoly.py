@@ -79,12 +79,6 @@ class Rationals:
     def one(self) -> Coefficient:
         return Fraction(1)
 
-    def parse(self, text: str) -> Coefficient:
-        try:
-            return Fraction(text.strip())
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"invalid rational literal {text!r}") from None
-
     def format(self, a: Coefficient) -> str:
         return str(a)
 
@@ -127,15 +121,6 @@ class PrimeField:
     @property
     def one(self) -> Coefficient:
         return 1
-
-    def parse(self, text: str) -> Coefficient:
-        text = text.strip()
-        if "/" in text:
-            raise ValueError(f"fractional literal {text!r} is not valid over {self}")
-        try:
-            return int(text) % self.p
-        except ValueError:
-            raise ValueError(f"invalid coefficient literal {text!r}") from None
 
     def format(self, a: Coefficient) -> str:
         return str(a % self.p)

@@ -11,6 +11,7 @@ Textual syntax, whitespace-insensitive:
     term       := [coefficient '*'] factor ('*' factor)*
     factor     := 'x' '[' element ';' integer ']'
     coefficient:= integer | integer '/' integer   (fractions only over Q)
+    residual   := ['-'] coefficient               (`parse_coefficient`)
 
 Whitespace is any character for which `str.isspace` holds, and an integer
 is a run of decimal digits (`str.isdecimal`, so '٣' reads as 3 and '²' is
@@ -105,6 +106,7 @@ _TERM = re.compile(
     r"(x\s*\[[^;]*;\s*\d+\s*\](?:\s*\*\s*x\s*\[[^;]*;\s*\d+\s*\])*)"  # factors
     r"(?!\s*\*)\s*"  # a '*' after the last factor refuses the term, not ends it
 )
+_COEFFICIENT = re.compile(r"\s*(?:(-)\s*)?(\d+)\s*(?:/\s*(\d+)\s*)?")
 _SPACE = re.compile(r"\s*")
 _INTEGER = re.compile(r"\s*(\d*)")
 
@@ -135,15 +137,9 @@ def parse_polynomial(
         if m is None or m[1] == ("+" if not terms else None):
             _refuse(text, pos, not terms, group, field, degrees)
         sign, num, den, body = m.groups()
-        if num is None:
-            coeff = field.one
-        elif den is None:
-            coeff = field.from_int(int(num))
-        else:
-            num, den = int(num), int(den)
-            if field.characteristic or not den:
-                _refuse(text, pos, not terms, group, field, degrees)
-            coeff = Fraction(num, den)
+        coeff = _coefficient(field, sign, num, den)
+        if coeff is None:
+            _refuse(text, pos, not terms, group, field, degrees)
         word = []
         for key in _LETTER.findall(body):
             letter = letters.get(key)
@@ -153,14 +149,36 @@ def parse_polynomial(
                     _refuse(text, pos, not terms, group, field, degrees)
                 letters[key] = letter
             word.append(letter)
-        if sign == "-":
-            coeff = field.neg(coeff)
         word = tuple(word)
         if _bodies is not None:
             _bodies[body] = word
         terms.append((word, coeff))
         pos = m.end()
     return FreePoly.from_terms(field, terms)
+
+
+def _coefficient(
+    field: Field, sign: Optional[str], num: Optional[str], den: Optional[str]
+) -> Optional[Coefficient]:
+    """A term's coefficient from its texts (1 if no number), or None if refused."""
+    if num is None:
+        coeff = field.one
+    elif den is None:
+        coeff = field.from_int(int(num))
+    elif field.characteristic or not int(den):
+        return None
+    else:
+        coeff = Fraction(int(num), int(den))
+    return field.neg(coeff) if sign == "-" else coeff
+
+
+def parse_coefficient(text: str, field: Field) -> Coefficient:
+    """Read ['-'] coefficient, whitespace-insensitive, as a term's is read."""
+    m = _COEFFICIENT.fullmatch(text)
+    coeff = None if m is None else _coefficient(field, *m.groups())
+    if coeff is None:
+        raise ValueError(f"invalid coefficient {text!r} over {field}")
+    return coeff
 
 
 def _letter(key: tuple[str, str], group: Group, degrees: dict) -> Optional[GVar]:

@@ -50,6 +50,7 @@ from .freealg import (
     format_polynomial,
     format_word,
     multihomogeneous_components,
+    parse_coefficient,
     parse_polynomial,
     parse_word,
 )
@@ -576,11 +577,9 @@ class _Reader:
     certificate's input are the same string.  Each parsed term's factor
     text is kept with its word, and a word text found there reads as that
     word, which is what `parse_word` builds from it; other word texts go to
-    `parse_word`.  A certificate's `input` is read before its residual and
-    pairing words, but its error is raised after theirs: errors come in the
-    order of the separate readers this class replaced (a bundle component's
-    text, then residual words, pairing words and `input`), so a hostile
-    document fails with the error it got when each text was parsed on its own.
+    `parse_word`.  Texts are read in one order, a certificate's `input`
+    before its residual and pairing words, and the first bad text's error
+    is raised at once.
     """
 
     def __init__(self, group: Group, field: Field):
@@ -616,14 +615,13 @@ class _Reader:
         if _get(obj, "type", str, what) != "membership":
             raise ValueError("not a membership certificate document")
         # `input` first, so that its factor texts serve the words below
-        try:
-            poly, error = self.polynomial(_get(obj, "input", str, what)), None
-        except ValueError as exc:
-            poly, error = None, exc
+        poly = self.polynomial(_get(obj, "input", str, what))
         residual = tuple(
             ResidualTerm(
                 word=self.word(_get(item, "word", str, "residual term")),
-                coefficient=self.field.parse(_get(item, "coefficient", str, "residual term")),
+                coefficient=parse_coefficient(
+                    _get(item, "coefficient", str, "residual term"), self.field
+                ),
                 justification=justification_from_dict(
                     _get(item, "justification", dict, "residual term")
                 ),
@@ -638,8 +636,6 @@ class _Reader:
             )
             for item in _get(obj, "pairings", list, what, [])
         )
-        if error is not None:
-            raise error
         return MembershipCertificate(input=poly, pairings=pairings, residual=residual)
 
     def bundle(self, obj: dict) -> MembershipBundle:

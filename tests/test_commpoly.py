@@ -5,6 +5,7 @@ import pytest
 
 from matident import RATIONALS, Poly, PrimeField, YVar
 from matident.commpoly import PRIME_LIMIT, parse_field, render_monomial, render_poly
+from matident.freealg import parse_coefficient
 
 from helpers import entry_product, field_mul, monomial_product, poly_sum
 
@@ -132,9 +133,9 @@ def test_field_parsing():
         parse_field("fp:4")
     with pytest.raises(ValueError):
         parse_field("float")
-    assert RATIONALS.parse("3/4") == Fraction(3, 4)
+    assert parse_coefficient("3/4", RATIONALS) == Fraction(3, 4)
     with pytest.raises(ValueError):
-        PrimeField(3).parse("1/2")
+        parse_coefficient("1/2", PrimeField(3))
 
 
 def test_rendering():

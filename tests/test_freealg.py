@@ -17,6 +17,7 @@ from matident.freealg import (
     format_word,
     multidegree,
     multihomogeneous_components,
+    parse_coefficient,
     parse_polynomial,
     parse_word,
 )
@@ -191,6 +192,43 @@ def test_parse_coefficients():
     assert parse_polynomial("٣/٤*x[1;٢]", Z4, RATIONALS).sorted_terms() == [
         ((GVar(1, 2),), Fraction(3, 4))
     ]
+
+
+coefficients_st = st.one_of(
+    st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**30).map(
+        lambda c: (RATIONALS, c)
+    ),
+    st.sampled_from([PrimeField(2), PrimeField(3), PrimeField(7)]).flatmap(
+        lambda field: st.tuples(st.just(field), st.integers(0, field.p - 1))
+    ),
+)
+spaces_st = st.text(st.sampled_from(" \t\n\xa0"), max_size=3)
+
+
+@given(coefficients_st, spaces_st, spaces_st)
+@settings(max_examples=200, deadline=None)
+def test_parse_coefficient_reads_back_every_formatted_coefficient(case, before, after):
+    field, c = case
+    assert parse_coefficient(before + field.format(c) + after, field) == c
+
+
+def test_parse_coefficient_reads_a_terms_coefficient_with_a_minus():
+    assert parse_coefficient(" - 3 / 4 ", RATIONALS) == Fraction(-3, 4)
+    assert parse_coefficient("-٣", RATIONALS) == Fraction(-3)
+    assert parse_coefficient("-1", PrimeField(7)) == 6
+    assert parse_coefficient("10", PrimeField(7)) == 3
+
+
+@pytest.mark.parametrize(
+    "text,field",
+    [(text, RATIONALS) for text in ("1e5", "1E-3", "1e999999999", "1.5", "1_0", "+3", "3/0")]
+    + [("nan", RATIONALS), ("", RATIONALS), ("²", RATIONALS), ("1/2", PrimeField(3))],
+)
+def test_parse_coefficient_refuses_text_outside_the_rule(text, field):
+    # a term's coefficient rule only: no exponent, decimal point, '_' or '+'
+    with pytest.raises(ValueError) as caught:
+        parse_coefficient(text, field)
+    assert str(caught.value) == f"invalid coefficient {text!r} over {field}"
 
 
 def test_parse_errors_carry_positions():
