@@ -176,18 +176,18 @@ def cmd_lset(args: argparse.Namespace, grading: Grading) -> Reply:
     if not all(p.strip() for p in parts):
         raise ValueError(f"--seq needs comma-separated nonempty degree literals, got {args.seq!r}")
     hseq = [grading.group.parse(p) for p in parts]
-    ls = grading.lset(hseq)
+    paths = grading.lset(hseq)
     payload = {
         "sequence": [fmt(h) for h in hseq],
-        "starts": list(ls.starts),
-        "paths": {str(k): list(ls.paths[k]) for k in ls.starts},
+        "starts": list(paths),
+        "paths": {str(k): list(path) for k, path in paths.items()},
     }
-    if ls.is_empty:
+    if not paths:
         human = "L = {} (monomial identity)"
     else:
-        lines = [f"L = {{{', '.join(str(k) for k in ls.starts)}}}"]
-        for k in ls.starts:
-            lines.append(f"  s[{k}] = ({', '.join(str(i) for i in ls.paths[k])})")
+        lines = [f"L = {{{', '.join(map(str, paths))}}}"]
+        for k, path in paths.items():
+            lines.append(f"  s[{k}] = ({', '.join(map(str, path))})")
         human = "\n".join(lines)
     return payload, human, False
 

@@ -194,9 +194,6 @@ class SparsePoly:
             accumulate(field, terms, tuple(key), c)
         return cls(field, terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def sorted_terms(self) -> list[tuple[Any, Coefficient]]:
         return sorted(self.terms.items(), key=lambda t: self.sort_key(t[0]))
 

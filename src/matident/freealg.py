@@ -83,7 +83,9 @@ def format_word(group: Group, word: Word) -> str:
 def format_polynomial(group: Group, f: FreePoly, texts: Optional[dict[Word, str]] = None) -> str:
     """`texts`, when given, maps words to their text; f's other words are added."""
     texts = {} if texts is None else texts
-    texts.update({word: format_word(group, word) for word in f.terms.keys() - texts.keys()})
+    for word in f.terms:
+        if word not in texts:
+            texts[word] = format_word(group, word)
     return f.render(texts.__getitem__)
 
 

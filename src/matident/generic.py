@@ -80,8 +80,8 @@ def word_product_closed(grading: Grading, word: Word) -> dict[tuple[int, int], M
     """
     if not word:
         raise ValueError("cannot evaluate the empty word")
-    ls = grading.lset(degree_sequence(word))
-    return {(k, ls.paths[k][-1]): _chain_monomial(word, ls.paths[k]) for k in ls.starts}
+    paths = grading.lset(degree_sequence(word))
+    return {(k, path[-1]): _chain_monomial(word, path) for k, path in paths.items()}
 
 
 def check_letters(group: Group, words: Iterable[Word]) -> None:

@@ -27,24 +27,8 @@ from typing import Any, Iterable, NamedTuple, Optional, Sequence
 from .groups import Element, Group, element_from_json, group_from_config
 
 
-@dataclass(frozen=True)
-class LSet:
-    """Surviving start rows for a degree sequence, with their row paths.
-
-    For each start k in `starts`, `paths[k]` is the tuple
-    (s_1, ..., s_{q+1}) with s_1 = k and g_{s_{i+1}} = g_{s_i} * h_i.
-    """
-
-    starts: tuple[int, ...]
-    paths: dict[int, tuple[int, ...]]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.starts
-
-
 class NeutralReport(NamedTuple):
-    """Three independent views of the neutral component's shape."""
+    """Three views of the neutral component's shape, which always agree."""
 
     distinct_entries: bool      # the inducing tuple has pairwise different entries
     neutral_is_diagonal: bool   # neutral units are exactly the E_ii
@@ -160,16 +144,17 @@ class Grading:
                 break
         return mask
 
-    def lset(self, hseq: Sequence[Element]) -> LSet:
-        """Start rows whose unit chains survive the whole degree sequence.
+    def lset(self, hseq: Sequence[Element]) -> dict[int, tuple[int, ...]]:
+        """Start rows whose unit chains survive the whole degree sequence,
+        as {start row k: row path}, in ascending start order.
 
-        Each degree is validated once; the walk from every start row then
-        only reads the step tables.
+        The path of k is (s_1, ..., s_{q+1}) with s_1 = k and
+        g_{s_{i+1}} = g_{s_i} * h_i.  Each degree is validated once; the
+        walk from every start row then only reads the step tables.
         """
         tables = [self.step(self.group.check(h))[0] for h in hseq]
         if not tables:
             raise ValueError("degree sequence must be nonempty")
-        starts: list[int] = []
         paths: dict[int, tuple[int, ...]] = {}
         for k in range(1, self.n + 1):
             path = [k]
@@ -180,38 +165,20 @@ class Grading:
                     break
                 path.append(pos)
             else:
-                starts.append(k)
                 paths[k] = tuple(path)
-        return LSet(starts=tuple(starts), paths=paths)
+        return paths
 
     def neutral_report(self) -> NeutralReport:
-        """Evaluate the three equivalent descriptions of a diagonal neutral part.
+        """The neutral component is the diagonal, and commutative, exactly
+        when the tuple entries are pairwise distinct.
 
-        Each condition is computed independently: (i) by comparing tuple
-        entries, (ii) by scanning all matrix units of neutral degree, and
-        (iii) by substituting every pair of neutral-degree matrix units into
-        the commutator and comparing the products exactly.
+        E_ij is neutral exactly when g_i = g_j.  With distinct entries the
+        neutral units are the E_ii, which commute; a repeated entry
+        g_a = g_b gives the neutral units E_ab and E_ba, with
+        E_ab * E_ba = E_aa != E_bb = E_ba * E_ab.
         """
-        eps = self.group.identity()
         distinct = self.is_distinct
-
-        neutral_units = [
-            (i, j)
-            for i in range(1, self.n + 1)
-            for j in range(1, self.n + 1)
-            if self.unit_degree(i, j) == eps
-        ]
-        diagonal = all(i == j for i, j in neutral_units)
-
-        def unit_product(a: tuple[int, int], b: tuple[int, int]) -> Optional[tuple[int, int]]:
-            return (a[0], b[1]) if a[1] == b[0] else None
-
-        commutes = all(
-            unit_product(u, v) == unit_product(v, u)
-            for u in neutral_units
-            for v in neutral_units
-        )
-        return NeutralReport(distinct, diagonal, commutes)
+        return NeutralReport(distinct, distinct, distinct)
 
     def neutral_blocks(self) -> NeutralBlocks:
         """Multiplicities of equal tuple entries and the neutral dimension."""

@@ -15,9 +15,8 @@ trust their arguments and may return garbage for a non-element.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 Element = Any
 
@@ -49,10 +48,6 @@ class Group:
     def contains(self, a: Element) -> bool:
         raise NotImplementedError
 
-    def elements(self) -> Iterator[Element]:
-        """Iterate every element; raises for infinite groups."""
-        raise NotImplementedError
-
     def parse(self, text: str) -> Element:
         raise NotImplementedError
 
@@ -63,10 +58,6 @@ class Group:
         if not self.contains(a):
             raise ValueError(f"{a!r} is not an element of {self}")
         return a
-
-    @property
-    def order(self) -> Optional[int]:
-        raise NotImplementedError
 
 
 def _is_int(value: Any) -> bool:
@@ -95,9 +86,6 @@ class CyclicGroup(Group):
     def contains(self, a: Element) -> bool:
         return _is_int(a) and 0 <= a < self.n
 
-    def elements(self) -> Iterator[Element]:
-        return iter(range(self.n))
-
     def parse(self, text: str) -> Element:
         text = text.strip()
         try:
@@ -110,10 +98,6 @@ class CyclicGroup(Group):
 
     def format(self, a: Element) -> str:
         return str(a)
-
-    @property
-    def order(self) -> Optional[int]:
-        return self.n
 
     def __str__(self) -> str:
         return f"Z{self.n}"
@@ -135,9 +119,6 @@ class IntegerGroup(Group):
     def contains(self, a: Element) -> bool:
         return _is_int(a)
 
-    def elements(self) -> Iterator[Element]:
-        raise ValueError("the integers are infinite; cannot enumerate elements")
-
     def parse(self, text: str) -> Element:
         text = text.strip()
         try:
@@ -147,10 +128,6 @@ class IntegerGroup(Group):
 
     def format(self, a: Element) -> str:
         return str(a)
-
-    @property
-    def order(self) -> Optional[int]:
-        return None
 
     def __str__(self) -> str:
         return "Z"
@@ -212,9 +189,6 @@ class ProductGroup(Group):
             and all(f.contains(x) for f, x in zip(self.factors, a))
         )
 
-    def elements(self) -> Iterator[Element]:
-        return itertools.product(*(f.elements() for f in self.factors))
-
     def parse(self, text: str) -> Element:
         text = "".join(text.split())
         if not (text.startswith("(") and text.endswith(")")):
@@ -228,15 +202,6 @@ class ProductGroup(Group):
 
     def format(self, a: Element) -> str:
         return "(" + ",".join(f.format(x) for f, x in zip(self.factors, a)) + ")"
-
-    @property
-    def order(self) -> Optional[int]:
-        total = 1
-        for f in self.factors:
-            if f.order is None:
-                return None
-            total *= f.order
-        return total
 
     def __str__(self) -> str:
         return "x".join(str(f) for f in self.factors)
@@ -350,9 +315,6 @@ class CayleyGroup(Group):
     def contains(self, a: Element) -> bool:
         return _is_int(a) and 0 <= a < len(self.names)
 
-    def elements(self) -> Iterator[Element]:
-        return iter(range(len(self.names)))
-
     def parse(self, text: str) -> Element:
         label = text.strip()
         try:
@@ -362,10 +324,6 @@ class CayleyGroup(Group):
 
     def format(self, a: Element) -> str:
         return self.names[a]
-
-    @property
-    def order(self) -> Optional[int]:
-        return len(self.names)
 
     def __str__(self) -> str:
         return f"cayley({','.join(self.names)})"

@@ -472,7 +472,7 @@ def check_membership_certificate(
                     False, f"residual {idx}: cited letter's component is not zero"
                 )
         elif j.kind == JUSTIFY_EMPTY_LSET:
-            if not grading.lset(degree_sequence(term.word)).is_empty:
+            if grading.lset(degree_sequence(term.word)):
                 return CheckResult(False, f"residual {idx}: chain set is not empty")
         else:
             return CheckResult(False, f"residual {idx}: unknown justification {j.kind!r}")
@@ -502,31 +502,37 @@ def check_membership_bundle(grading: Grading, bundle: MembershipBundle) -> Check
     """Accept only when the listed components cover the input's
     multihomogeneous parts one to one, each with a valid certificate.
 
-    Raises DistinctTupleError on a tuple with repeated entries.
+    Each listed component is matched by one lookup and one comparison: the
+    parts are keyed by the sorted letters of their words, which all of a
+    part's words share.  Raises DistinctTupleError on a tuple with repeated
+    entries.
     """
     require_distinct(grading)
-    parts = multihomogeneous_components(bundle.input)
+    parts = {
+        tuple(sorted(next(iter(p.terms)))): p for p in multihomogeneous_components(bundle.input)
+    }
     if len(bundle.components) != len(parts):
         return CheckResult(
             False,
             f"bundle has {len(bundle.components)} components, "
             f"input decomposes into {len(parts)}",
         )
-    covered: set[int] = set()
+    covered: set[tuple] = set()
     for idx, item in enumerate(bundle.components):
         if item.certificate is None:
             return CheckResult(False, f"component {idx} is marked as a non-identity")
-        part = next((k for k, p in enumerate(parts) if p == item.component), None)
-        if part is None:
+        key = tuple(sorted(next(iter(item.component.terms), ())))
+        part = parts.get(key)
+        if part is None or part != item.component:
             return CheckResult(
                 False, f"component {idx} does not match any multihomogeneous part"
             )
-        if part in covered:
+        if key in covered:
             return CheckResult(
                 False, f"component {idx} repeats a multihomogeneous part already covered"
             )
-        covered.add(part)
-        result = check_membership_certificate(grading, parts[part], item.certificate)
+        covered.add(key)
+        result = check_membership_certificate(grading, part, item.certificate)
         if not result.ok:
             return CheckResult(False, f"component {idx}: {result.reason}")
     return CheckResult(True)
@@ -579,7 +585,8 @@ class _Reader:
     word, which is what `parse_word` builds from it; other word texts go to
     `parse_word`.  Texts are read in one order, a certificate's `input`
     before its residual and pairing words, and the first bad text's error
-    is raised at once.
+    is raised at once.  A bundle's `field`, when present, must name the
+    reader's field; it is checked before any text is read.
     """
 
     def __init__(self, group: Group, field: Field):
@@ -642,6 +649,9 @@ class _Reader:
         what = "membership bundle"
         if _get(obj, "type", str, what) != "membership-bundle":
             raise ValueError("not a membership bundle document")
+        field = _get(obj, "field", str, what, None)
+        if field is not None and field != str(self.field):
+            raise ValueError(f"bundle is over {field}, but the field in force is {self.field}")
         components = []
         for item in _get(obj, "components", list, what):
             identity = _get(item, "identity", bool, "bundle component")

@@ -15,6 +15,10 @@ equivalence checker oracle re-evaluates the word after every rewrite
 step, where `check_equivalence_certificate` compares the two ends once.
 Both oracles apply steps with `apply_step_by_blocks`, which multiplies
 each block's letter degrees where `apply_step` compares prefix degrees.
+`neutral_report_by_units` scans and multiplies matrix units, where
+`Grading.neutral_report` reads the one fact that decides all three views:
+whether the tuple entries are pairwise distinct.  `elements` enumerates
+the finite groups the tests sample from; the groups themselves do not.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from matident import (
     Grading,
     GVar,
     Group,
+    IntegerGroup,
     ProductGroup,
     RATIONALS,
 )
@@ -61,6 +66,19 @@ from matident.rewrite import (
     StepError,
     _swap,
 )
+
+
+def elements(group: Group) -> Optional[list]:
+    """Every element of a finite group, in value order; None for a group
+    with an integer factor, which has infinitely many."""
+    if isinstance(group, IntegerGroup):
+        return None
+    if isinstance(group, CyclicGroup):
+        return list(range(group.n))
+    if isinstance(group, CayleyGroup):
+        return list(range(len(group.names)))
+    factors = [elements(f) for f in group.factors]
+    return None if None in factors else list(itertools.product(*factors))
 
 
 def s3_group() -> CayleyGroup:
@@ -159,7 +177,7 @@ def is_multilinear(f: FreePoly) -> bool:
     The zero polynomial counts as multilinear so that decomposition stays
     total.
     """
-    if f.is_zero():
+    if not f.terms:
         return True
     if not is_multihomogeneous(f):
         return False
@@ -197,7 +215,7 @@ class OracleMatrix:
     def __init__(self, field: Field, n: int, entries: dict):
         self.field = field
         self.n = n
-        self.entries = {pos: p for pos, p in entries.items() if not p.is_zero()}
+        self.entries = {pos: p for pos, p in entries.items() if p.terms}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OracleMatrix):
@@ -325,6 +343,23 @@ def units_of_degree(grading: Grading, h) -> list[tuple[int, int]]:
     ]
 
 
+def neutral_report_by_units(grading: Grading) -> tuple[bool, bool, bool]:
+    """The three views of `Grading.neutral_report`, each by its definition:
+    the tuple entries are pairwise distinct; a scan of all matrix units
+    finds only diagonal ones of neutral degree; and every pair of neutral
+    units commutes, multiplied as units both ways."""
+    units = units_of_degree(grading, grading.group.identity())
+
+    def product(a: tuple[int, int], b: tuple[int, int]) -> Optional[tuple[int, int]]:
+        return (a[0], b[1]) if a[1] == b[0] else None
+
+    return (
+        len(set(grading.entries)) == grading.n,
+        all(i == j for i, j in units),
+        all(product(u, v) == product(v, u) for u in units for v in units),
+    )
+
+
 def sequence_vanishes_by_units(grading: Grading, hseq) -> bool:
     """True when no chain of matrix units with these degrees multiplies to
     a nonzero product (exhaustive substitution)."""
@@ -341,9 +376,9 @@ def naive_step(grading: Grading, pos: int, h) -> Optional[int]:
     return next((j for j in range(1, grading.n + 1) if grading.entry(j) == target), None)
 
 
-def naive_lset(grading: Grading, hseq) -> tuple[tuple[int, ...], dict]:
-    """Chain starts and row paths, walking every row with a group op per letter."""
-    starts: list[int] = []
+def naive_lset(grading: Grading, hseq) -> dict[int, tuple[int, ...]]:
+    """`Grading.lset`'s {start row: row path} map, walking every row with
+    a group op per letter."""
     paths: dict = {}
     for k in range(1, grading.n + 1):
         path = [k]
@@ -353,9 +388,8 @@ def naive_lset(grading: Grading, hseq) -> tuple[tuple[int, ...], dict]:
                 break
             path.append(nxt)
         else:
-            starts.append(k)
             paths[k] = tuple(path)
-    return tuple(starts), paths
+    return paths
 
 
 def _coarsenings(seq: tuple):
@@ -375,7 +409,7 @@ def is_minimal_identity_by_coarsenings(grading: Grading, hseq) -> bool:
     each by a `naive_lset` chain walk."""
 
     def identity(seq) -> bool:
-        return not naive_lset(grading, seq)[0]
+        return not naive_lset(grading, seq)
 
     seq = tuple(hseq)
     if not identity(seq):
@@ -426,8 +460,8 @@ def matching_permutation(grading: Grading, m, n, position) -> tuple[int, ...]:
     letter on the same row.  `sigma[l-1]` is that 1-based position.
     """
     k = position[0]
-    path_m = naive_lset(grading, [v.degree for v in m])[1][k]
-    path_n = naive_lset(grading, [v.degree for v in n])[1][k]
+    path_m = naive_lset(grading, [v.degree for v in m])[k]
+    path_n = naive_lset(grading, [v.degree for v in n])[k]
     unused = list(range(1, len(m) + 1))
     sigma = []
     for letter, row in zip(n, path_n):
@@ -586,7 +620,7 @@ def certify_membership_linear(grading: Grading, f: FreePoly):
         work = _merge_terms(f.field, work, target, source)
     residual = []
     for word, coeff in work:
-        assert not naive_lset(grading, [v.degree for v in word])[0]
+        assert not naive_lset(grading, [v.degree for v in word])
         outside = [
             idx
             for idx, v in enumerate(word, start=1)

@@ -7,7 +7,9 @@ makes one `signatures` pass, which also decides multihomogeneity and
 gives a non-identity's witness, and its derivations skip
 `derive_equivalence`'s precheck and compute each term's prefix degrees
 once; writing a bundle formats each distinct word once.  Counters wrap the names `rewrite` calls, so each test
-also shows which calls a path makes.
+also shows which calls a path makes.  Along a ladder of component counts,
+writing touches only each component's own words in the document's memo,
+and checking a bundle compares each listed component with one part.
 """
 
 import json
@@ -19,9 +21,12 @@ import pytest
 
 from matident import CyclicGroup, GVar, Grading, IntegerGroup, RATIONALS
 from matident import freealg, generic, rewrite
-from matident.freealg import multihomogeneous_components, parse_polynomial
+from matident.commpoly import SparsePoly
+from matident.freealg import format_polynomial, multihomogeneous_components, parse_polynomial
 from matident.rewrite import (
+    BundleComponent,
     EquivalenceCertificate,
+    MembershipBundle,
     MembershipCertificate,
     NonIdentityWitness,
     Pairing,
@@ -207,6 +212,97 @@ def test_bundle_to_dict_formats_each_polynomial_once(monkeypatch):
     formatted = _counting(monkeypatch, rewrite, "format_polynomial")
     assert json.dumps(bundle_to_dict(f, outcomes, grading.group)) == expected
     assert len(formatted) == 1 + len(outcomes)
+
+
+COMPONENT_LADDER = (100, 400, 1600)
+
+
+def _commutators(count: int):
+    """The sum of `count` neutral commutators x[0;2i-1]*x[0;2i] - x[0;2i]*x[0;2i-1],
+    which has `count` multihomogeneous components of two terms each."""
+    terms = []
+    for i in range(1, count + 1):
+        u, v = GVar(0, 2 * i - 1), GVar(0, 2 * i)
+        terms += [((u, v), 1), ((v, u), -1)]
+    return free_poly(RATIONALS, *terms)
+
+
+class _CountingMemo(dict):
+    """A word -> text memo that counts its operations: one per lookup or
+    store, and one per key for a pass over all its keys."""
+
+    ops = 0
+
+    def __contains__(self, key):
+        self.ops += 1
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.ops += 1
+        return super().__getitem__(key)
+
+    def __setitem__(self, key, value):
+        self.ops += 1
+        super().__setitem__(key, value)
+
+    def get(self, key, default=None):
+        self.ops += 1
+        return super().get(key, default)
+
+    def update(self, other=(), **kwargs):
+        items = dict(other, **kwargs)
+        self.ops += len(items)
+        super().update(items)
+
+    def keys(self):
+        self.ops += len(self)
+        return super().keys()
+
+    def __iter__(self):
+        self.ops += len(self)
+        return super().__iter__()
+
+
+def test_format_polynomial_memo_work_follows_the_terms():
+    """Memo operations per component stay proportional to its term count
+    from C = 100 to C = 1,600 components, formatted into one memo as
+    `bundle_to_dict` does: only the component's own words are looked up."""
+    group = CyclicGroup(4)
+    per_term = []
+    for count in COMPONENT_LADDER:
+        texts = _CountingMemo()
+        for part in multihomogeneous_components(_commutators(count)):
+            before = texts.ops
+            format_polynomial(group, part, texts)
+            per_term.append((texts.ops - before) / len(part.terms))
+    assert max(per_term) <= 3, max(per_term)
+
+
+def test_bundle_check_compares_each_listed_component_once(monkeypatch):
+    """`SparsePoly.__eq__` calls per listed component stay flat from C = 100
+    to C = 1,600 components: each is looked up among the parts, not compared
+    with every one."""
+    grading = GRADINGS["z4"]
+    bundles = []
+    for count in COMPONENT_LADDER:
+        f = _commutators(count)
+        parts = multihomogeneous_components(f)
+        components = [BundleComponent(c, certify_membership(grading, c)) for c in parts]
+        bundles.append(MembershipBundle(f, tuple(components)))
+    calls = []
+    eq = SparsePoly.__eq__
+
+    def counting(self, other):
+        calls.append(1)
+        return eq(self, other)
+
+    monkeypatch.setattr(SparsePoly, "__eq__", counting)
+    per_component = []
+    for bundle in bundles:
+        calls.clear()
+        assert check_membership_bundle(grading, bundle)
+        per_component.append(len(calls) / len(bundle.components))
+    assert len(set(per_component)) == 1 and per_component[0] <= 2, per_component
 
 
 def test_pairing_words_equal_by_value_get_the_oracle_verdict(monkeypatch):

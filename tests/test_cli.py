@@ -378,6 +378,28 @@ def test_bundle_must_cover_each_component_once(capsys, z4_path, tmp_path):
     assert out.startswith("invalid: component 1 repeats")
 
 
+def test_bundle_field_must_match_the_field_in_force(capsys, z4_path, tmp_path):
+    poly = tmp_path / "commutator.txt"
+    poly.write_text("x[0;1]*x[0;2] - x[0;2]*x[0;1]\n", encoding="utf-8")
+    code, out, _ = run(capsys, ["certify", z4_path, str(poly), "--field", "fp:3", "--json"])
+    assert code == 0
+    bundle = json.loads(out)
+    assert bundle["field"] == "fp:3"
+    path = _write_json(tmp_path, "mod3.json", bundle)
+    assert run(capsys, ["check-cert", z4_path, path, "--field", "fp:3"])[:2] == (0, "valid\n")
+    code, out, err = run(capsys, ["check-cert", z4_path, path, "--strict"])
+    assert (code, out) == (2, "")
+    assert err == "error: bundle is over fp:3, but the field in force is rationals\n"
+    # a bundle without the key is read over the field in force
+    del bundle["field"]
+    path = _write_json(tmp_path, "unlabelled.json", bundle)
+    assert run(capsys, ["check-cert", z4_path, path, "--field", "fp:3"])[:2] == (0, "valid\n")
+    bundle["field"] = 3
+    path = _write_json(tmp_path, "numeric.json", bundle)
+    code, _, err = run(capsys, ["check-cert", z4_path, path, "--field", "fp:3"])
+    assert code == 2 and err.startswith("error: membership bundle: 'field' must be str")
+
+
 def _malformed(kind: str, edit):
     return pytest.param(kind, edit, id=edit.__name__)
 

@@ -23,6 +23,7 @@ from matident.freealg import (
 )
 
 from helpers import (
+    elements,
     free_poly,
     is_multihomogeneous,
     is_multilinear,
@@ -332,10 +333,11 @@ def _outcome(parse, text, group, field):
 @st.composite
 def oracle_texts(draw):
     group = draw(st.sampled_from(ORACLE_GROUPS))
-    if group.order is None:
+    values = elements(group)
+    if values is None:
         degrees = st.integers(min_value=-12, max_value=12)
     else:
-        degrees = st.sampled_from(list(group.elements()))
+        degrees = st.sampled_from(values)
     letter = st.builds(GVar, degrees, st.integers(min_value=1, max_value=12))
     coefficient = st.builds(
         Fraction, st.integers(min_value=-20, max_value=20), st.sampled_from((1, 1, 1, 1, 2, 3))

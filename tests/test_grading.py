@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,7 +9,16 @@ from matident import CyclicGroup, Grading, grading_from_config
 from matident.groups import IntegerGroup, ProductGroup
 from matident.monomials import is_monomial_identity, transition
 
-from helpers import naive_lset, naive_transition, s3_group, suite_gradings, z2z2_group
+from helpers import (
+    d4_group,
+    elements,
+    naive_lset,
+    naive_transition,
+    neutral_report_by_units,
+    s3_group,
+    suite_gradings,
+    z2z2_group,
+)
 
 # Chain-walk oracle suite: the acceptance gradings, infinite and mixed
 # product groups, and a repeated tuple (where a step takes the least row).
@@ -87,25 +97,19 @@ def test_support_is_exactly_positive_dimensions():
         Grading(z2z2_group(), 2, ((0, 0), (1, 1))),
     ]
     for grading in specs:
-        if grading.group.order is None:
-            continue
         support = set(grading.support())
-        for g in grading.group.elements():
+        for g in elements(grading.group):
             assert (g in support) == (grading.component_dimension(g) > 0)
 
 
 def test_lset_examples(z4_01):
-    ls = z4_01.lset((1,))
-    assert ls.starts == (1,)
-    assert ls.paths[1] == (1, 2)
+    assert z4_01.lset((1,)) == {1: (1, 2)}
 
-    assert z4_01.lset((1, 1)).starts == ()
+    assert z4_01.lset((1, 1)) == {}
 
     z2 = Grading(CyclicGroup(2), 2, (0, 1))
-    ls = z2.lset((1, 1, 1))
-    assert ls.starts == (1, 2)
-    assert ls.paths[1] == (1, 2, 1, 2)
-    assert ls.paths[2] == (2, 1, 2, 1)
+    paths = z2.lset((1, 1, 1))
+    assert list(paths.items()) == [(1, (1, 2, 1, 2)), (2, (2, 1, 2, 1))]
 
 
 def test_lset_rejects_empty_sequence(z4_01):
@@ -120,9 +124,7 @@ def test_lset_recurrence_holds_per_element():
         group = grading.group
         for _ in range(50):
             hseq = [rng.choice(support) for _ in range(rng.randint(1, 6))]
-            ls = grading.lset(hseq)
-            for k in ls.starts:
-                path = ls.paths[k]
+            for k, path in grading.lset(hseq).items():
                 assert path[0] == k
                 assert len(path) == len(hseq) + 1
                 for i, h in enumerate(hseq):
@@ -136,8 +138,8 @@ def test_lset_prefix_monotonicity():
         for _ in range(50):
             hseq = [rng.choice(support) for _ in range(rng.randint(2, 6))]
             cut = rng.randint(1, len(hseq) - 1)
-            whole = set(grading.lset(hseq).starts)
-            prefix = set(grading.lset(hseq[:cut]).starts)
+            whole = grading.lset(hseq).keys()
+            prefix = grading.lset(hseq[:cut]).keys()
             assert whole <= prefix
 
 
@@ -147,8 +149,9 @@ def test_step_tables_match_naive_walk(data):
     grading = data.draw(st.sampled_from(ORACLE_GRADINGS))
     alphabet = _oracle_alphabet(grading)
     hseq = data.draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=8))
-    ls = grading.lset(hseq)
-    assert (ls.starts, ls.paths) == naive_lset(grading, hseq)
+    paths = grading.lset(hseq)
+    assert paths == naive_lset(grading, hseq)
+    assert list(paths) == sorted(paths)
     state = data.draw(st.frozensets(st.integers(1, grading.n)))
     for h in hseq:
         assert transition(grading, state, h) == naive_transition(grading, state, h)
@@ -156,7 +159,7 @@ def test_step_tables_match_naive_walk(data):
 
 def test_lset_validates_degrees_after_caching(z4_01):
     # 1.0 and True hash and compare equal to the cached degree 1
-    assert z4_01.lset((1,)).starts == (1,)
+    assert list(z4_01.lset((1,))) == [1]
     for bad in (True, 1.0, 4, -1, "1"):
         with pytest.raises(ValueError):
             z4_01.lset((bad,))
@@ -168,16 +171,23 @@ def test_lset_validates_degrees_after_caching(z4_01):
             with pytest.raises(ValueError):
                 is_monomial_identity(z4_01, hseq)
     v4 = Grading(z2z2_group(), 4, ((0, 0), (0, 1), (1, 0), (1, 1)))
-    assert v4.lset(((1, 0),)).starts == (1, 2, 3, 4)
+    assert list(v4.lset(((1, 0),))) == [1, 2, 3, 4]
     for bad in ((True, 0), (1.0, 0), (2, 0), [1, 0]):
         with pytest.raises(ValueError):
             v4.lset((bad,))
 
 
 def test_neutral_report_examples():
-    assert Grading(CyclicGroup(2), 2, (0, 1)).neutral_report() == (True, True, True)
-    assert Grading(CyclicGroup(2), 2, (0, 0)).neutral_report() == (False, False, False)
-    assert Grading(CyclicGroup(3), 1, (1,)).neutral_report() == (True, True, True)
+    examples = [
+        (Grading(CyclicGroup(2), 2, (0, 1)), True),
+        (Grading(CyclicGroup(2), 2, (0, 0)), False),
+        (Grading(CyclicGroup(3), 1, (1,)), True),
+        (Grading(s3_group(), 3, (1, 4, 1)), False),
+        (Grading(z2z2_group(), 3, ((0, 1), (1, 1), (0, 1))), False),
+    ]
+    for grading, distinct in examples:
+        assert grading.neutral_report() == (distinct,) * 3
+        assert grading.neutral_report() == neutral_report_by_units(grading)
 
 
 def test_neutral_report_booleans_agree_across_specs():
@@ -186,12 +196,27 @@ def test_neutral_report_booleans_agree_across_specs():
     checked = 0
     while checked < 20:
         group = rng.choice(groups)
-        elements = list(group.elements())
-        n = rng.randint(1, min(4, len(elements) + 1))
-        entries = tuple(rng.choice(elements) for _ in range(n))
-        report = Grading(group, n, entries).neutral_report()
+        values = elements(group)
+        n = rng.randint(1, min(4, len(values) + 1))
+        grading = Grading(group, n, tuple(rng.choice(values) for _ in range(n)))
+        report = grading.neutral_report()
         assert all(report) or not any(report)
+        assert report == neutral_report_by_units(grading)
         checked += 1
+
+
+def test_neutral_report_matches_unit_scans_on_every_small_tuple():
+    # every tuple of length n <= 3 over small groups, repeated entries
+    # included, and every pair over D4
+    groups = [CyclicGroup(m) for m in range(1, 5)] + [z2z2_group(), s3_group()]
+    specs = [(group, n) for group in groups for n in (1, 2, 3)] + [(d4_group(), 2)]
+    repeated = 0
+    for group, n in specs:
+        for entries in itertools.product(elements(group), repeat=n):
+            grading = Grading(group, n, entries)
+            assert grading.neutral_report() == neutral_report_by_units(grading)
+            repeated += not grading.is_distinct
+    assert repeated > 0
 
 
 def test_neutral_blocks_examples():
@@ -212,8 +237,7 @@ def test_neutral_blocks_dimension_is_neutral_component_dimension():
     for _ in range(20):
         group = rng.choice([CyclicGroup(2), CyclicGroup(4), z2z2_group()])
         n = rng.randint(1, 4)
-        elements = list(group.elements())
-        entries = tuple(rng.choice(elements) for _ in range(n))
+        entries = tuple(rng.choice(elements(group)) for _ in range(n))
         grading = Grading(group, n, entries)
         assert grading.neutral_blocks().dimension == grading.component_dimension(
             group.identity()
@@ -241,9 +265,9 @@ def test_grading_refuses_a_non_integer_size(n, entries):
 def test_integer_group_grading():
     grading = Grading(IntegerGroup(), 3, (0, 1, 2))
     assert grading.support() == [-2, -1, 0, 1, 2]
-    assert grading.lset((1, 1)).starts == (1,)
-    assert grading.lset((2, 1)).starts == ()
-    assert grading.lset((2, -1)).starts == (1,)
+    assert grading.lset((1, 1)) == {1: (1, 2, 3)}
+    assert grading.lset((2, 1)) == {}
+    assert grading.lset((2, -1)) == {1: (1, 3, 2)}
 
 
 def test_grading_from_config():
