@@ -34,7 +34,6 @@ from .groups import (
 )
 from .monomials import (
     enumerate_monomial_identities,
-    is_monomial_identity,
     length_bounds,
     shortest_monomial_identity,
 )

@@ -138,7 +138,10 @@ def cmd_info(args: argparse.Namespace, grading: Grading) -> Reply:
     fmt = grading.group.format
     support = grading.support()
     dims = [(fmt(g), grading.component_dimension(g)) for g in support]
-    report = grading.neutral_report()
+    # distinct entries make the neutral component the diagonal, which commutes,
+    # and a repeated entry makes it neither (README), so one fact fills all three
+    distinct = grading.is_distinct
+    flag = str(distinct).lower()
     blocks = grading.neutral_blocks()
     payload = {
         "group": str(grading.group),
@@ -146,11 +149,9 @@ def cmd_info(args: argparse.Namespace, grading: Grading) -> Reply:
         "tuple": [fmt(g) for g in grading.entries],
         "support": [fmt(g) for g in support],
         "component_dimensions": {name: d for name, d in dims},
-        "neutral_report": {
-            "distinct_entries": report.distinct_entries,
-            "neutral_is_diagonal": report.neutral_is_diagonal,
-            "neutral_commutes": report.neutral_commutes,
-        },
+        "neutral_report": dict.fromkeys(
+            ("distinct_entries", "neutral_is_diagonal", "neutral_commutes"), distinct
+        ),
         "neutral_blocks": {"sizes": list(blocks.sizes), "dimension": blocks.dimension},
     }
     lines = [
@@ -159,12 +160,8 @@ def cmd_info(args: argparse.Namespace, grading: Grading) -> Reply:
         f"tuple: ({', '.join(fmt(g) for g in grading.entries)})",
         f"support ({len(support)}): {', '.join(fmt(g) for g in support)}",
         "component dimensions: " + ", ".join(f"{name}:{d}" for name, d in dims),
-        (
-            "neutral report: "
-            f"distinct-entries={str(report.distinct_entries).lower()} "
-            f"neutral-is-diagonal={str(report.neutral_is_diagonal).lower()} "
-            f"neutral-commutes={str(report.neutral_commutes).lower()}"
-        ),
+        f"neutral report: distinct-entries={flag} neutral-is-diagonal={flag} "
+        f"neutral-commutes={flag}",
         f"neutral blocks: sizes={list(blocks.sizes)} dimension={blocks.dimension}",
     ]
     return payload, "\n".join(lines), False
@@ -325,25 +322,12 @@ def cmd_certify(args: argparse.Namespace, grading: Grading) -> Reply:
 
 def cmd_check_cert(args: argparse.Namespace, grading: Grading) -> Reply:
     field = parse_field(args.field)
-    group = grading.group
     try:
         doc = json.loads(_load_text(args.certificate))
     except json.JSONDecodeError as exc:
         raise ValueError(f"certificate file is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"certificate document must be a JSON object, got {type(doc).__name__}")
-    kind = doc.get("type")
-    if kind == "equivalence":
-        cert = rewrite.equivalence_from_dict(doc, group)
-        result = rewrite.check_equivalence_certificate(grading, cert)
-    elif kind == "membership":
-        cert = rewrite.membership_from_dict(doc, group, field)
-        result = rewrite.check_membership_certificate(grading, cert.input, cert)
-    elif kind == "membership-bundle":
-        bundle = rewrite.bundle_from_dict(doc, group, field)
-        result = rewrite.check_membership_bundle(grading, bundle)
-    else:
-        raise ValueError(f"unknown certificate type {kind!r}")
+    cert = rewrite.read_certificate(doc, grading.group, field)
+    result = rewrite.check_certificate(grading, cert)
     payload = {"valid": result.ok}
     if result.reason:
         payload["reason"] = result.reason

@@ -71,13 +71,8 @@ class Rationals:
     def is_zero(self, a: Coefficient) -> bool:
         return a == 0
 
-    @property
-    def zero(self) -> Coefficient:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Coefficient:
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def format(self, a: Coefficient) -> str:
         return str(a)
@@ -114,13 +109,8 @@ class PrimeField:
     def is_zero(self, a: Coefficient) -> bool:
         return a % self.p == 0
 
-    @property
-    def zero(self) -> Coefficient:
-        return 0
-
-    @property
-    def one(self) -> Coefficient:
-        return 1
+    zero = 0
+    one = 1
 
     def format(self, a: Coefficient) -> str:
         return str(a % self.p)

@@ -27,14 +27,6 @@ from typing import Any, Iterable, NamedTuple, Optional, Sequence
 from .groups import Element, Group, element_from_json, group_from_config
 
 
-class NeutralReport(NamedTuple):
-    """Three views of the neutral component's shape, which always agree."""
-
-    distinct_entries: bool      # the inducing tuple has pairwise different entries
-    neutral_is_diagonal: bool   # neutral units are exactly the E_ii
-    neutral_commutes: bool      # x1*x2 - x2*x1 on neutral units vanishes
-
-
 class NeutralBlocks(NamedTuple):
     sizes: tuple[int, ...]      # multiplicities of equal tuple entries, descending
     dimension: int              # sum of squared sizes
@@ -167,18 +159,6 @@ class Grading:
             else:
                 paths[k] = tuple(path)
         return paths
-
-    def neutral_report(self) -> NeutralReport:
-        """The neutral component is the diagonal, and commutative, exactly
-        when the tuple entries are pairwise distinct.
-
-        E_ij is neutral exactly when g_i = g_j.  With distinct entries the
-        neutral units are the E_ii, which commute; a repeated entry
-        g_a = g_b gives the neutral units E_ab and E_ba, with
-        E_ab * E_ba = E_aa != E_bb = E_ba * E_ab.
-        """
-        distinct = self.is_distinct
-        return NeutralReport(distinct, distinct, distinct)
 
     def neutral_blocks(self) -> NeutralBlocks:
         """Multiplicities of equal tuple entries and the neutral dimension."""

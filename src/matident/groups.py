@@ -10,7 +10,8 @@ within one group (numeric order, lexicographic order on tuples, label-index
 order), and carry no back-reference to their group: every operation takes
 the group as explicit context.  Values are validated where they enter
 (`parse`, `check`, `element_from_json`); `op`, `inverse` and `format`
-trust their arguments and may return garbage for a non-element.
+trust their arguments and may return garbage for a non-element.  The base
+class `Group` holds only `check`; each kind defines the rest.
 """
 
 from __future__ import annotations
@@ -34,25 +35,9 @@ class CayleyViolation:
 
 
 class Group:
-    """Base interface; only `parse` and `check` validate element values."""
-
-    def op(self, a: Element, b: Element) -> Element:
-        raise NotImplementedError
-
-    def inverse(self, a: Element) -> Element:
-        raise NotImplementedError
-
-    def identity(self) -> Element:
-        raise NotImplementedError
-
-    def contains(self, a: Element) -> bool:
-        raise NotImplementedError
-
-    def parse(self, text: str) -> Element:
-        raise NotImplementedError
-
-    def format(self, a: Element) -> str:
-        raise NotImplementedError
+    """Base class: each kind defines `op`, `inverse`, `identity`,
+    `contains`, `parse` and `format`, and `check` validates through
+    `contains`."""
 
     def check(self, a: Element) -> Element:
         if not self.contains(a):

@@ -1,10 +1,10 @@
-"""Monomial graded identities: decision, enumeration, shortest length, bounds.
+"""Monomial graded identities: enumeration, shortest length, bounds.
 
 A word is a graded identity exactly when no matrix-unit chain survives its
 degree sequence, so monomial identities are a property of the degree
 sequence alone.  Row k survives exactly when every g_k * d_i is a tuple
-entry, where d_i are the prefix degrees, so identity is decided from one
-survivor mask per prefix degree (`Grading.survivors`), with no chain walk;
+entry, where d_i are the prefix degrees, so `generic` decides a word from
+one survivor mask per prefix degree (`Grading.survivors`), with no chain walk;
 only `Grading.lset` and the certificate checkers walk chains.  The set of
 surviving rows evolves under a finite subset automaton (state: set of
 current rows, transition by one degree), which yields exact
@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import accumulate
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Union
 
 from .grading import Grading
 from .groups import Element
@@ -30,23 +29,10 @@ from .groups import Element
 State = frozenset  # frozenset[int], current 1-based rows
 
 
-def is_monomial_identity(grading: Grading, hseq: Sequence[Element]) -> bool:
-    """True when every matrix-unit chain of these degrees dies out."""
-    group = grading.group
-    hseq = [group.check(h) for h in hseq]
-    if not hseq:
-        raise ValueError("degree sequence must be nonempty")
-    return not grading.survivors(accumulate(hseq, group.op))
-
-
 def transition(grading: Grading, state: State, h: Element) -> State:
     """One automaton step: advance every surviving row through degree h."""
     table = grading.step(grading.group.check(h))[0]
     return frozenset({table[pos] for pos in state} - {None})
-
-
-def initial_state(grading: Grading) -> State:
-    return frozenset(range(1, grading.n + 1))
 
 
 def enumerate_monomial_identities(
@@ -73,7 +59,7 @@ def enumerate_monomial_identities(
     alphabet = grading.support()
     op = grading.group.op
     singles = [(h,) for h in alphabet]
-    full = initial_state(grading)
+    full = frozenset(range(1, grading.n + 1))
     rows: dict[State, list[State]] = {}
     extensions: dict[Element, list[tuple[Element, tuple[int]]]] = {}
     barren: dict[State, int] = {}
@@ -156,7 +142,7 @@ def shortest_monomial_identity(
     case no word over the support is an identity, of any length.
     """
     alphabet = grading.support()
-    start = initial_state(grading)
+    start = frozenset(range(1, grading.n + 1))
     parent: dict[State, tuple[State, Element]] = {}
     seen = {start}
     queue = deque([start])

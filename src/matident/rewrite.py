@@ -15,8 +15,10 @@ conditions and compare the generic evaluations of each pairing's two
 ends, so checking is independent of how a certificate was produced.  The
 membership checker replays each pairing on the input's own term words,
 whose letters it has validated, and evaluates each distinct term word
-once per certificate.  Reading a document parses each distinct text once:
-a word text equal to a parsed term's factor text reads as that term's word.
+once per certificate.  `read_certificate` reads a document of any of the
+three types and `check_certificate` runs its checker; `check-cert` calls
+these two.  Reading a document parses each distinct text once: a word text
+equal to a parsed term's factor text reads as that term's word.
 
 Certifying groups the terms by signature (see `generic`): with a
 distinct tuple two nonempty evaluations are equal exactly when the
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Optional, Sequence, Union
 
-from .commpoly import RATIONALS, Field, Poly, accumulate, render_poly
+from .commpoly import Field, Poly, accumulate, render_poly
 from .freealg import (
     FreePoly,
     Word,
@@ -538,12 +540,20 @@ def check_membership_bundle(grading: Grading, bundle: MembershipBundle) -> Check
     return CheckResult(True)
 
 
+def check_certificate(
+    grading: Grading, cert: Union[EquivalenceCertificate, MembershipCertificate, MembershipBundle]
+) -> CheckResult:
+    """Run the checker for a certificate as `read_certificate` returns it.
+    A membership certificate vouches for its own `input`."""
+    if isinstance(cert, EquivalenceCertificate):
+        return check_equivalence_certificate(grading, cert)
+    if isinstance(cert, MembershipCertificate):
+        return check_membership_certificate(grading, cert.input, cert)
+    return check_membership_bundle(grading, cert)
+
+
 # ---------------------------------------------------------------------------
 # serialization (stable schema, format 1)
-
-
-def step_to_dict(step: RewriteStep) -> dict:
-    return {"rule": step.rule, "split": list(step.split)}
 
 
 _REQUIRED = object()
@@ -565,15 +575,6 @@ def _get(obj: Any, key: str, kind: type, what: str, default: Any = _REQUIRED) ->
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ValueError(f"{what}: {key!r} must be {kind.__name__}, got {value!r}")
     return value
-
-
-def step_from_dict(obj: dict) -> RewriteStep:
-    what = "rewrite step"
-    rule = _get(obj, "rule", str, what)
-    split = _get(obj, "split", list, what)
-    if not all(isinstance(c, int) and not isinstance(c, bool) for c in split):
-        raise ValueError(f"{what}: 'split' must be a list of integers, got {split!r}")
-    return RewriteStep(rule, tuple(split))
 
 
 class _Reader:
@@ -611,11 +612,16 @@ class _Reader:
         what = "equivalence certificate"
         if _get(obj, "type", str, what) != "equivalence":
             raise ValueError("not an equivalence certificate document")
-        return EquivalenceCertificate(
-            start=self.word(_get(obj, "start", str, what)),
-            steps=tuple(step_from_dict(s) for s in _get(obj, "steps", list, what, [])),
-            end=self.word(_get(obj, "end", str, what)),
-        )
+        start = self.word(_get(obj, "start", str, what))
+        steps = []
+        for item in _get(obj, "steps", list, what, []):
+            rule = _get(item, "rule", str, "rewrite step")
+            split = _get(item, "split", list, "rewrite step")
+            if not all(isinstance(c, int) and not isinstance(c, bool) for c in split):
+                raise ValueError(f"rewrite step: 'split' must be a list of integers, got {split!r}")
+            steps.append(RewriteStep(rule, tuple(split)))
+        end = self.word(_get(obj, "end", str, what))
+        return EquivalenceCertificate(start=start, steps=tuple(steps), end=end)
 
     def membership(self, obj: dict) -> MembershipCertificate:
         what = "membership certificate"
@@ -623,18 +629,14 @@ class _Reader:
             raise ValueError("not a membership certificate document")
         # `input` first, so that its factor texts serve the words below
         poly = self.polynomial(_get(obj, "input", str, what))
-        residual = tuple(
-            ResidualTerm(
-                word=self.word(_get(item, "word", str, "residual term")),
-                coefficient=parse_coefficient(
-                    _get(item, "coefficient", str, "residual term"), self.field
-                ),
-                justification=justification_from_dict(
-                    _get(item, "justification", dict, "residual term")
-                ),
-            )
-            for item in _get(obj, "residual", list, what, [])
-        )
+        residual = []
+        for item in _get(obj, "residual", list, what, []):
+            word = self.word(_get(item, "word", str, "residual term"))
+            coeff = parse_coefficient(_get(item, "coefficient", str, "residual term"), self.field)
+            j = _get(item, "justification", dict, "residual term")
+            kind = _get(j, "kind", str, "justification")
+            letter = _get(j, "letter", int, "justification", None)
+            residual.append(ResidualTerm(word, coeff, Justification(kind, letter)))
         pairings = tuple(
             Pairing(
                 target=_get(item, "target", int, "pairing"),
@@ -643,7 +645,7 @@ class _Reader:
             )
             for item in _get(obj, "pairings", list, what, [])
         )
-        return MembershipCertificate(input=poly, pairings=pairings, residual=residual)
+        return MembershipCertificate(input=poly, pairings=pairings, residual=tuple(residual))
 
     def bundle(self, obj: dict) -> MembershipBundle:
         what = "membership bundle"
@@ -668,6 +670,26 @@ class _Reader:
         )
 
 
+def read_certificate(
+    doc: Any, group: Group, field: Field
+) -> Union[EquivalenceCertificate, MembershipCertificate, MembershipBundle]:
+    """Read a certificate document of any of the three types, chosen by its
+    `type`; coefficients are read over `field`, which a bundle's own `field`
+    key must name.  The type is compared, not looked up, so a value of any
+    JSON type gets the same one-line error."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"certificate document must be a JSON object, got {type(doc).__name__}")
+    kind = doc.get("type")
+    reader = _Reader(group, field)
+    if kind == "equivalence":
+        return reader.equivalence(doc)
+    if kind == "membership":
+        return reader.membership(doc)
+    if kind == "membership-bundle":
+        return reader.bundle(doc)
+    raise ValueError(f"unknown certificate type {kind!r}")
+
+
 def equivalence_to_dict(
     cert: EquivalenceCertificate, group: Group, texts: Optional[dict[Word, str]] = None
 ) -> dict:
@@ -677,26 +699,8 @@ def equivalence_to_dict(
         "type": "equivalence",
         "start": texts.get(cert.start) or format_word(group, cert.start),
         "end": texts.get(cert.end) or format_word(group, cert.end),
-        "steps": [step_to_dict(s) for s in cert.steps],
+        "steps": [{"rule": s.rule, "split": list(s.split)} for s in cert.steps],
     }
-
-
-def equivalence_from_dict(obj: dict, group: Group) -> EquivalenceCertificate:
-    return _Reader(group, RATIONALS).equivalence(obj)
-
-
-def justification_to_dict(j: Justification) -> dict:
-    out: dict = {"kind": j.kind}
-    if j.letter is not None:
-        out["letter"] = j.letter
-    return out
-
-
-def justification_from_dict(obj: dict) -> Justification:
-    what = "justification"
-    return Justification(
-        kind=_get(obj, "kind", str, what), letter=_get(obj, "letter", int, what, None)
-    )
 
 
 def membership_to_dict(
@@ -720,15 +724,14 @@ def membership_to_dict(
             {
                 "word": texts.get(term.word) or format_word(group, term.word),
                 "coefficient": field.format(term.coefficient),
-                "justification": justification_to_dict(term.justification),
+                # the fields are the schema's keys; an absent letter is not written
+                "justification": {
+                    k: v for k, v in vars(term.justification).items() if v is not None
+                },
             }
             for term in cert.residual
         ],
     }
-
-
-def membership_from_dict(obj: dict, group: Group, field: Field) -> MembershipCertificate:
-    return _Reader(group, field).membership(obj)
 
 
 def bundle_to_dict(
@@ -770,7 +773,3 @@ def bundle_to_dict(
         "components": components,
         "identity": all(item["identity"] for item in components),
     }
-
-
-def bundle_from_dict(obj: dict, group: Group, field: Field) -> MembershipBundle:
-    return _Reader(group, field).bundle(obj)

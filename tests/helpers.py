@@ -16,8 +16,10 @@ step, where `check_equivalence_certificate` compares the two ends once.
 Both oracles apply steps with `apply_step_by_blocks`, which multiplies
 each block's letter degrees where `apply_step` compares prefix degrees.
 `neutral_report_by_units` scans and multiplies matrix units, where
-`Grading.neutral_report` reads the one fact that decides all three views:
-whether the tuple entries are pairwise distinct.  `elements` enumerates
+`info` reads the one fact that decides all three views: whether the tuple
+entries are pairwise distinct (`Grading.is_distinct`).
+`is_monomial_identity` decides one degree sequence from its survivor
+masks, as the enumerator's automaton does one letter at a time.  `elements` enumerates
 the finite groups the tests sample from; the groups themselves do not.
 """
 
@@ -344,7 +346,7 @@ def units_of_degree(grading: Grading, h) -> list[tuple[int, int]]:
 
 
 def neutral_report_by_units(grading: Grading) -> tuple[bool, bool, bool]:
-    """The three views of `Grading.neutral_report`, each by its definition:
+    """The three views of `info`'s neutral report, each by its definition:
     the tuple entries are pairwise distinct; a scan of all matrix units
     finds only diagonal ones of neutral degree; and every pair of neutral
     units commutes, multiplied as units both ways."""
@@ -358,6 +360,16 @@ def neutral_report_by_units(grading: Grading) -> tuple[bool, bool, bool]:
         all(i == j for i, j in units),
         all(product(u, v) == product(v, u) for u in units for v in units),
     )
+
+
+def is_monomial_identity(grading: Grading, hseq) -> bool:
+    """True when every matrix-unit chain of these degrees dies out: no row
+    survives all the prefix degrees' masks."""
+    group = grading.group
+    hseq = [group.check(h) for h in hseq]
+    if not hseq:
+        raise ValueError("degree sequence must be nonempty")
+    return not grading.survivors(itertools.accumulate(hseq, group.op))
 
 
 def sequence_vanishes_by_units(grading: Grading, hseq) -> bool:

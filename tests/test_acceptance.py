@@ -309,11 +309,11 @@ def test_c7_neutral_report_equivalence():
         n = rng.randint(1, 4)
         specs.append(Grading(group, n, tuple(rng.choice(values) for _ in range(n))))
     for idx, grading in enumerate(specs):
-        r = grading.neutral_report()
+        r = neutral_report_by_units(grading)
         if not (all(r) or not any(r)):
             failures.append(f"spec {idx}: booleans disagree: {r}")
-        if r != neutral_report_by_units(grading):
-            failures.append(f"spec {idx}: {r} differs from the unit scans")
+        if r != (grading.is_distinct,) * 3:
+            failures.append(f"spec {idx}: the unit scans {r} differ from is_distinct")
     report("C7 neutral-shape report agrees with the unit scans on 20 specs", failures)
 
 

@@ -141,26 +141,15 @@ def _vouched_polynomial(doc: dict, grading, field) -> FreePoly:
 
 
 def _replay(doc: dict, grading, field):
-    """The checker's verdict on a document, as `check-cert` reads it:
-    (ok, reason), or the type and text of what checking raised.  None when
-    the document does not read back."""
-    kind = doc.get("type")
+    """The checker's verdict on a document, read and checked through the
+    entries `check-cert` calls: (ok, reason), or the type and text of what
+    checking raised.  None when the document does not read back."""
     try:
-        if kind == "equivalence":
-            cert = rewrite.equivalence_from_dict(doc, grading.group)
-            check = lambda: rewrite.check_equivalence_certificate(grading, cert)
-        elif kind == "membership":
-            cert = rewrite.membership_from_dict(doc, grading.group, field)
-            check = lambda: rewrite.check_membership_certificate(grading, cert.input, cert)
-        elif kind == "membership-bundle":
-            bundle = rewrite.bundle_from_dict(doc, grading.group, field)
-            check = lambda: rewrite.check_membership_bundle(grading, bundle)
-        else:
-            return None
+        cert = rewrite.read_certificate(doc, grading.group, field)
     except (ValueError, RecursionError):
         return None
     try:
-        result = check()
+        result = rewrite.check_certificate(grading, cert)
     except ValueError as exc:
         return type(exc), str(exc)
     return result.ok, result.reason

@@ -30,12 +30,11 @@ from matident.rewrite import (
     MembershipCertificate,
     NonIdentityWitness,
     Pairing,
-    bundle_from_dict,
     bundle_to_dict,
     certify_membership,
     check_membership_bundle,
     check_membership_certificate,
-    membership_from_dict,
+    read_certificate,
 )
 
 from helpers import (
@@ -87,7 +86,7 @@ def test_reading_a_genuine_bundle_parses_no_word(monkeypatch, name, seed):
     doc = _bundle_doc(grading, _identity(grading, seed))
     words = _counting(monkeypatch, rewrite, "parse_word")
     polys = _counting(monkeypatch, rewrite, "parse_polynomial")
-    bundle = bundle_from_dict(doc, grading.group, RATIONALS)
+    bundle = read_certificate(doc, grading.group, RATIONALS)
     assert words == []
     # a certificate's input is its component's text, parsed once
     texts = {doc["input"]} | {item["component"] for item in doc["components"]}
@@ -99,7 +98,7 @@ def test_reading_a_genuine_bundle_parses_no_word(monkeypatch, name, seed):
 def test_respaced_word_texts_read_to_the_same_words(monkeypatch, name, seed):
     grading = GRADINGS[name]
     doc = _bundle_doc(grading, _identity(grading, seed))
-    bundle = bundle_from_dict(doc, grading.group, RATIONALS)
+    bundle = read_certificate(doc, grading.group, RATIONALS)
     # no factor text has a space around '*' or before its first 'x'
     respaced = set()
     for item in doc["components"]:
@@ -112,7 +111,7 @@ def test_respaced_word_texts_read_to_the_same_words(monkeypatch, name, seed):
             term["word"] = " " + term["word"]
             respaced.add(term["word"])
     words = _counting(monkeypatch, rewrite, "parse_word")
-    read = bundle_from_dict(doc, grading.group, RATIONALS)
+    read = read_certificate(doc, grading.group, RATIONALS)
     assert read == bundle
     assert sorted(words) == sorted(respaced)
     assert check_membership_bundle(grading, read)
@@ -122,7 +121,7 @@ def test_respaced_word_texts_read_to_the_same_words(monkeypatch, name, seed):
 def test_check_evaluates_each_term_word_once(monkeypatch, name, seed):
     grading = GRADINGS[name]
     doc = _bundle_doc(grading, _identity(grading, seed))
-    bundle = bundle_from_dict(doc, grading.group, RATIONALS)
+    bundle = read_certificate(doc, grading.group, RATIONALS)
     evaluated = _counting(monkeypatch, rewrite, "word_product_closed", arg=1)
     assert check_membership_bundle(grading, bundle)
     terms = {word for item in bundle.components for word in item.component.terms}
@@ -354,7 +353,7 @@ def test_reading_a_standalone_membership_parses_no_word(monkeypatch):
     doc = json.loads(MEMBERSHIP.read_text(encoding="utf-8"))
     grading = GRADINGS["z4"]
     words = _counting(monkeypatch, rewrite, "parse_word")
-    cert = membership_from_dict(doc, grading.group, RATIONALS)
+    cert = read_certificate(doc, grading.group, RATIONALS)
     assert words == []
     assert check_membership_certificate(grading, cert.input, cert)
 
@@ -376,5 +375,5 @@ def test_a_bad_input_is_reported_before_the_bad_words(start, residual):
         doc["pairings"][1]["certificate"]["start"] = start
     doc["residual"] = residual
     with pytest.raises(ValueError) as caught:
-        membership_from_dict(doc, GRADINGS["z4"].group, RATIONALS)
+        read_certificate(doc, GRADINGS["z4"].group, RATIONALS)
     assert str(caught.value) == "residue 7 out of range for Z4 (at position 9)"

@@ -24,8 +24,8 @@ from matident.rewrite import (
     NonIdentityWitness,
     certify_membership,
     check_membership_certificate,
-    membership_from_dict,
     membership_to_dict,
+    read_certificate,
 )
 
 from helpers import (
@@ -106,7 +106,8 @@ def test_identities_over_partial_cayley_gradings_certify(
     cert = certify_membership(grading, f)
     assert isinstance(cert, MembershipCertificate)
     doc = json.loads(json.dumps(membership_to_dict(cert, group)))
-    read = membership_from_dict(doc, group, field)
+    read = read_certificate(doc, group, field)
+    assert isinstance(read, MembershipCertificate)
     assert read.input == f
     assert check_membership_certificate(grading, read.input, read)
 

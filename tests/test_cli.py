@@ -400,6 +400,45 @@ def test_bundle_field_must_match_the_field_in_force(capsys, z4_path, tmp_path):
     assert code == 2 and err.startswith("error: membership bundle: 'field' must be str")
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        pytest.param(
+            [{"type": "membership"}],
+            "certificate document must be a JSON object, got list",
+            id="array",
+        ),
+        # unhashable: a dispatch through a dict lookup would raise TypeError
+        pytest.param(
+            {"type": ["membership"]}, "unknown certificate type ['membership']", id="list-type"
+        ),
+        pytest.param({"format": 1}, "unknown certificate type None", id="no-type"),
+    ],
+)
+def test_check_cert_type_dispatch_errors(capsys, z4_path, tmp_path, doc, message):
+    path = _write_json(tmp_path, "doc.json", doc)
+    assert run(capsys, ["check-cert", z4_path, path]) == (2, "", f"error: {message}\n")
+
+
+def test_standalone_membership_certificate_is_read_over_the_field_option(capsys, tmp_path):
+    # a membership document carries no field: over another field its replay
+    # reads invalid, which is a verdict, not an error
+    z4 = str(GOLDEN / "inputs" / "z4.json")
+    poly = tmp_path / "mod3.txt"
+    poly.write_text("x[0;1]*x[0;2] + 2*x[0;2]*x[0;1]\n", encoding="utf-8")
+    code, out, _ = run(capsys, ["certify", z4, str(poly), "--field", "fp:3", "--json"])
+    assert code == 0
+    cert = json.loads(out)["components"][0]["certificate"]
+    assert cert["type"] == "membership" and "field" not in cert
+    path = _write_json(tmp_path, "membership.json", cert)
+    assert run(capsys, ["check-cert", z4, path, "--field", "fp:3"]) == (0, "valid\n", "")
+    assert run(capsys, ["check-cert", z4, path]) == (
+        0,
+        "invalid: replay does not reach the recorded residual\n",
+        "",
+    )
+
+
 def _malformed(kind: str, edit):
     return pytest.param(kind, edit, id=edit.__name__)
 

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from matident import CyclicGroup, Grading, grading_from_config
 from matident.groups import IntegerGroup, ProductGroup
-from matident.monomials import is_monomial_identity, transition
+from matident.monomials import transition
 
 from helpers import (
     d4_group,
     elements,
+    is_monomial_identity,
     naive_lset,
     naive_transition,
     neutral_report_by_units,
@@ -186,8 +187,8 @@ def test_neutral_report_examples():
         (Grading(z2z2_group(), 3, ((0, 1), (1, 1), (0, 1))), False),
     ]
     for grading, distinct in examples:
-        assert grading.neutral_report() == (distinct,) * 3
-        assert grading.neutral_report() == neutral_report_by_units(grading)
+        assert grading.is_distinct == distinct
+        assert (grading.is_distinct,) * 3 == neutral_report_by_units(grading)
 
 
 def test_neutral_report_booleans_agree_across_specs():
@@ -199,9 +200,9 @@ def test_neutral_report_booleans_agree_across_specs():
         values = elements(group)
         n = rng.randint(1, min(4, len(values) + 1))
         grading = Grading(group, n, tuple(rng.choice(values) for _ in range(n)))
-        report = grading.neutral_report()
+        report = neutral_report_by_units(grading)
         assert all(report) or not any(report)
-        assert report == neutral_report_by_units(grading)
+        assert report == (grading.is_distinct,) * 3
         checked += 1
 
 
@@ -214,7 +215,7 @@ def test_neutral_report_matches_unit_scans_on_every_small_tuple():
     for group, n in specs:
         for entries in itertools.product(elements(group), repeat=n):
             grading = Grading(group, n, entries)
-            assert grading.neutral_report() == neutral_report_by_units(grading)
+            assert (grading.is_distinct,) * 3 == neutral_report_by_units(grading)
             repeated += not grading.is_distinct
     assert repeated > 0
 

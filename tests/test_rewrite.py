@@ -36,10 +36,9 @@ from matident.rewrite import (
     check_membership_bundle,
     check_membership_certificate,
     derive_equivalence,
-    equivalence_from_dict,
     equivalence_to_dict,
-    membership_from_dict,
     membership_to_dict,
+    read_certificate,
 )
 
 from helpers import (
@@ -423,7 +422,8 @@ def test_equivalence_serialization_round_trip():
     n = parse_word("x[1;3]*x[1;4]*x[1;1]*x[1;2]", Z2)
     cert = derive_equivalence(GR_Z2, m, n)
     doc = equivalence_to_dict(cert, Z2)
-    back = equivalence_from_dict(doc, Z2)
+    back = read_certificate(doc, Z2, RATIONALS)
+    assert isinstance(back, EquivalenceCertificate)
     assert back == cert
     assert equivalence_to_dict(back, Z2) == doc
 
@@ -438,7 +438,8 @@ def test_membership_serialization_round_trip():
         cert = certify_membership(GR_Z4, comp)
         assert isinstance(cert, MembershipCertificate)
         doc = membership_to_dict(cert, Z4)
-        back = membership_from_dict(doc, Z4, RATIONALS)
+        back = read_certificate(doc, Z4, RATIONALS)
+        assert isinstance(back, MembershipCertificate)
         assert back == cert
         assert membership_to_dict(back, Z4) == doc
         assert check_membership_certificate(GR_Z4, comp, back)
