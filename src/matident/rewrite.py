@@ -29,7 +29,7 @@ take each word's prefix degrees from it.  Derivation and check share one
 swap rule, `apply_step`, on prefix degrees: the block between cuts a < b
 has degree d[a]^-1 * d[b], so each side condition is one comparison, and
 a swap keeps every letter's prefix degree, so the degrees move with their
-letters (`_swap`) and no step makes a group operation.
+letters, in place over the step's span, and no step makes a group operation.
 Only the checkers walk chains: their verdict rests on comparing end
 evaluations with `word_product_closed`, which reads no prefix degree, and
 they recompute empty chain sets with `Grading.lset`, replaying the
@@ -110,11 +110,12 @@ class RewriteStep:
         return RewriteStep(CONJUGATE_SWAP, (i, i + l - k, i + l - j, l))
 
 
-def apply_step(word: Word, degrees: Sequence, step: RewriteStep) -> tuple[Word, Sequence]:
-    """Apply one swap to a word and its prefix degrees d (`prefix_degrees`),
-    checking the cut points, then the side conditions: the block between
-    cuts a < b has degree d[a]^-1 * d[b], so each condition compares two
-    prefix degrees.  Returns both lists rearranged alike (`_swap`)."""
+def apply_step(word: list, degrees: list, step: RewriteStep) -> None:
+    """Apply one swap in place to a word and its prefix degrees d
+    (`prefix_degrees`), checking the cut points, then the side conditions:
+    the block between cuts a < b has degree d[a]^-1 * d[b], so each
+    condition compares two prefix degrees.  Both lists are then rearranged
+    alike over [first cut, last cut); a step that raises changes neither."""
     cuts = step.split
     if any(cuts[a] >= cuts[a + 1] for a in range(len(cuts) - 1)):
         raise StepError(f"factorization mismatch: cut points {cuts} must increase")
@@ -122,31 +123,21 @@ def apply_step(word: Word, degrees: Sequence, step: RewriteStep) -> tuple[Word, 
         raise StepError(
             f"factorization mismatch: cut points {cuts} outside word of length {len(word)}"
         )
+    i, j, k, l = cuts[0], cuts[1], cuts[-2], cuts[-1]  # a neutral swap's middle [j, k) is empty
     if step.rule == NEUTRAL_SWAP:
-        i, j, k = cuts
         if degrees[i] != degrees[j]:
             raise StepError("side condition failed: first swapped block must have neutral degree")
-        if degrees[j] != degrees[k]:
+        if degrees[j] != degrees[l]:
             raise StepError("side condition failed: second swapped block must have neutral degree")
     else:
-        i, j, k, l = cuts
         if degrees[i] == degrees[j]:
             raise StepError("side condition failed: swapped blocks must have non-neutral degree")
         if degrees[k] != degrees[i]:
             raise StepError("side condition failed: middle block must have the inverse degree")
         if degrees[l] != degrees[j]:
             raise StepError("side condition failed: swapped blocks must have equal degree")
-    return _swap(word, step), _swap(degrees, step)
-
-
-def _swap(seq: Sequence, step: RewriteStep) -> Sequence:
-    """The step's rearrangement of a word, or of its prefix degrees: a swap
-    keeps every letter's prefix degree, so the two lists move alike."""
-    if step.rule == NEUTRAL_SWAP:
-        i, j, k = step.split
-        return seq[:i] + seq[j:k] + seq[i:j] + seq[k:]
-    i, j, k, l = step.split
-    return seq[:i] + seq[k:l] + seq[j:k] + seq[i:j] + seq[l:]
+    for seq in (word, degrees):
+        seq[i:l] = seq[k:l] + seq[j:k] + seq[i:j]
 
 
 @dataclass(frozen=True)
@@ -177,8 +168,8 @@ def check_equivalence_certificate(
     Accepts only when every step applies, the final word is the recorded
     end, and its evaluation equals the start's, which is evaluated first
     to validate every letter (a swap only permutes them).  The start's
-    prefix degrees are then computed once and carried through the replay
-    by `apply_step`, the rule the derivation builds its steps with.  The
+    prefix degrees are then computed once, and `apply_step`, the rule the
+    derivation builds its steps with, replays the steps in place.  The
     verdict rests on the comparison of the two end evaluations, chain
     walks that read no prefix degree.  A repeated tuple raises
     DistinctTupleError: equal evaluations prove nothing there.
@@ -188,19 +179,20 @@ def check_equivalence_certificate(
     """
     require_distinct(grading)
     evaluate_word = _evaluate or partial(word_product_closed, grading)
-    current = tuple(cert.start)
-    if not current:
+    start = tuple(cert.start)
+    if not start:
         return CheckResult(False, "start word is empty")
-    reference = evaluate_word(current)
-    degrees = prefix_degrees(grading.group, current)
+    reference = evaluate_word(start)
+    current, degrees = list(start), prefix_degrees(grading.group, start)
     for idx, step in enumerate(cert.steps):
         try:
-            current, degrees = apply_step(current, degrees, step)
+            apply_step(current, degrees, step)
         except StepError as exc:
             return CheckResult(False, f"step {idx}: {exc}")
-    if current != tuple(cert.end):
+    end = tuple(current)
+    if end != tuple(cert.end):
         return CheckResult(False, "replayed word does not match the recorded end")
-    if evaluate_word(current) != reference:
+    if evaluate_word(end) != reference:
         return CheckResult(False, "generic evaluation changed between start and end")
     return CheckResult(True)
 
@@ -262,8 +254,9 @@ def _align(m: Word, n: Word, dm: list, dn: list) -> EquivalenceCertificate:
     before p, so their suffixes carry equal (letter, prefix degree) pairs;
     each of n's letters takes the least unused m-position of its pair.
     Each built step goes through `apply_step`, the checker's swap rule,
-    which moves the degrees with the letters."""
-    m_cur, n_cur = m, n
+    which moves the degrees with the letters in place, on copies made on
+    entry: certify passes one target's degree list to each of its sources."""
+    m_cur, n_cur, dm, dn = list(m), list(n), list(dm), list(dn)
     m_steps: list[RewriteStep] = []
     n_steps: list[RewriteStep] = []
     p = 0
@@ -281,9 +274,9 @@ def _align(m: Word, n: Word, dm: list, dn: list) -> EquivalenceCertificate:
         side, step = _alignment_step(dm, dn, p, sigma, sigma.index(1) + 1)
         try:
             if side == "n":
-                n_cur, dn = apply_step(n_cur, dn, step)
+                apply_step(n_cur, dn, step)
             else:
-                m_cur, dm = apply_step(m_cur, dm, step)
+                apply_step(m_cur, dm, step)
         except StepError:
             raise AssertionError(f"alignment built a step that does not apply: {step}") from None
         (n_steps if side == "n" else m_steps).append(step)
@@ -674,11 +667,14 @@ def read_certificate(
     doc: Any, group: Group, field: Field
 ) -> Union[EquivalenceCertificate, MembershipCertificate, MembershipBundle]:
     """Read a certificate document of any of the three types, chosen by its
-    `type`; coefficients are read over `field`, which a bundle's own `field`
-    key must name.  The type is compared, not looked up, so a value of any
-    JSON type gets the same one-line error."""
+    `type`, over `field`, which a bundle's own `field` key must name.  The
+    type is compared, not looked up, so any JSON type gets one error line.
+    A top-level `format`, if present, must be `CERTIFICATE_FORMAT`."""
     if not isinstance(doc, dict):
         raise ValueError(f"certificate document must be a JSON object, got {type(doc).__name__}")
+    version = _get(doc, "format", int, "certificate document", CERTIFICATE_FORMAT)
+    if version != CERTIFICATE_FORMAT:
+        raise ValueError(f"unsupported certificate format {version}, expected {CERTIFICATE_FORMAT}")
     kind = doc.get("type")
     reader = _Reader(group, field)
     if kind == "equivalence":

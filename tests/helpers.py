@@ -66,7 +66,6 @@ from matident.rewrite import (
     ResidualTerm,
     RewriteStep,
     StepError,
-    _swap,
 )
 
 
@@ -493,6 +492,16 @@ def word_degree(group: Group, word):
     return acc
 
 
+def swap_blocks(seq, step: RewriteStep):
+    """The step's rearrangement of a word or of its prefix degrees, as a new
+    sequence, where `rewrite.apply_step` rearranges both lists in place."""
+    if step.rule == NEUTRAL_SWAP:
+        i, j, k = step.split
+        return seq[:i] + seq[j:k] + seq[i:j] + seq[k:]
+    i, j, k, l = step.split
+    return seq[:i] + seq[k:l] + seq[j:k] + seq[i:j] + seq[l:]
+
+
 def apply_step_by_blocks(group: Group, word, step: RewriteStep):
     """`rewrite.apply_step` on the word alone, with each side condition
     read from the product of its blocks' letter degrees instead of from
@@ -511,7 +520,7 @@ def apply_step_by_blocks(group: Group, word, step: RewriteStep):
             raise StepError("side condition failed: first swapped block must have neutral degree")
         if word_degree(group, word[j:k]) != eps:
             raise StepError("side condition failed: second swapped block must have neutral degree")
-        return _swap(word, step)
+        return swap_blocks(word, step)
     i, j, k, l = cuts
     du = word_degree(group, word[i:j])
     if du == eps:
@@ -520,7 +529,7 @@ def apply_step_by_blocks(group: Group, word, step: RewriteStep):
         raise StepError("side condition failed: middle block must have the inverse degree")
     if word_degree(group, word[k:l]) != du:
         raise StepError("side condition failed: swapped blocks must have equal degree")
-    return _swap(word, step)
+    return swap_blocks(word, step)
 
 
 def _merge_terms(field, work: list, target: int, source: int) -> list:

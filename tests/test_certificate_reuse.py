@@ -10,11 +10,14 @@ once; writing a bundle formats each distinct word once.  Counters wrap the names
 also shows which calls a path makes.  Along a ladder of component counts,
 writing touches only each component's own words in the document's memo,
 and checking a bundle compares each listed component with one part.
+Along a ladder of word lengths, replaying a step moves only the prefix
+degrees within its span.
 """
 
 import json
 import random
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -24,14 +27,17 @@ from matident import freealg, generic, rewrite
 from matident.commpoly import SparsePoly
 from matident.freealg import format_polynomial, multihomogeneous_components, parse_polynomial
 from matident.rewrite import (
+    NEUTRAL_SWAP,
     BundleComponent,
     EquivalenceCertificate,
     MembershipBundle,
     MembershipCertificate,
     NonIdentityWitness,
     Pairing,
+    RewriteStep,
     bundle_to_dict,
     certify_membership,
+    check_equivalence_certificate,
     check_membership_bundle,
     check_membership_certificate,
     read_certificate,
@@ -302,6 +308,67 @@ def test_bundle_check_compares_each_listed_component_once(monkeypatch):
         assert check_membership_bundle(grading, bundle)
         per_component.append(len(calls) / len(bundle.components))
     assert len(set(per_component)) == 1 and per_component[0] <= 2, per_component
+
+
+WORD_LADDER = (1000, 2000, 4000, 8000)
+
+
+class _CountingDegrees(list):
+    """A prefix-degree list that adds to `moved` the elements its slice
+    reads, its slice writes and its sums touch; its slices and sums are
+    counting lists too."""
+
+    moved = 0
+
+    def __getitem__(self, key):
+        got = super().__getitem__(key)
+        if not isinstance(key, slice):
+            return got
+        _CountingDegrees.moved += len(got)
+        return _CountingDegrees(got)
+
+    def __setitem__(self, key, value):
+        if isinstance(key, slice):
+            _CountingDegrees.moved += len(value)
+        super().__setitem__(key, value)
+
+    def __add__(self, other):
+        _CountingDegrees.moved += len(self) + len(other)
+        return _CountingDegrees(super().__add__(other))
+
+
+def test_replay_work_follows_the_step_spans(monkeypatch):
+    """Degree-list elements moved per replayed step stay flat from q = 1,000
+    to q = 8,000 neutral letters over Z4, with q/2 steps neutral-swap
+    [0, 1, 2]: as an equivalence certificate, and as the one pairing of a
+    membership certificate, whose replay evaluates through the checker's
+    memo.  A step rearranges the lists over its span, not the whole word."""
+    grading = GRADINGS["z4"]
+    original = rewrite.prefix_degrees
+    monkeypatch.setattr(
+        rewrite, "prefix_degrees", lambda group, word: _CountingDegrees(original(group, word))
+    )
+    swap = RewriteStep(NEUTRAL_SWAP, (0, 1, 2))
+    per_step: dict = {"equivalence": [], "membership": []}
+    for q in WORD_LADDER:
+        m = tuple(GVar(0, i) for i in range(1, q + 1))
+        n = (m[1], m[0]) + m[2:]
+        # q/2 swaps of the first two letters lead from n to n, so the
+        # membership pairing from n to m takes one more
+        eq = EquivalenceCertificate(n, (swap,) * (q // 2), n)
+        f = free_poly(RATIONALS, (m, 1), (n, -1))
+        target = [word for word, _ in f.sorted_terms()].index(m)
+        pairing = Pairing(target, 1 - target, EquivalenceCertificate(n, eq.steps + (swap,), m))
+        cert = MembershipCertificate(f, (pairing,), ())
+        runs = {
+            "equivalence": (partial(check_equivalence_certificate, grading, eq), q // 2),
+            "membership": (partial(check_membership_certificate, grading, f, cert), q // 2 + 1),
+        }
+        for kind, (check, steps) in runs.items():
+            _CountingDegrees.moved = 0
+            assert check()
+            per_step[kind].append(_CountingDegrees.moved / steps)
+    assert all(len(set(counts)) == 1 for counts in per_step.values()), per_step
 
 
 def test_pairing_words_equal_by_value_get_the_oracle_verdict(monkeypatch):

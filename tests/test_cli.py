@@ -413,11 +413,45 @@ def test_bundle_field_must_match_the_field_in_force(capsys, z4_path, tmp_path):
             {"type": ["membership"]}, "unknown certificate type ['membership']", id="list-type"
         ),
         pytest.param({"format": 1}, "unknown certificate type None", id="no-type"),
+        # the top-level format is read before the type
+        pytest.param(
+            {"format": 7, "type": "equivalence", "start": "x[1;1]", "end": "x[1;1]", "steps": []},
+            "unsupported certificate format 7, expected 1",
+            id="format-7",
+        ),
+        pytest.param(
+            {"format": 2, "type": ["membership"]},
+            "unsupported certificate format 2, expected 1",
+            id="format-before-type",
+        ),
+        pytest.param(
+            {"format": True, "type": "equivalence"},
+            "certificate document: 'format' must be int, got True",
+            id="format-bool",
+        ),
+        pytest.param(
+            {"format": "1", "type": "equivalence"},
+            "certificate document: 'format' must be int, got '1'",
+            id="format-str",
+        ),
     ],
 )
 def test_check_cert_type_dispatch_errors(capsys, z4_path, tmp_path, doc, message):
     path = _write_json(tmp_path, "doc.json", doc)
     assert run(capsys, ["check-cert", z4_path, path]) == (2, "", f"error: {message}\n")
+
+
+def test_check_cert_reads_only_the_top_level_format(capsys, z4_path, tmp_path):
+    # a nested certificate's format belongs to the top-level document's,
+    # and a document without the key is read as format 1
+    doc = json.loads((GOLDEN / "inputs" / "z4_membership.json").read_text(encoding="utf-8"))
+    for pairing in doc["pairings"]:
+        pairing["certificate"]["format"] = 7
+    path = _write_json(tmp_path, "nested.json", doc)
+    assert run(capsys, ["check-cert", z4_path, path]) == (0, "valid\n", "")
+    del doc["format"]
+    path = _write_json(tmp_path, "bare.json", doc)
+    assert run(capsys, ["check-cert", z4_path, path]) == (0, "valid\n", "")
 
 
 def test_standalone_membership_certificate_is_read_over_the_field_option(capsys, tmp_path):

@@ -4,12 +4,13 @@ A word's prefix degrees d_1 = e, d_{i+1} = d_i * deg(w_i) (with the end
 degree d_{q+1} last) fix its generic evaluation together with its letters.
 Both swap rules keep every letter's prefix degree, so `apply_step`, the
 one swap rule of derivation and check, reads each side condition from
-two prefix degrees and moves the degree list with the letters (`_swap`)
-instead of recomputing degrees.  These tests check it against
+two prefix degrees and rearranges the degree list in place with the
+letters instead of recomputing degrees.  These tests check it against
 `helpers.apply_step_by_blocks`, which multiplies each block's letter
-degrees, on every cut tuple, and pin `derive_equivalence` to the oracle
-that recovers every step's letter matching from compared evaluations, on
-words whose (letter, prefix degree) pairs repeat.
+degrees, on every cut tuple, check that a refused step leaves both lists
+as they were, and pin `derive_equivalence` to the oracle that recovers
+every step's letter matching from compared evaluations, on words whose
+(letter, prefix degree) pairs repeat.
 """
 
 import itertools
@@ -25,7 +26,6 @@ from matident.rewrite import (
     NEUTRAL_SWAP,
     RewriteStep,
     StepError,
-    _swap,
     apply_step,
     check_equivalence_certificate,
     derive_equivalence,
@@ -81,7 +81,9 @@ def test_swaps_move_prefix_degrees_with_their_letters():
             before = prefix_degrees(group, word)
             for step in valid_rewrite_steps(group, word):
                 swapped = apply_step_by_blocks(group, word, step)
-                assert prefix_degrees(group, swapped) == _swap(before, step)
+                w, d = list(word), list(before)
+                apply_step(w, d, step)
+                assert (tuple(w), d) == (swapped, prefix_degrees(group, swapped))
                 swaps += 1
     assert swaps > 1000
 
@@ -101,8 +103,10 @@ def _outcome(apply, *args):
 
 
 def test_degree_form_accepts_exactly_the_steps_apply_step_accepts():
-    """On every cut tuple, `apply_step` gives the block-degree oracle's
-    swapped word with that word's prefix degrees, or its exact error."""
+    """On every cut tuple, `apply_step` rearranges the word and its prefix
+    degrees into the block-degree oracle's swapped word and that word's
+    prefix degrees, or raises the oracle's exact error and leaves both lists
+    as they were."""
     rng = random.Random(2021)
     accepted = {NEUTRAL_SWAP: 0, CONJUGATE_SWAP: 0}
     conditions: set = set()  # the side-condition messages met
@@ -114,14 +118,17 @@ def test_degree_form_accepts_exactly_the_steps_apply_step_accepts():
                 for rule, count in ((NEUTRAL_SWAP, 3), (CONJUGATE_SWAP, 4)):
                     for cuts in _cut_points(len(word), count):
                         step = RewriteStep(rule, cuts)
-                        got = _outcome(apply_step, word, d, step)
+                        w, ds = list(word), list(d)
+                        got = _outcome(apply_step, w, ds, step)
                         expected = _outcome(apply_step_by_blocks, group, word, step)
                         if isinstance(expected, str):
                             assert got == expected, (word, step)
+                            assert (tuple(w), ds) == (word, d), (word, step)
                             if expected.startswith("side condition"):
                                 conditions.add(expected)
                         else:
-                            assert got == (expected, prefix_degrees(group, expected)), (word, step)
+                            assert got is None, (word, step)
+                            assert (tuple(w), ds) == (expected, prefix_degrees(group, expected))
                             accepted[rule] += 1
     assert min(accepted.values()) > 50, accepted
     assert len(conditions) == 5, conditions

@@ -49,6 +49,7 @@ from helpers import (
     random_swappable_word,
     s3_group,
     suite_gradings,
+    swap_blocks,
     valid_rewrite_steps,
     z2z2_group,
 )
@@ -63,14 +64,18 @@ def test_apply_neutral_swap_example():
     w = parse_word("x[1;1]*x[1;2]*x[1;3]*x[1;4]", Z2)
     step = RewriteStep(NEUTRAL_SWAP, (0, 2, 4))
     swapped = parse_word("x[1;3]*x[1;4]*x[1;1]*x[1;2]", Z2)
-    assert apply_step(w, prefix_degrees(Z2, w), step) == (swapped, [0, 1, 0, 1, 0])
+    word, degrees = list(w), prefix_degrees(Z2, w)
+    assert apply_step(word, degrees, step) is None
+    assert (tuple(word), degrees) == (swapped, [0, 1, 0, 1, 0])
 
 
 def test_apply_conjugate_swap_example():
     w = parse_word("x[1;1]*x[1;3]*x[1;2]", Z2)
     step = RewriteStep(CONJUGATE_SWAP, (0, 1, 2, 3))
     swapped = parse_word("x[1;2]*x[1;3]*x[1;1]", Z2)
-    assert apply_step(w, prefix_degrees(Z2, w), step) == (swapped, [0, 1, 0, 1])
+    word, degrees = list(w), prefix_degrees(Z2, w)
+    assert apply_step(word, degrees, step) is None
+    assert (tuple(word), degrees) == (swapped, [0, 1, 0, 1])
 
 
 def test_apply_step_side_condition_errors():
@@ -104,9 +109,11 @@ def test_step_inverse_round_trip():
             w = random_swappable_word(rng, grading)
             d = prefix_degrees(grading.group, w)
             for step in valid_rewrite_steps(grading.group, w):
-                swapped, ds = apply_step(w, d, step)
-                assert ds == prefix_degrees(grading.group, swapped)
-                assert apply_step(swapped, ds, step.inverse()) == (w, d)
+                word, ds = list(w), list(d)
+                apply_step(word, ds, step)
+                assert ds == prefix_degrees(grading.group, word)
+                apply_step(word, ds, step.inverse())
+                assert (tuple(word), ds) == (w, d)
 
 
 def test_steps_preserve_generic_evaluation():
@@ -117,8 +124,9 @@ def test_steps_preserve_generic_evaluation():
             before = word_product_closed(grading, w)
             d = prefix_degrees(grading.group, w)
             for step in valid_rewrite_steps(grading.group, w):
-                after = word_product_closed(grading, apply_step(w, d, step)[0])
-                assert after == before
+                word = list(w)
+                apply_step(word, list(d), step)
+                assert word_product_closed(grading, tuple(word)) == before
 
 
 def test_check_certificate_empty_steps():
@@ -152,13 +160,14 @@ def test_checkers_reject_a_step_that_changes_the_evaluation(monkeypatch):
     # conditions.  With them gone, the replay reaches the recorded end and
     # only the comparison of the two end evaluations rejects.
     def unchecked_swap(word, degrees, step):
-        return rewrite._swap(word, step), rewrite._swap(degrees, step)
+        word[:] = swap_blocks(word, step)
+        degrees[:] = swap_blocks(degrees, step)
 
     monkeypatch.setattr(rewrite, "apply_step", unchecked_swap)
     grading = Grading(Z4, 4, (0, 1, 2, 3))
     start = parse_word("x[1;1]*x[2;2]*x[1;3]", Z4)
     step = RewriteStep(NEUTRAL_SWAP, (0, 1, 2))
-    end = rewrite._swap(start, step)
+    end = swap_blocks(start, step)
     assert word_product_closed(grading, end) != word_product_closed(grading, start)
     reason = "generic evaluation changed between start and end"
     eq = EquivalenceCertificate(start, (step,), end)
