@@ -197,48 +197,13 @@ def check_equivalence_certificate(
     return CheckResult(True)
 
 
-def _alignment_step(
-    dm: Sequence, dn: Sequence, p: int, sigma: Sequence[int], a: int
-) -> tuple[str, RewriteStep]:
-    """One swap, cut in whole-word positions, making the suffixes from p
-    start with the same letter.
-
-    `dm` and `dn` are the words' prefix degrees, `sigma` the letter
-    matching of the suffixes and `a` the 1-based position in n's suffix of
-    m's leading letter.  Returns ("n", step) or ("m", step) naming the side
-    to rotate: when some value r sits before position a while r+1 sits
-    after, n rotates; otherwise the positions before a hold exactly m's top
-    segment and m rotates.  A conjugate rotation collapses to a neutral swap
-    of merged blocks whenever its middle block is empty or all three blocks
-    are neutral (the block from p to p+c is neutral when d[p] == d[p+c])."""
-    q = len(sigma)
-    inv = [0] * (q + 1)
-    for l, value in enumerate(sigma, start=1):
-        inv[value] = l
-
-    r = next((r for r in range(1, q) if inv[r] < a < inv[r + 1]), None)
-    if r is not None:
-        ir, ir1 = inv[r], inv[r + 1]
-        if ir + 1 == a or dn[p + ir] == dn[p]:
-            return "n", RewriteStep(NEUTRAL_SWAP, (p, p + a - 1, p + ir1 - 1))
-        return "n", RewriteStep(CONJUGATE_SWAP, (p, p + ir, p + a - 1, p + ir1 - 1))
-    b, s1 = q - a + 2, sigma[0]
-    if b == s1 or dm[p + b - 1] == dm[p]:
-        return "m", RewriteStep(NEUTRAL_SWAP, (p, p + s1 - 1, p + q))
-    return "m", RewriteStep(CONJUGATE_SWAP, (p, p + b - 1, p + s1 - 1, p + q))
-
-
 def derive_equivalence(grading: Grading, m: Word, n: Word) -> EquivalenceCertificate:
     """Derive a certificate from n to m.
 
     Requires a shared nonzero entry (and a distinct-entry grading): equal
-    signatures with a surviving start row.  The derivation aligns one
-    letter at a time: read the letter matching of the unaligned suffixes
-    from their (letter, prefix degree) pairs, rotate whichever side the
-    matching dictates so the leading letters agree, and strip.  Rotations
-    applied to the m side are appended to the certificate inverted, so the
-    replay runs n to m.  `certify_membership` runs the same alignment
-    without the precheck: its pairs have equal surviving signatures.
+    signatures with a surviving start row.  The steps are built by
+    `_align`, which `certify_membership` calls without the precheck: its
+    pairs have equal surviving signatures.
     """
     require_distinct(grading)
     m, n = tuple(m), tuple(n)
@@ -249,41 +214,63 @@ def derive_equivalence(grading: Grading, m: Word, n: Word) -> EquivalenceCertifi
 
 
 def _align(m: Word, n: Word, dm: list, dn: list) -> EquivalenceCertificate:
-    """The alignment loop of `derive_equivalence`, for words with validated
-    letters that share an entry, and their prefix degrees.  The words agree
-    before p, so their suffixes carry equal (letter, prefix degree) pairs;
-    each of n's letters takes the least unused m-position of its pair.
+    """The derivation from n to m, for words with validated letters that
+    share an entry, and their prefix degrees.
+
+    The words agree before p, so their suffixes carry equal (letter, prefix
+    degree) pairs.  At a mismatch, m's letter at p + r takes the least
+    unused n-position inv[r] of its pair, and one rotation (p, i, k, l)
+    moves the letter at k to p; so each mismatched position takes one step.
+    When some r >= 1 has inv[r] < a = inv[0] < inv[r+1], n rotates, with
+    (i, k, l) = (inv[r] + 1, a, inv[r+1]).  Otherwise n's letters before a
+    are m's last a - p letters, and m rotates, with i = end - (a - p), k the
+    m-position of n's letter at p and l = end.  The rotation swaps the
+    outer blocks [p, i) and [k, l) around [i, k) by the conjugate rule;
+    when the middle block is empty, or the first block is neutral
+    (d[p] == d[i]), which makes all three neutral, it is the neutral swap
+    of the merged blocks [p, k) and [k, l) instead.  The matching is
+    rebuilt at every mismatch: a rotation can reorder two equal pairs, and
+    the greedy matching of the new order can differ.
+
     Each built step goes through `apply_step`, the checker's swap rule,
     which moves the degrees with the letters in place, on copies made on
-    entry: certify passes one target's degree list to each of its sources."""
+    entry: certify passes one target's degree list to each of its sources.
+    Steps rotating m are appended to the certificate inverted, so the
+    replay runs n to m."""
     m_cur, n_cur, dm, dn = list(m), list(n), list(dm), list(dn)
     m_steps: list[RewriteStep] = []
     n_steps: list[RewriteStep] = []
-    p = 0
-    while p < len(m_cur):
+    end = len(m_cur)
+    for p in range(end):
         if m_cur[p] == n_cur[p]:
-            p += 1
             continue
         slots: dict[tuple, list[int]] = {}
-        for a in range(len(m_cur), p, -1):
-            slots.setdefault((m_cur[a - 1], dm[a - 1]), []).append(a - p)
+        for b in range(end - 1, p - 1, -1):
+            slots.setdefault((n_cur[b], dn[b]), []).append(b)
         try:
-            sigma = tuple([slots[key].pop() for key in zip(n_cur[p:], dn[p:])])
+            inv = [slots[key].pop() for key in zip(m_cur[p:], dm[p:])]
         except (KeyError, IndexError):
             raise AssertionError("shared entry lost while stripping aligned letters") from None
-        side, step = _alignment_step(dm, dn, p, sigma, sigma.index(1) + 1)
+        a = inv[0]
+        r = next((r for r in range(1, len(inv) - 1) if inv[r] < a < inv[r + 1]), None)
+        if r is not None:
+            word, d, steps, (i, k, l) = n_cur, dn, n_steps, (inv[r] + 1, a, inv[r + 1])
+        else:
+            word, d, steps, (i, k, l) = m_cur, dm, m_steps, (end - (a - p), p + inv.index(p), end)
+        if i == k or d[i] == d[p]:
+            step = RewriteStep(NEUTRAL_SWAP, (p, k, l))
+        else:
+            step = RewriteStep(CONJUGATE_SWAP, (p, i, k, l))
         try:
-            if side == "n":
-                apply_step(n_cur, dn, step)
-            else:
-                apply_step(m_cur, dm, step)
+            apply_step(word, d, step)
         except StepError:
             raise AssertionError(f"alignment built a step that does not apply: {step}") from None
-        (n_steps if side == "n" else m_steps).append(step)
+        steps.append(step)
     if m_cur != n_cur:
         raise AssertionError("alignment finished on different words")
-    steps = tuple(n_steps) + tuple(s.inverse() for s in reversed(m_steps))
-    return EquivalenceCertificate(start=n, steps=steps, end=m)
+    return EquivalenceCertificate(
+        start=n, steps=tuple(n_steps) + tuple(s.inverse() for s in reversed(m_steps)), end=m
+    )
 
 
 # ---------------------------------------------------------------------------

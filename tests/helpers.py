@@ -559,6 +559,11 @@ def _alignment_step(
     before a hold exactly msuf's top segment and msuf rotates instead.
     A conjugate rotation collapses to a neutral swap of merged blocks
     whenever its middle block is empty or all three blocks are neutral.
+
+    The matching is read from n's side and inverted, and the cut points
+    are relative to the suffixes, on purpose: `rewrite._align` matches from
+    m's side in whole-word positions and reads block degrees from prefix
+    degrees, so this stays an independent oracle for its steps.
     """
     eps = group.identity()
     q = len(sigma)

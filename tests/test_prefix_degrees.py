@@ -10,9 +10,10 @@ letters instead of recomputing degrees.  These tests check it against
 degrees, on every cut tuple, check that a refused step leaves both lists
 as they were, and pin `derive_equivalence` to the oracle that recovers
 every step's letter matching from compared evaluations, on words whose
-(letter, prefix degree) pairs repeat.
+(letter, prefix degree) pairs repeat, up to 24 letters long.
 """
 
+import collections
 import itertools
 import random
 
@@ -31,11 +32,14 @@ from matident.rewrite import (
     derive_equivalence,
 )
 
+import helpers
 from helpers import (
     apply_step_by_blocks,
     derive_equivalence_stepwise,
     partial_cayley_gradings,
+    random_chain_word,
     random_rewrite_variant,
+    random_swap,
     random_swappable_word,
     random_word,
     suite_gradings,
@@ -161,6 +165,39 @@ def related_words(draw):
 def test_derivation_matches_the_stepwise_oracle(case):
     grading, m, n = case
     assert derive_equivalence(grading, m, n) == derive_equivalence_stepwise(grading, m, n)
+
+
+def test_long_derivations_match_the_stepwise_oracle(monkeypatch):
+    """On 200 seeded pairs of 12 to 24 letters, each reached by up to 12
+    swaps, `derive_equivalence` gives the oracle's certificate with at most
+    one step per mismatched position.  The oracle's alignment steps are
+    counted, so that both sides rotate and both rules occur often."""
+    seen: collections.Counter = collections.Counter()
+    alignment_step = helpers._alignment_step
+
+    def counting(*args):
+        side, step = alignment_step(*args)
+        seen[side] += 1
+        seen[step.rule] += 1
+        return side, step
+
+    monkeypatch.setattr(helpers, "_alignment_step", counting)
+    rng = random.Random(2030)
+    for case in range(200):
+        grading = GRADINGS[case % len(GRADINGS)]
+        length = rng.randint(12, 24)
+        if case % 2:
+            word = _two_row_walk(rng, grading, length)
+        else:
+            word = random_chain_word(rng, grading, length, index_pool=2)
+        other = word
+        for _ in range(rng.randint(0, 12)):
+            other = random_swap(rng, grading.group, other)
+        m, n = (word, other) if rng.random() < 0.5 else (other, word)
+        cert = derive_equivalence(grading, m, n)
+        assert cert == derive_equivalence_stepwise(grading, m, n), (m, n)
+        assert len(cert.steps) <= len(m) - 1
+    assert min(seen[key] for key in ("n", "m", NEUTRAL_SWAP, CONJUGATE_SWAP)) >= 20, seen
 
 
 def _cyclic_derivations(seed: int) -> list:
