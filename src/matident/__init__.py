@@ -20,7 +20,6 @@ from .generic import (
     DistinctTupleError,
     evaluate,
     is_graded_identity,
-    word_product_closed,
 )
 from .grading import Grading, grading_from_config
 from .groups import (

@@ -193,7 +193,7 @@ def cmd_eval(args: argparse.Namespace, grading: Grading) -> Reply:
     field = parse_field(args.field)
     poly = parse_polynomial(_load_text(args.polynomial), grading.group, field)
     matrix = evaluate(grading, poly)
-    fmt = grading.group.format
+    fmt = functools.cache(grading.group.format)  # each distinct degree is formatted once
     # each entry is rendered once, for the payload and the "(i,j): p" lines
     entries = {f"({i},{j})": render_poly(matrix[(i, j)], fmt) for (i, j) in sorted(matrix)}
     payload = {"field": str(field), "zero": not matrix, "entries": entries}

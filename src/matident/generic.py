@@ -33,13 +33,17 @@ share an entry exactly when their signatures are equal and survive.
 Derivations take each word's prefix degrees from `signatures` and move
 them with the letters, since both swap rules keep them.  Only the
 certificate checkers walk chains, independent of the signature argument:
-`word_product_closed` gives one monomial, with coefficient 1, at (start
-row, end row) for every surviving chain.  The direct matrix-product
-oracle that checks all of this is in `tests/helpers.py`.
+`chain_key` advances all rows through each letter at once (`Grading.walk`)
+and gives, at (start row, end row) for every surviving chain, the rows the
+chain visits in sorted-letter order.  Between words with the same letters
+these rows say what the chain's monomial says, with no `YVar` built.  The
+closed-form monomial map `word_product_closed` and the direct
+matrix-product oracle that check all of this are in `tests/helpers.py`.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Collection, Iterable, Sequence
 
 from .commpoly import Coefficient, Field, Monomial, Poly, YVar, accumulate
@@ -69,19 +73,39 @@ def _chain_monomial(word: Word, path: Sequence[int]) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-def word_product_closed(grading: Grading, word: Word) -> dict[tuple[int, int], Monomial]:
-    """A word's generic evaluation as {(start row, end row): monomial}.
+def chain_key(grading: Grading, word: Word) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The certificate checkers' form of a word's generic evaluation:
+    {(start row, end row): rows the chain visits} for every surviving chain,
+    read from one `Grading.walk` of all rows.
 
-    For each start row k whose chain survives the word's degree sequence,
-    the entry at (k, end row) is the single monomial, with coefficient 1,
-    collecting one variable per letter along the chain.  Distinct start
-    rows give distinct positions, and the map is empty exactly when the
-    word is a monomial identity.
+    The rows are listed in the order of the word's sorted letters, the row
+    before each letter, and sorted within each run of a repeated letter.
+    So they place each letter on its rows as the chain's monomial places
+    its variables, and two words with the same letters get equal keys
+    exactly when their evaluations are equal.  The map is empty exactly
+    when the word is a monomial identity.  Reads no prefix degree, builds
+    no `YVar` and trusts its letters (see `check_letters`).
     """
     if not word:
         raise ValueError("cannot evaluate the empty word")
-    paths = grading.lset(degree_sequence(word))
-    return {(k, path[-1]): _chain_monomial(word, path) for k, path in paths.items()}
+    order = sorted(range(len(word)), key=word.__getitem__)
+    stages = grading.walk(degree_sequence(word))
+    rows = zip(*[stages[i] for i in order])  # one tuple per start row, dead row 0 first
+    key = {(k, end): path for k, (end, path) in enumerate(zip(stages[-1], rows)) if end}
+    if len(set(word)) == len(word):
+        return key
+    runs, a = [], 0  # [a, b) for each run of a repeated letter among the sorted letters
+    for _, run in groupby(word[i] for i in order):
+        b = a + sum(1 for _ in run)
+        if b - a > 1:
+            runs.append((a, b))
+        a = b
+    for pos, path in key.items():
+        path = list(path)
+        for a, b in runs:
+            path[a:b] = sorted(path[a:b])
+        key[pos] = tuple(path)
+    return key
 
 
 def check_letters(group: Group, words: Iterable[Word]) -> None:

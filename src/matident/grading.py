@@ -8,13 +8,16 @@ and the chain structure of matrix-unit products: for a degree sequence
 of those degrees exists, together with the row path it traces.
 
 The step table and survivor mask of a degree are built with n group
-operations the first time the grading sees it (`step`).  Row k survives a
-degree sequence exactly when every g_k * d_i is a tuple entry, where d_i
-are its prefix degrees, so `survivors` decides survival as one mask AND
-per prefix degree; only `lset` walks the rows.  Like group arithmetic,
-`step` and `survivors` trust their degrees.  `lset`, `Grading.__init__`
-and `component_dimension` validate theirs, so non-elements, True and 1.0
-included, stay out of the value-keyed tables.
+operations the first time the grading sees it (`step`).  Row 0 is the dead
+row: a table maps it to itself and sends there every row whose chain
+leaves the tuple, so one degree advances all rows at once with one C-level
+`itemgetter` over its table (`walk`).  Row k survives a degree sequence
+exactly when every g_k * d_i is a tuple entry, where d_i are its prefix
+degrees, so `survivors` decides survival as one mask AND per prefix
+degree; only `walk`, and `lset` through it, follow the rows.  Like group
+arithmetic, `step`, `survivors` and `walk` trust their degrees.  `lset`,
+`Grading.__init__` and `component_dimension` validate theirs, so
+non-elements, True and 1.0 included, stay out of the value-keyed tables.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, NamedTuple, Optional, Sequence
+from operator import itemgetter
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .groups import Element, Group, element_from_json, group_from_config
 
@@ -104,24 +108,25 @@ class Grading:
         return count
 
     @cached_property
-    def _steps(self) -> dict[Element, tuple[tuple[Optional[int], ...], int]]:
+    def _steps(self) -> dict[Element, tuple[tuple[int, ...], int]]:
         return {}
 
-    def step(self, h: Element) -> tuple[tuple[Optional[int], ...], int]:
+    def step(self, h: Element) -> tuple[tuple[int, ...], int]:
         """Step table and survivor mask of degree h, built on the first call.
 
         The table is indexed by 1-based row: entry `pos` is the least row j
-        with g_j = g_pos * h, or None when that product leaves the tuple's
-        value set; entry 0 is unused.  Bit `pos` of the mask is set exactly
-        where the table has a row.  Like group arithmetic, this trusts h:
-        callers pass elements already validated, or products of them.
+        with g_j = g_pos * h, or 0, the dead row, when that product leaves
+        the tuple's value set; entry 0 is 0, so a dead chain stays dead.
+        Bit `pos` of the mask is set exactly where the table has a row.
+        Like group arithmetic, this trusts h: callers pass elements already
+        validated, or products of them.
         """
         entry = self._steps.get(h)
         if entry is None:
             least = self._least_index
             op = self.group.op
-            table = (None,) + tuple(least.get(op(g, h)) for g in self.entries)
-            mask = sum(1 << pos for pos, row in enumerate(table) if row is not None)
+            table = (0,) + tuple(least.get(op(g, h), 0) for g in self.entries)
+            mask = sum(1 << pos for pos, row in enumerate(table) if row)
             entry = self._steps[h] = (table, mask)
         return entry
 
@@ -136,29 +141,36 @@ class Grading:
                 break
         return mask
 
+    def walk(self, hseq: Iterable[Element]) -> list[tuple[int, ...]]:
+        """Every row's chain through a degree sequence, one tuple per stage.
+
+        Stage i holds, at index k, the row the chain from start row k
+        reaches after the first i degrees, or 0 once it has left the tuple;
+        stage 0 is 0..n, so index 0 is the dead row throughout.  Each
+        degree advances all rows at once, with one C-level `itemgetter`
+        over its step table.  Like `step`, this trusts its degrees.
+        """
+        step = self.step
+        rows = tuple(range(self.n + 1))  # n + 1 >= 2 indexes: itemgetter returns a tuple
+        stages = [rows]
+        for h in hseq:
+            rows = itemgetter(*rows)(step(h)[0])
+            stages.append(rows)
+        return stages
+
     def lset(self, hseq: Sequence[Element]) -> dict[int, tuple[int, ...]]:
         """Start rows whose unit chains survive the whole degree sequence,
         as {start row k: row path}, in ascending start order.
 
         The path of k is (s_1, ..., s_{q+1}) with s_1 = k and
         g_{s_{i+1}} = g_{s_i} * h_i.  Each degree is validated once; the
-        walk from every start row then only reads the step tables.
+        paths are then read from the `walk` of all rows.
         """
-        tables = [self.step(self.group.check(h))[0] for h in hseq]
-        if not tables:
+        hseq = [self.group.check(h) for h in hseq]
+        if not hseq:
             raise ValueError("degree sequence must be nonempty")
-        paths: dict[int, tuple[int, ...]] = {}
-        for k in range(1, self.n + 1):
-            path = [k]
-            pos: Optional[int] = k
-            for table in tables:
-                pos = table[pos]
-                if pos is None:
-                    break
-                path.append(pos)
-            else:
-                paths[k] = tuple(path)
-        return paths
+        # the dead row's path ends at 0, like that of every chain that dies
+        return {path[0]: path for path in zip(*self.walk(hseq)) if path[-1]}
 
     def neutral_blocks(self) -> NeutralBlocks:
         """Multiplicities of equal tuple entries and the neutral dimension."""

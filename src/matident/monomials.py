@@ -4,10 +4,11 @@ A word is a graded identity exactly when no matrix-unit chain survives its
 degree sequence, so monomial identities are a property of the degree
 sequence alone.  Row k survives exactly when every g_k * d_i is a tuple
 entry, where d_i are the prefix degrees, so `generic` decides a word from
-one survivor mask per prefix degree (`Grading.survivors`), with no chain walk;
-only `Grading.lset` and the certificate checkers walk chains.  The set of
-surviving rows evolves under a finite subset automaton (state: set of
-current rows, transition by one degree), which yields exact
+one survivor mask per prefix degree (`Grading.survivors`), with no chain
+walk; only `Grading.walk` follows chains, for `lset` and the certificate
+checkers.  The set of surviving rows evolves under a finite subset
+automaton (state: set of current rows, transition by one degree, read
+from the same step tables), which yields exact
 shortest-identity answers by breadth-first search.  The exhaustive
 enumerator walks the same automaton depth-first and flags each identity seq
 it emits as minimal (no proper factor and no coarsening inside the support
@@ -32,7 +33,7 @@ State = frozenset  # frozenset[int], current 1-based rows
 def transition(grading: Grading, state: State, h: Element) -> State:
     """One automaton step: advance every surviving row through degree h."""
     table = grading.step(grading.group.check(h))[0]
-    return frozenset({table[pos] for pos in state} - {None})
+    return frozenset({table[pos] for pos in state} - {0})
 
 
 def enumerate_monomial_identities(

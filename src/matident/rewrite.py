@@ -15,10 +15,11 @@ conditions and compare the generic evaluations of each pairing's two
 ends, so checking is independent of how a certificate was produced.  The
 membership checker replays each pairing on the input's own term words,
 whose letters it has validated, and evaluates each distinct term word
-once per certificate.  `read_certificate` reads a document of any of the
-three types and `check_certificate` runs its checker; `check-cert` calls
-these two.  Reading a document parses each distinct text once: a word text
-equal to a parsed term's factor text reads as that term's word.
+once per certificate, for its pairings and its residual alike.
+`read_certificate` reads a document of any of the three types and
+`check_certificate` runs its checker; `check-cert` calls these two.
+Reading a document parses each distinct text once: a word text equal to a
+parsed term's factor text reads as that term's word.
 
 Certifying groups the terms by signature (see `generic`): with a
 distinct tuple two nonempty evaluations are equal exactly when the
@@ -30,10 +31,12 @@ swap rule, `apply_step`, on prefix degrees: the block between cuts a < b
 has degree d[a]^-1 * d[b], so each side condition is one comparison, and
 a swap keeps every letter's prefix degree, so the degrees move with their
 letters, in place over the step's span, and no step makes a group operation.
-Only the checkers walk chains: their verdict rests on comparing end
-evaluations with `word_product_closed`, which reads no prefix degree, and
-they recompute empty chain sets with `Grading.lset`, replaying the
-working list independently of certify.
+Only the checkers walk chains: their verdict rests on comparing the two
+ends' `chain_key`s, one walk of all rows per word that reads no prefix
+degree and builds no `YVar`, and a residual's empty chain set is an empty
+key.  The ends of a replay have the same letters, so equal keys mean equal
+evaluations.  Letters are validated once, with `check_letters`, before any
+walk, and the working list is replayed independently of certify.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .commpoly import Field, Poly, accumulate, render_poly
 from .freealg import (
     FreePoly,
     Word,
-    degree_sequence,
     format_polynomial,
     format_word,
     multihomogeneous_components,
@@ -58,12 +60,12 @@ from .freealg import (
 )
 from .generic import (
     _entries,
+    chain_key,
     check_letters,
     prefix_degrees,
     require_distinct,
     signatures,
     survivors,
-    word_product_closed,
 )
 from .grading import Grading
 from .groups import Group
@@ -166,22 +168,27 @@ def check_equivalence_certificate(
     """Replay a derivation's side conditions, then compare end evaluations.
 
     Accepts only when every step applies, the final word is the recorded
-    end, and its evaluation equals the start's, which is evaluated first
-    to validate every letter (a swap only permutes them).  The start's
-    prefix degrees are then computed once, and `apply_step`, the rule the
-    derivation builds its steps with, replays the steps in place.  The
-    verdict rests on the comparison of the two end evaluations, chain
-    walks that read no prefix degree.  A repeated tuple raises
+    end, and its evaluation equals the start's.  The start's letters are
+    validated first (a swap only permutes them) and its `chain_key` taken.
+    The start's prefix degrees are then computed once, and `apply_step`,
+    the rule the derivation builds its steps with, replays the steps in
+    place.  The verdict rests on the comparison of the two ends' keys,
+    chain walks that read no prefix degree; both ends have the same
+    letters, so equal keys mean equal evaluations.  A repeated tuple raises
     DistinctTupleError: equal evaluations prove nothing there.
 
-    `_evaluate` replaces `word_product_closed` for the membership checker,
-    which passes its per-check memo of the term words' evaluations.
+    `_evaluate` replaces the validation and `chain_key` for the membership
+    checker, which passes its per-check memo of the validated term words'
+    keys.
     """
     require_distinct(grading)
-    evaluate_word = _evaluate or partial(word_product_closed, grading)
     start = tuple(cert.start)
     if not start:
         return CheckResult(False, "start word is empty")
+    evaluate_word = _evaluate
+    if evaluate_word is None:
+        check_letters(grading.group, (start,))
+        evaluate_word = partial(chain_key, grading)
     reference = evaluate_word(start)
     current, degrees = list(start), prefix_degrees(grading.group, start)
     for idx, step in enumerate(cert.steps):
@@ -409,13 +416,13 @@ def check_membership_certificate(
     check_letters(grading.group, f.terms)
     field = f.field
     work: list[tuple[Word, Any]] = f.sorted_terms()
-    # each term word's evaluation, made once and dropped when the term leaves `work`
+    # each term word's `chain_key`, made once and dropped when the term leaves `work`
     evaluations: dict[Word, dict] = {}
 
     def evaluate_word(word: Word) -> dict:
         found = evaluations.get(word)
         if found is None:
-            found = evaluations[word] = word_product_closed(grading, word)
+            found = evaluations[word] = chain_key(grading, word)
         return found
 
     for idx, pairing in enumerate(cert.pairings):
@@ -443,7 +450,7 @@ def check_membership_certificate(
     recorded = [(term.word, term.coefficient) for term in cert.residual]
     if work != recorded:
         return CheckResult(False, "replay does not reach the recorded residual")
-    for idx, term in enumerate(cert.residual):
+    for idx, ((word, _), term) in enumerate(zip(work, cert.residual)):
         j = term.justification
         if j.kind == JUSTIFY_OUTSIDE_SUPPORT:
             if j.letter is None or not 1 <= j.letter <= len(term.word):
@@ -454,7 +461,7 @@ def check_membership_certificate(
                     False, f"residual {idx}: cited letter's component is not zero"
                 )
         elif j.kind == JUSTIFY_EMPTY_LSET:
-            if grading.lset(degree_sequence(term.word)):
+            if evaluate_word(word):
                 return CheckResult(False, f"residual {idx}: chain set is not empty")
         else:
             return CheckResult(False, f"residual {idx}: unknown justification {j.kind!r}")

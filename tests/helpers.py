@@ -19,7 +19,9 @@ each block's letter degrees where `apply_step` compares prefix degrees.
 `info` reads the one fact that decides all three views: whether the tuple
 entries are pairwise distinct (`Grading.is_distinct`).
 `is_monomial_identity` decides one degree sequence from its survivor
-masks, as the enumerator's automaton does one letter at a time.  `elements` enumerates
+masks, as the enumerator's automaton does one letter at a time.
+`word_product_closed` builds one monomial per `Grading.lset` path: the
+closed form the certificate checkers compared before `generic.chain_key`.  `elements` enumerates
 the finite groups the tests sample from; the groups themselves do not.
 """
 
@@ -29,6 +31,7 @@ import contextlib
 import io
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -51,7 +54,7 @@ from matident.freealg import (
     Word,
     multidegree,
 )
-from matident.generic import evaluate, require_distinct, word_product_closed
+from matident.generic import evaluate, require_distinct
 from matident.rewrite import (
     CONJUGATE_SWAP,
     JUSTIFY_EMPTY_LSET,
@@ -292,6 +295,25 @@ def word_product_direct(grading: Grading, field, word) -> OracleMatrix:
     for v in word[1:]:
         result = result @ generic_matrix(grading, field, v.degree, v.index)
     return result
+
+
+def word_product_closed(grading: Grading, word) -> dict[tuple[int, int], tuple]:
+    """A word's generic evaluation as {(start row, end row): monomial}.
+
+    For each start row k whose chain survives the word's degree sequence
+    (`Grading.lset`), the entry at (k, end row) is the single monomial,
+    with coefficient 1, collecting one variable per letter along the
+    chain.  The map is empty exactly when the word is a monomial identity.
+    This is the closed form the certificate checkers compared before
+    `generic.chain_key`, kept as that key's oracle.
+    """
+    if not word:
+        raise ValueError("cannot evaluate the empty word")
+    out = {}
+    for k, path in grading.lset([v.degree for v in word]).items():
+        exps = Counter(YVar(v.degree, v.index, row) for v, row in zip(word, path))
+        out[(k, path[-1])] = tuple(sorted(exps.items()))
+    return out
 
 
 def closed_matrix(grading: Grading, field, word) -> OracleMatrix:

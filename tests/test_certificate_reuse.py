@@ -2,12 +2,13 @@
 
 Reading a bundle parses each polynomial text once and reads every word
 text that is a term's factor text from the parsed term; the membership
-checker evaluates each distinct term word once per certificate; certify
-makes one `signatures` pass, which also decides multihomogeneity and
-gives a non-identity's witness, and its derivations skip
-`derive_equivalence`'s precheck and compute each term's prefix degrees
-once; writing a bundle formats each distinct word once.  Counters wrap the names `rewrite` calls, so each test
-also shows which calls a path makes.  Along a ladder of component counts,
+checker evaluates each distinct term word once per certificate, one
+`chain_key` walk each; certify makes one `signatures` pass, which also
+decides multihomogeneity and gives a non-identity's witness, and its
+derivations skip `derive_equivalence`'s precheck and compute each term's
+prefix degrees once; writing a bundle formats each distinct word once.
+Counters wrap the names `rewrite` calls, so each test also shows which
+calls a path makes.  Along a ladder of component counts,
 writing touches only each component's own words in the document's memo,
 and checking a bundle compares each listed component with one part.
 Along a ladder of word lengths, replaying a step moves only the prefix
@@ -49,6 +50,7 @@ from helpers import (
     poly_sum,
     random_identity_component,
     s3_group,
+    word_product_closed,
 )
 
 GRADINGS = {
@@ -128,10 +130,11 @@ def test_check_evaluates_each_term_word_once(monkeypatch, name, seed):
     grading = GRADINGS[name]
     doc = _bundle_doc(grading, _identity(grading, seed))
     bundle = read_certificate(doc, grading.group, RATIONALS)
-    evaluated = _counting(monkeypatch, rewrite, "word_product_closed", arg=1)
+    evaluated = _counting(monkeypatch, rewrite, "chain_key", arg=1)
     assert check_membership_bundle(grading, bundle)
     terms = {word for item in bundle.components for word in item.component.terms}
-    assert max(Counter(evaluated).values(), default=1) == 1
+    assert evaluated, "the checker made no chain walk"
+    assert max(Counter(evaluated).values()) == 1
     assert set(evaluated) <= terms
 
 
@@ -187,7 +190,7 @@ def test_certify_witness_computes_prefix_degrees_once_per_term(monkeypatch, name
     through `evaluate`."""
     grading = GRADINGS[name]
     component = multihomogeneous_components(_identity(grading, seed))[0]
-    live = next(w for w in sorted(component.terms) if generic.word_product_closed(grading, w))
+    live = next(w for w in sorted(component.terms) if word_product_closed(grading, w))
     f = poly_sum(component, free_poly(RATIONALS, (live, 1)))
     expected = min(generic.evaluate(grading, f).items())
     prefix = _counting(monkeypatch, generic, "prefix_degrees", arg=1)

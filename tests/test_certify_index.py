@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from matident import CyclicGroup, Grading, IntegerGroup, PrimeField, RATIONALS
 from matident import generic
-from matident.generic import word_product_closed
 from matident.rewrite import (
     MembershipCertificate,
     NonIdentityWitness,
@@ -36,6 +35,7 @@ from helpers import (
     random_identity_component,
     s3_group,
     z2z2_group,
+    word_product_closed,
     z4_sweep_component,
 )
 

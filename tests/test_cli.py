@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from matident.cli import main
-from matident.groups import Group
+from matident.groups import Group, ProductGroup
 
 Z4_DOC = {"group": {"type": "cyclic", "order": 4}, "n": 2, "tuple": [0, 1]}
 IDENTITY2 = "x[1;1]*x[3;3]*x[1;2] - x[1;2]*x[3;3]*x[1;1]\n"
@@ -147,6 +147,35 @@ def test_eval(capsys, z4_path, tmp_path, poly2_path):
     code, out, _ = run(capsys, ["eval", z4_path, str(poly)])
     assert code == 0
     assert out.strip() == "(1,2): y[1;1;1]"
+
+
+def test_eval_formats_each_distinct_degree_once(capsys, tmp_path, monkeypatch):
+    doc = {
+        "group": {
+            "type": "product",
+            "factors": [{"type": "cyclic", "order": 2}, {"type": "cyclic", "order": 2}],
+        },
+        "n": 4,
+        "tuple": ["(0,0)", "(0,1)", "(1,0)", "(1,1)"],
+    }
+    grading = tmp_path / "v4.json"
+    grading.write_text(json.dumps(doc), encoding="utf-8")
+    poly = tmp_path / "p.txt"
+    poly.write_text("x[(1,0);1]*x[(0,1);2]*x[(1,0);3] + 2*x[(0,1);2]*x[(1,1);1]\n", encoding="utf-8")
+    formatted = []
+    original = ProductGroup.format
+
+    def counting(self, a):
+        formatted.append(a)
+        return original(self, a)
+
+    monkeypatch.setattr(ProductGroup, "format", counting)
+    code, out, _ = run(capsys, ["eval", str(grading), str(poly), "--json"])
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    # 4 entries of 3 variables and 4 of 2, over three distinct degrees
+    assert sum(text.count("y[") for text in entries.values()) == 20
+    assert sorted(formatted) == [(0, 1), (1, 0), (1, 1)]
 
 
 def test_equiv_and_check(capsys, z4_path, tmp_path):

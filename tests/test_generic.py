@@ -24,7 +24,6 @@ from matident.generic import (
     is_graded_identity,
     signatures,
     survivors,
-    word_product_closed,
 )
 from matident.rewrite import NonIdentityWitness, certify_membership
 
@@ -44,6 +43,7 @@ from helpers import (
     suite_gradings,
     sum_evaluations,
     word_degree,
+    word_product_closed,
     word_product_direct,
     zero_sum,
 )

@@ -14,6 +14,7 @@ from helpers import (
     elements,
     is_monomial_identity,
     naive_lset,
+    naive_step,
     naive_transition,
     neutral_report_by_units,
     s3_group,
@@ -153,6 +154,13 @@ def test_step_tables_match_naive_walk(data):
     paths = grading.lset(hseq)
     assert paths == naive_lset(grading, hseq)
     assert list(paths) == sorted(paths)
+    # row 0 is the dead row: it stays put, and a chain that leaves the tuple lands there
+    rows = range(1, grading.n + 1)
+    for h in hseq:
+        assert grading.step(h)[0] == (0,) + tuple(naive_step(grading, k, h) or 0 for k in rows)
+    stages = grading.walk(hseq)
+    assert len(stages) == len(hseq) + 1 and stages[0] == tuple(range(grading.n + 1))
+    assert all(stage[0] == 0 for stage in stages)
     state = data.draw(st.frozensets(st.integers(1, grading.n)))
     for h in hseq:
         assert transition(grading, state, h) == naive_transition(grading, state, h)

@@ -15,7 +15,7 @@ from matident import (
 from matident.commpoly import Poly, YVar
 from matident.freealg import GVar, parse_polynomial, parse_word
 from matident import rewrite
-from matident.generic import prefix_degrees, word_product_closed
+from matident.generic import prefix_degrees
 from matident.rewrite import (
     CONJUGATE_SWAP,
     NEUTRAL_SWAP,
@@ -51,6 +51,7 @@ from helpers import (
     suite_gradings,
     swap_blocks,
     valid_rewrite_steps,
+    word_product_closed,
     z2z2_group,
 )
 
