@@ -26,12 +26,13 @@ nonzero entries, as a {(row, col): polynomial} map.  This is the path
 argument behind the bases of Vasilovsky (Proc. AMS 127, 1999) and
 Bahturin-Drensky (Linear Algebra Appl. 357, 2002).
 
-Every producer reads signatures (`signatures` from `prefix_degrees`, and
+Every producer reads signatures (`signatures` from `prefix_pairs`, and
 `survivors`): eval, is-identity, certify, which reads a non-identity's
 witness from its class sums (`_entries`), and equiv, where two words
 share an entry exactly when their signatures are equal and survive.
-Derivations take each word's prefix degrees from `signatures` and move
-them with the letters, since both swap rules keep them.  Only the
+Both swap rules keep every letter's prefix degree, so a word's pairs
+are its whole rewrite state: derivations rearrange the pair lists that
+`signatures` returns, and the checkers replay on the start's.  Only the
 certificate checkers walk chains, independent of the signature argument:
 `chain_key` advances all rows through each letter at once (`Grading.walk`)
 and gives, at (start row, end row) for every surviving chain, the rows the
@@ -49,7 +50,7 @@ from typing import Collection, Iterable, Sequence
 from .commpoly import Coefficient, Field, Monomial, Poly, YVar, accumulate
 from .freealg import FreePoly, Word, degree_sequence
 from .grading import Grading
-from .groups import Element, Group
+from .groups import Group
 
 
 class DistinctTupleError(ValueError):
@@ -121,19 +122,21 @@ def check_letters(group: Group, words: Iterable[Word]) -> None:
         group.check(d)
 
 
-def prefix_degrees(group: Group, word: Word) -> list[Element]:
-    """A word's prefix degrees d_1 = e, d_{i+1} = d_i * deg(w_i), through
-    its end degree d_{q+1}.  Trusts its letters (see `check_letters`)."""
-    op = group.op
-    degrees = [group.identity()]
+def prefix_pairs(group: Group, word: Word) -> list[tuple]:
+    """A word's (letter, prefix degree) pairs (w_i, d_i), with d_1 = e and
+    d_{i+1} = d_i * deg(w_i), then (None, d_{q+1}), which carries the end
+    degree and no letter.  Trusts its letters (see `check_letters`)."""
+    op, d, pairs = group.op, group.identity(), []
     for v in word:
-        degrees.append(op(degrees[-1], v.degree))
-    return degrees
+        pairs.append((v, d))
+        d = op(d, v.degree)
+    pairs.append((None, d))
+    return pairs
 
 
-def signatures(grading: Grading, words: Collection[Word]) -> list[tuple[tuple, list[Element]]]:
+def signatures(grading: Grading, words: Collection[Word]) -> list[tuple[tuple, list[tuple]]]:
     """Each word's signature, its sorted (letter, prefix degree) pairs and
-    its end degree, with the word's `prefix_degrees`.  Refuses the empty
+    its end degree, with the word's `prefix_pairs`.  Refuses the empty
     word; each letter degree is validated once."""
     if () in words:
         raise ValueError("polynomial has a term with the empty word")
@@ -141,8 +144,8 @@ def signatures(grading: Grading, words: Collection[Word]) -> list[tuple[tuple, l
     check_letters(group, words)
     out = []
     for word in words:
-        d = prefix_degrees(group, word)
-        out.append(((tuple(sorted(zip(word, d))), d[-1]), d))
+        pairs = prefix_pairs(group, word)
+        out.append(((tuple(sorted(pairs[:-1])), pairs[-1][1]), pairs))
     return out
 
 

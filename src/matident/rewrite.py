@@ -12,10 +12,10 @@ membership certificate reduces a multihomogeneous polynomial, pairing off
 terms through equivalence certificates until every remaining term is a
 monomial identity on its own.  Verifiers replay every step's side
 conditions and compare the generic evaluations of each pairing's two
-ends, so checking is independent of how a certificate was produced.  The
-membership checker replays each pairing on the input's own term words,
-whose letters it has validated, and evaluates each distinct term word
-once per certificate, for its pairings and its residual alike.
+ends, so checking is independent of how a certificate was produced.  Both
+checkers replay through `_replay`, the membership checker on the input's
+own term words, whose letters it has validated, evaluating each distinct
+term word once per certificate, for its pairings and its residual alike.
 `read_certificate` reads a document of any of the three types and
 `check_certificate` runs its checker; `check-cert` calls these two.
 Reading a document parses each distinct text once: a word text equal to a
@@ -26,11 +26,12 @@ distinct tuple two nonempty evaluations are equal exactly when the
 signatures are, and otherwise share no entry, so every pairing is found
 by lookup in its class, and certify cost is linear in the term count
 plus the derivations, which skip the validation `signatures` has done and
-take each word's prefix degrees from it.  Derivation and check share one
-swap rule, `apply_step`, on prefix degrees: the block between cuts a < b
-has degree d[a]^-1 * d[b], so each side condition is one comparison, and
-a swap keeps every letter's prefix degree, so the degrees move with their
-letters, in place over the step's span, and no step makes a group operation.
+take each word's `prefix_pairs` from it.  A swap keeps every letter's
+prefix degree, so this one list is a word's whole rewrite state.
+Derivation and check share one swap rule, `apply_step`, on it: the block
+between cuts a < b has degree d[a]^-1 * d[b], so each side condition is
+one comparison, the pairs move in place over the step's span, and no step
+makes a group operation.
 Only the checkers walk chains: their verdict rests on comparing the two
 ends' `chain_key`s, one walk of all rows per word that reads no prefix
 degree and builds no `YVar`, and a residual's empty chain set is an empty
@@ -62,7 +63,7 @@ from .generic import (
     _entries,
     chain_key,
     check_letters,
-    prefix_degrees,
+    prefix_pairs,
     require_distinct,
     signatures,
     survivors,
@@ -112,34 +113,32 @@ class RewriteStep:
         return RewriteStep(CONJUGATE_SWAP, (i, i + l - k, i + l - j, l))
 
 
-def apply_step(word: list, degrees: list, step: RewriteStep) -> None:
-    """Apply one swap in place to a word and its prefix degrees d
-    (`prefix_degrees`), checking the cut points, then the side conditions:
-    the block between cuts a < b has degree d[a]^-1 * d[b], so each
-    condition compares two prefix degrees.  Both lists are then rearranged
-    alike over [first cut, last cut); a step that raises changes neither."""
+def apply_step(pairs: list, step: RewriteStep) -> None:
+    """Apply one swap in place to a word's `prefix_pairs` (w_c, d_c),
+    checking the cut points, then the side conditions: the block between
+    cuts a < b has degree d[a]^-1 * d[b], so each condition compares two
+    prefix degrees.  The pairs then move over [first cut, last cut), which
+    ends at or before the end pair; a step that raises changes nothing."""
     cuts = step.split
     if any(cuts[a] >= cuts[a + 1] for a in range(len(cuts) - 1)):
         raise StepError(f"factorization mismatch: cut points {cuts} must increase")
-    if cuts[0] < 0 or cuts[-1] > len(word):
-        raise StepError(
-            f"factorization mismatch: cut points {cuts} outside word of length {len(word)}"
-        )
+    q = len(pairs) - 1
+    if cuts[0] < 0 or cuts[-1] > q:
+        raise StepError(f"factorization mismatch: cut points {cuts} outside word of length {q}")
     i, j, k, l = cuts[0], cuts[1], cuts[-2], cuts[-1]  # a neutral swap's middle [j, k) is empty
     if step.rule == NEUTRAL_SWAP:
-        if degrees[i] != degrees[j]:
+        if pairs[i][1] != pairs[j][1]:
             raise StepError("side condition failed: first swapped block must have neutral degree")
-        if degrees[j] != degrees[l]:
+        if pairs[j][1] != pairs[l][1]:
             raise StepError("side condition failed: second swapped block must have neutral degree")
     else:
-        if degrees[i] == degrees[j]:
+        if pairs[i][1] == pairs[j][1]:
             raise StepError("side condition failed: swapped blocks must have non-neutral degree")
-        if degrees[k] != degrees[i]:
+        if pairs[k][1] != pairs[i][1]:
             raise StepError("side condition failed: middle block must have the inverse degree")
-        if degrees[l] != degrees[j]:
+        if pairs[l][1] != pairs[j][1]:
             raise StepError("side condition failed: swapped blocks must have equal degree")
-    for seq in (word, degrees):
-        seq[i:l] = seq[k:l] + seq[j:k] + seq[i:j]
+    pairs[i:l] = pairs[k:l] + pairs[j:k] + pairs[i:j]
 
 
 @dataclass(frozen=True)
@@ -160,46 +159,44 @@ class CheckResult:
         return self.ok
 
 
-def check_equivalence_certificate(
-    grading: Grading,
-    cert: EquivalenceCertificate,
-    _evaluate: Optional[Callable[[Word], dict]] = None,
-) -> CheckResult:
+def check_equivalence_certificate(grading: Grading, cert: EquivalenceCertificate) -> CheckResult:
     """Replay a derivation's side conditions, then compare end evaluations.
 
     Accepts only when every step applies, the final word is the recorded
     end, and its evaluation equals the start's.  The start's letters are
-    validated first (a swap only permutes them) and its `chain_key` taken.
-    The start's prefix degrees are then computed once, and `apply_step`,
-    the rule the derivation builds its steps with, replays the steps in
-    place.  The verdict rests on the comparison of the two ends' keys,
-    chain walks that read no prefix degree; both ends have the same
-    letters, so equal keys mean equal evaluations.  A repeated tuple raises
+    validated first (a swap only permutes them), and `_replay` compares
+    the two ends' `chain_key`s.  A repeated tuple raises
     DistinctTupleError: equal evaluations prove nothing there.
-
-    `_evaluate` replaces the validation and `chain_key` for the membership
-    checker, which passes its per-check memo of the validated term words'
-    keys.
     """
     require_distinct(grading)
     start = tuple(cert.start)
     if not start:
         return CheckResult(False, "start word is empty")
-    evaluate_word = _evaluate
-    if evaluate_word is None:
-        check_letters(grading.group, (start,))
-        evaluate_word = partial(chain_key, grading)
-    reference = evaluate_word(start)
-    current, degrees = list(start), prefix_degrees(grading.group, start)
-    for idx, step in enumerate(cert.steps):
+    check_letters(grading.group, (start,))
+    return _replay(grading, start, cert.steps, tuple(cert.end), partial(chain_key, grading))
+
+
+def _replay(
+    grading: Grading, start: Word, steps: Sequence[RewriteStep], end: Word, key: Callable
+) -> CheckResult:
+    """Both checkers' replay, from a nonempty start with validated letters:
+    the start's `key`, then `apply_step`, the rule the derivation builds
+    its steps with, on the start's `prefix_pairs`, then the replayed word,
+    made of the start's letter objects, against `end`, then its key
+    against the start's.  Both words have the same letters, so equal keys
+    mean equal evaluations.  `key` is `chain_key` or the membership
+    checker's memo of it."""
+    reference = key(start)
+    pairs = prefix_pairs(grading.group, start)
+    for idx, step in enumerate(steps):
         try:
-            apply_step(current, degrees, step)
+            apply_step(pairs, step)
         except StepError as exc:
             return CheckResult(False, f"step {idx}: {exc}")
-    end = tuple(current)
-    if end != tuple(cert.end):
+    replayed = tuple([v for v, _ in pairs][:-1])
+    if replayed != end:
         return CheckResult(False, "replayed word does not match the recorded end")
-    if evaluate_word(end) != reference:
+    if key(replayed) != reference:
         return CheckResult(False, "generic evaluation changed between start and end")
     return CheckResult(True)
 
@@ -214,19 +211,19 @@ def derive_equivalence(grading: Grading, m: Word, n: Word) -> EquivalenceCertifi
     """
     require_distinct(grading)
     m, n = tuple(m), tuple(n)
-    (key_m, dm), (key_n, dn) = signatures(grading, (m, n))
+    (key_m, pm), (key_n, pn) = signatures(grading, (m, n))
     if key_m != key_n or not survivors(grading, key_m):
         raise ValueError("words do not share a nonzero entry; no derivation exists")
-    return _align(m, n, dm, dn)
+    return _align(m, n, pm, pn)
 
 
-def _align(m: Word, n: Word, dm: list, dn: list) -> EquivalenceCertificate:
+def _align(m: Word, n: Word, pm: list, pn: list) -> EquivalenceCertificate:
     """The derivation from n to m, for words with validated letters that
-    share an entry, and their prefix degrees.
+    share an entry, and their `prefix_pairs`.
 
     The words agree before p, so their suffixes carry equal (letter, prefix
-    degree) pairs.  At a mismatch, m's letter at p + r takes the least
-    unused n-position inv[r] of its pair, and one rotation (p, i, k, l)
+    degree) pairs.  At a mismatch, m's pair at p + r takes the least
+    unused n-position inv[r] of that pair, and one rotation (p, i, k, l)
     moves the letter at k to p; so each mismatched position takes one step.
     When some r >= 1 has inv[r] < a = inv[0] < inv[r+1], n rotates, with
     (i, k, l) = (inv[r] + 1, a, inv[r+1]).  Otherwise n's letters before a
@@ -239,41 +236,40 @@ def _align(m: Word, n: Word, dm: list, dn: list) -> EquivalenceCertificate:
     rebuilt at every mismatch: a rotation can reorder two equal pairs, and
     the greedy matching of the new order can differ.
 
-    Each built step goes through `apply_step`, the checker's swap rule,
-    which moves the degrees with the letters in place, on copies made on
-    entry: certify passes one target's degree list to each of its sources.
-    Steps rotating m are appended to the certificate inverted, so the
-    replay runs n to m."""
-    m_cur, n_cur, dm, dn = list(m), list(n), list(dm), list(dn)
+    Each built step goes through `apply_step`, the checker's swap rule, on
+    copies of the pair lists made on entry: certify passes one target's
+    list to each of its sources.  Steps rotating m are appended to the
+    certificate inverted, so the replay runs n to m."""
+    pm, pn = list(pm), list(pn)
     m_steps: list[RewriteStep] = []
     n_steps: list[RewriteStep] = []
-    end = len(m_cur)
+    end = len(pm) - 1
     for p in range(end):
-        if m_cur[p] == n_cur[p]:
+        if pm[p] == pn[p]:
             continue
         slots: dict[tuple, list[int]] = {}
         for b in range(end - 1, p - 1, -1):
-            slots.setdefault((n_cur[b], dn[b]), []).append(b)
+            slots.setdefault(pn[b], []).append(b)
         try:
-            inv = [slots[key].pop() for key in zip(m_cur[p:], dm[p:])]
+            inv = [slots[pair].pop() for pair in pm[p:end]]
         except (KeyError, IndexError):
             raise AssertionError("shared entry lost while stripping aligned letters") from None
         a = inv[0]
         r = next((r for r in range(1, len(inv) - 1) if inv[r] < a < inv[r + 1]), None)
         if r is not None:
-            word, d, steps, (i, k, l) = n_cur, dn, n_steps, (inv[r] + 1, a, inv[r + 1])
+            pairs, steps, (i, k, l) = pn, n_steps, (inv[r] + 1, a, inv[r + 1])
         else:
-            word, d, steps, (i, k, l) = m_cur, dm, m_steps, (end - (a - p), p + inv.index(p), end)
-        if i == k or d[i] == d[p]:
+            pairs, steps, (i, k, l) = pm, m_steps, (end - (a - p), p + inv.index(p), end)
+        if i == k or pairs[i][1] == pairs[p][1]:
             step = RewriteStep(NEUTRAL_SWAP, (p, k, l))
         else:
             step = RewriteStep(CONJUGATE_SWAP, (p, i, k, l))
         try:
-            apply_step(word, d, step)
+            apply_step(pairs, step)
         except StepError:
             raise AssertionError(f"alignment built a step that does not apply: {step}") from None
         steps.append(step)
-    if m_cur != n_cur:
+    if pm != pn:
         raise AssertionError("alignment finished on different words")
     return EquivalenceCertificate(
         start=n, steps=tuple(n_steps) + tuple(s.inverse() for s in reversed(m_steps)), end=m
@@ -434,9 +430,7 @@ def check_membership_certificate(
         if tuple(eq.start) != start or tuple(eq.end) != end:
             return CheckResult(False, f"pairing {idx}: certificate words do not match the terms")
         # replay on the validated term objects: GVar(True, 1) == GVar(1, 1)
-        sub = check_equivalence_certificate(
-            grading, EquivalenceCertificate(start, eq.steps, end), evaluate_word
-        )
+        sub = _replay(grading, start, eq.steps, end, evaluate_word)
         if not sub:
             return CheckResult(False, f"pairing {idx}: {sub.reason}")
         merged = field.add(work[t][1], work[s][1])
@@ -453,9 +447,10 @@ def check_membership_certificate(
     for idx, ((word, _), term) in enumerate(zip(work, cert.residual)):
         j = term.justification
         if j.kind == JUSTIFY_OUTSIDE_SUPPORT:
-            if j.letter is None or not 1 <= j.letter <= len(term.word):
+            if j.letter is None or not 1 <= j.letter <= len(word):
                 return CheckResult(False, f"residual {idx}: cited letter out of range")
-            degree = term.word[j.letter - 1].degree
+            # the validated working-list word, as for the pairings
+            degree = word[j.letter - 1].degree
             if grading.component_dimension(degree) != 0:
                 return CheckResult(
                     False, f"residual {idx}: cited letter's component is not zero"

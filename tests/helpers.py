@@ -10,9 +10,9 @@ certify oracle is the algorithm the indexed loop replaced: linear scans for
 every target and source, and a derivation that recovers each step's letter
 matching by comparing evaluation maps and walking naive chains, and tests
 block neutrality with group products on the current words, where
-`rewrite` reads both from prefix degrees carried along the derivation.  The
-equivalence checker oracle re-evaluates the word after every rewrite
-step, where `check_equivalence_certificate` compares the two ends once.
+`rewrite` reads both from (letter, prefix degree) pairs carried along the
+derivation.  The replay oracle re-evaluates the word after every rewrite
+step, where the checkers' `rewrite._replay` compares the two ends once.
 Both oracles apply steps with `apply_step_by_blocks`, which multiplies
 each block's letter degrees where `apply_step` compares prefix degrees.
 `neutral_report_by_units` scans and multiplies matrix units, where
@@ -515,8 +515,8 @@ def word_degree(group: Group, word):
 
 
 def swap_blocks(seq, step: RewriteStep):
-    """The step's rearrangement of a word or of its prefix degrees, as a new
-    sequence, where `rewrite.apply_step` rearranges both lists in place."""
+    """The step's rearrangement of a word or of its `prefix_pairs`, as a new
+    sequence, where `rewrite.apply_step` rearranges the pair list in place."""
     if step.rule == NEUTRAL_SWAP:
         i, j, k = step.split
         return seq[:i] + seq[j:k] + seq[i:j] + seq[k:]
@@ -525,9 +525,10 @@ def swap_blocks(seq, step: RewriteStep):
 
 
 def apply_step_by_blocks(group: Group, word, step: RewriteStep):
-    """`rewrite.apply_step` on the word alone, with each side condition
-    read from the product of its blocks' letter degrees instead of from
-    prefix degrees.  Checks in `apply_step`'s order, with its messages."""
+    """`rewrite.apply_step` on the word, not on its `prefix_pairs`, with
+    each side condition read from the product of its blocks' letter degrees
+    instead of from prefix degrees.  Checks in `apply_step`'s order, with
+    its messages."""
     eps = group.identity()
     cuts = step.split
     if any(cuts[a] >= cuts[a + 1] for a in range(len(cuts) - 1)):
@@ -683,33 +684,30 @@ def certify_membership_linear(grading: Grading, f: FreePoly):
     return MembershipCertificate(input=f, pairings=tuple(pairings), residual=tuple(residual))
 
 
-def check_equivalence_certificate_stepwise(
-    grading: Grading, cert: EquivalenceCertificate, _evaluate=None
-) -> CheckResult:
-    """Replay a derivation, recomputing side conditions and evaluations.
+def replay_stepwise(grading: Grading, start, steps, end, key) -> CheckResult:
+    """`rewrite._replay` with its arguments, recomputing side conditions
+    and evaluations.
 
-    Accepts only when every step applies, the final word is the recorded
-    end, and the generic evaluation of every intermediate word equals the
-    start's.  Equal evaluations prove nothing on a tuple with repeated
-    entries, so such a grading raises DistinctTupleError.
-
-    `_evaluate`, the membership checker's memo of evaluations, is accepted
-    and ignored, so the oracle evaluates every word itself.
+    Accepts only when every step applies, the final word is `end`, and the
+    generic evaluation of every intermediate word equals the start's.
+    Equal evaluations prove nothing on a tuple with repeated entries, so
+    such a grading raises DistinctTupleError.  `key`, the checkers' form of
+    evaluation, is not called: the oracle evaluates every word itself.
     """
     require_distinct(grading)
     group = grading.group
-    current = tuple(cert.start)
+    current = tuple(start)
     if not current:
         return CheckResult(False, "start word is empty")
     reference = word_product_closed(grading, current)
-    for idx, step in enumerate(cert.steps):
+    for idx, step in enumerate(steps):
         try:
             current = apply_step_by_blocks(group, current, step)
         except StepError as exc:
             return CheckResult(False, f"step {idx}: {exc}")
         if word_product_closed(grading, current) != reference:
             return CheckResult(False, f"step {idx}: generic evaluation changed")
-    if current != tuple(cert.end):
+    if current != tuple(end):
         return CheckResult(False, "replayed word does not match the recorded end")
     return CheckResult(True)
 

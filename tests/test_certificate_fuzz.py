@@ -10,7 +10,8 @@ accepts, the polynomial the document vouches for must be a graded identity:
 the input of a bundle or membership certificate, start - end for an
 equivalence certificate.  Every document that reads back gets the same
 verdict, or the same exception, from the checkers when they compare each
-pairing's two ends once and when they re-evaluate after every step.
+pairing's two ends once and when they re-evaluate after every step, with
+as many replays, one per pairing when the document is valid.
 """
 
 import copy
@@ -25,7 +26,7 @@ from matident import FreePoly, grading_from_config, parse_field, parse_polynomia
 from matident import rewrite
 from matident.generic import is_graded_identity
 
-from helpers import check_equivalence_certificate_stepwise, free_poly, run_cli
+from helpers import free_poly, replay_stepwise, run_cli
 
 INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
@@ -140,7 +141,7 @@ def _vouched_polynomial(doc: dict, grading, field) -> FreePoly:
     return parse_polynomial(doc["input"], grading.group, field)
 
 
-def _replay(doc: dict, grading, field):
+def _verdict(doc: dict, grading, field):
     """The checker's verdict on a document, read and checked through the
     entries `check-cert` calls: (ok, reason), or the type and text of what
     checking raised.  None when the document does not read back."""
@@ -155,17 +156,36 @@ def _replay(doc: dict, grading, field):
     return result.ok, result.reason
 
 
+def _pairings(doc: dict) -> int:
+    """The replays a valid document takes: one for an equivalence
+    document, and one per pairing of each membership certificate in it."""
+    if doc["type"] == "equivalence":
+        return 1
+    certs = [doc] if doc["type"] == "membership" else [c["certificate"] for c in doc["components"]]
+    return sum(len(cert.get("pairings", [])) for cert in certs)
+
+
 def _assert_oracle_agrees(doc: dict, grading_file: str, field_name: str) -> None:
-    """The checkers give the same answer with the stepwise equivalence
-    checker patched in."""
+    """The checkers give the same answer, after as many replays, with the
+    stepwise replay oracle patched in for `rewrite._replay`, and a document
+    they accept is replayed once per pairing."""
     grading = grading_from_config(json.loads((INPUTS / grading_file).read_text()))
     field = parse_field(field_name)
-    verdict = _replay(doc, grading, field)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            rewrite, "check_equivalence_certificate", check_equivalence_certificate_stepwise
-        )
-        assert _replay(doc, grading, field) == verdict
+    runs = []
+    for replay in (rewrite._replay, replay_stepwise):
+        calls = []
+
+        def counting(*args, replay=replay):
+            calls.append(args)
+            return replay(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rewrite, "_replay", counting)
+            runs.append((_verdict(doc, grading, field), len(calls)))
+    (verdict, replays), oracle = runs
+    assert oracle == (verdict, replays)
+    if verdict == (True, None):
+        assert replays == _pairings(doc)
 
 
 @pytest.fixture(scope="module")

@@ -6,13 +6,13 @@ checker evaluates each distinct term word once per certificate, one
 `chain_key` walk each; certify makes one `signatures` pass, which also
 decides multihomogeneity and gives a non-identity's witness, and its
 derivations skip `derive_equivalence`'s precheck and compute each term's
-prefix degrees once; writing a bundle formats each distinct word once.
+`prefix_pairs` once; writing a bundle formats each distinct word once.
 Counters wrap the names `rewrite` calls, so each test also shows which
 calls a path makes.  Along a ladder of component counts,
 writing touches only each component's own words in the document's memo,
 and checking a bundle compares each listed component with one part.
-Along a ladder of word lengths, replaying a step moves only the prefix
-degrees within its span.
+Along a ladder of word lengths, replaying a step moves only the
+(letter, prefix degree) pairs within its span.
 """
 
 import json
@@ -28,13 +28,17 @@ from matident import freealg, generic, rewrite
 from matident.commpoly import SparsePoly
 from matident.freealg import format_polynomial, multihomogeneous_components, parse_polynomial
 from matident.rewrite import (
+    JUSTIFY_OUTSIDE_SUPPORT,
     NEUTRAL_SWAP,
     BundleComponent,
+    CheckResult,
     EquivalenceCertificate,
+    Justification,
     MembershipBundle,
     MembershipCertificate,
     NonIdentityWitness,
     Pairing,
+    ResidualTerm,
     RewriteStep,
     bundle_to_dict,
     certify_membership,
@@ -45,10 +49,10 @@ from matident.rewrite import (
 )
 
 from helpers import (
-    check_equivalence_certificate_stepwise,
     free_poly,
     poly_sum,
     random_identity_component,
+    replay_stepwise,
     s3_group,
     word_product_closed,
 )
@@ -169,12 +173,12 @@ def test_certify_makes_one_signatures_pass(monkeypatch, name, seed):
 
 @pytest.mark.parametrize("name,seed", CASES)
 def test_certify_computes_prefix_degrees_once_per_term(monkeypatch, name, seed):
-    """Derivations rearrange each term's prefix degrees with its letters
-    through `apply_step`, once per derivation step."""
+    """Derivations rearrange each term's `prefix_pairs` through
+    `apply_step`, once per derivation step."""
     grading = GRADINGS[name]
     components = multihomogeneous_components(_identity(grading, seed))
     expected = [certify_membership(grading, c) for c in components]
-    prefix = _counting(monkeypatch, generic, "prefix_degrees", arg=1)
+    prefix = _counting(monkeypatch, generic, "prefix_pairs", arg=1)
     applied = _counting(monkeypatch, rewrite, "apply_step")
     assert [certify_membership(grading, c) for c in components] == expected
     steps = sum(len(p.certificate.steps) for cert in expected for p in cert.pairings)
@@ -193,7 +197,7 @@ def test_certify_witness_computes_prefix_degrees_once_per_term(monkeypatch, name
     live = next(w for w in sorted(component.terms) if word_product_closed(grading, w))
     f = poly_sum(component, free_poly(RATIONALS, (live, 1)))
     expected = min(generic.evaluate(grading, f).items())
-    prefix = _counting(monkeypatch, generic, "prefix_degrees", arg=1)
+    prefix = _counting(monkeypatch, generic, "prefix_pairs", arg=1)
     witness = certify_membership(grading, f)
     assert isinstance(witness, NonIdentityWitness)
     assert (witness.position, witness.entry) == expected
@@ -316,8 +320,8 @@ def test_bundle_check_compares_each_listed_component_once(monkeypatch):
 WORD_LADDER = (1000, 2000, 4000, 8000)
 
 
-class _CountingDegrees(list):
-    """A prefix-degree list that adds to `moved` the elements its slice
+class _CountingPairs(list):
+    """A `prefix_pairs` list that adds to `moved` the elements its slice
     reads, its slice writes and its sums touch; its slices and sums are
     counting lists too."""
 
@@ -327,29 +331,29 @@ class _CountingDegrees(list):
         got = super().__getitem__(key)
         if not isinstance(key, slice):
             return got
-        _CountingDegrees.moved += len(got)
-        return _CountingDegrees(got)
+        _CountingPairs.moved += len(got)
+        return _CountingPairs(got)
 
     def __setitem__(self, key, value):
         if isinstance(key, slice):
-            _CountingDegrees.moved += len(value)
+            _CountingPairs.moved += len(value)
         super().__setitem__(key, value)
 
     def __add__(self, other):
-        _CountingDegrees.moved += len(self) + len(other)
-        return _CountingDegrees(super().__add__(other))
+        _CountingPairs.moved += len(self) + len(other)
+        return _CountingPairs(super().__add__(other))
 
 
 def test_replay_work_follows_the_step_spans(monkeypatch):
-    """Degree-list elements moved per replayed step stay flat from q = 1,000
+    """Pair-list elements moved per replayed step stay flat from q = 1,000
     to q = 8,000 neutral letters over Z4, with q/2 steps neutral-swap
     [0, 1, 2]: as an equivalence certificate, and as the one pairing of a
     membership certificate, whose replay evaluates through the checker's
-    memo.  A step rearranges the lists over its span, not the whole word."""
+    memo.  A step rearranges the list over its span, not the whole word."""
     grading = GRADINGS["z4"]
-    original = rewrite.prefix_degrees
+    original = rewrite.prefix_pairs
     monkeypatch.setattr(
-        rewrite, "prefix_degrees", lambda group, word: _CountingDegrees(original(group, word))
+        rewrite, "prefix_pairs", lambda group, word: _CountingPairs(original(group, word))
     )
     swap = RewriteStep(NEUTRAL_SWAP, (0, 1, 2))
     per_step: dict = {"equivalence": [], "membership": []}
@@ -368,9 +372,9 @@ def test_replay_work_follows_the_step_spans(monkeypatch):
             "membership": (partial(check_membership_certificate, grading, f, cert), q // 2 + 1),
         }
         for kind, (check, steps) in runs.items():
-            _CountingDegrees.moved = 0
+            _CountingPairs.moved = 0
             assert check()
-            per_step[kind].append(_CountingDegrees.moved / steps)
+            per_step[kind].append(_CountingPairs.moved / steps)
     assert all(len(set(counts)) == 1 for counts in per_step.values()), per_step
 
 
@@ -404,15 +408,37 @@ def test_pairing_words_equal_by_value_get_the_oracle_verdict(monkeypatch):
     verdict = check_membership_certificate(grading, f, forged)
     received = []
 
-    def oracle(g, eq, *rest):
-        received.append(eq)
-        return check_equivalence_certificate_stepwise(g, eq, *rest)
+    def oracle(g, start, steps, end, key):
+        received.append(start + end)
+        return replay_stepwise(g, start, steps, end, key)
 
-    monkeypatch.setattr(rewrite, "check_equivalence_certificate", oracle)
+    monkeypatch.setattr(rewrite, "_replay", oracle)
     assert check_membership_certificate(grading, f, forged) == verdict
     assert verdict.ok
     assert len(received) == len(cert.pairings)
-    assert all(type(v.degree) is int for eq in received for v in eq.start + eq.end)
+    assert all(type(v.degree) is int for words in received for v in words)
+
+
+@pytest.mark.parametrize(
+    "letter,reason", [(1, None), (2, "residual 0: cited letter's component is not zero")]
+)
+def test_residual_words_equal_by_value_get_the_genuine_verdict(letter, reason):
+    # the residual word matches the term by value, and its cited letter is
+    # read from the validated term word, not from the recorded one, whose
+    # degree-1 letters carry True
+    grading = GRADINGS["z4_partial"]
+    f = parse_polynomial("x[2;1]*x[1;1]", grading.group, RATIONALS)
+    [(word, coeff)] = f.sorted_terms()
+    forged = tuple(GVar(True, v.index) if v.degree == 1 else v for v in word)
+    assert forged == word
+    why = Justification(JUSTIFY_OUTSIDE_SUPPORT, letter=letter)
+    verdicts = [
+        check_membership_certificate(
+            grading, f, MembershipCertificate(f, (), (ResidualTerm(recorded, coeff, why),))
+        )
+        for recorded in (word, forged)
+    ]
+    assert verdicts == [CheckResult(reason is None, reason)] * 2
 
 
 MEMBERSHIP = Path(__file__).parent / "golden" / "inputs" / "z4_membership.json"

@@ -117,13 +117,13 @@ def test_certify_signature_work_per_term_is_flat(monkeypatch):
     ladder: the index replaces scans whose work grew with the term count."""
     grading = GRADINGS["z4"]
     calls = []
-    prefix_degrees = generic.prefix_degrees
+    prefix_pairs = generic.prefix_pairs
 
     def counting(group, word):
         calls.append(1)
-        return prefix_degrees(group, word)
+        return prefix_pairs(group, word)
 
-    monkeypatch.setattr(generic, "prefix_degrees", counting)
+    monkeypatch.setattr(generic, "prefix_pairs", counting)
     per_term = []
     for terms in (50, 150, 360):
         f = z4_sweep_component(terms)

@@ -2,13 +2,15 @@
 
 A word's prefix degrees d_1 = e, d_{i+1} = d_i * deg(w_i) (with the end
 degree d_{q+1} last) fix its generic evaluation together with its letters.
-Both swap rules keep every letter's prefix degree, so `apply_step`, the
-one swap rule of derivation and check, reads each side condition from
-two prefix degrees and rearranges the degree list in place with the
-letters instead of recomputing degrees.  These tests check it against
-`helpers.apply_step_by_blocks`, which multiplies each block's letter
-degrees, on every cut tuple, check that a refused step leaves both lists
-as they were, and pin `derive_equivalence` to the oracle that recovers
+Both swap rules keep every letter's prefix degree, so a word's
+`prefix_pairs`, its (letter, prefix degree) pairs closed by the end
+degree, are its whole rewrite state: `apply_step`, the one swap rule of
+derivation and check, reads each side condition from two prefix degrees
+and rearranges the pair list in place instead of recomputing degrees.
+These tests check it against `helpers.apply_step_by_blocks`, which
+multiplies each block's letter degrees, on every cut tuple, check that a
+refused step leaves the list as it was, and pin `derive_equivalence` to
+the oracle that recovers
 every step's letter matching from compared evaluations, on words whose
 (letter, prefix degree) pairs repeat, up to 24 letters long.
 """
@@ -21,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matident import CyclicGroup, GVar
-from matident.generic import prefix_degrees
+from matident.generic import prefix_pairs
 from matident.rewrite import (
     CONJUGATE_SWAP,
     NEUTRAL_SWAP,
@@ -72,8 +74,8 @@ def test_prefix_degrees_are_the_degrees_of_the_prefixes():
     for grading in GRADINGS + partial_cayley_gradings():
         group = grading.group
         for word in _words(rng, grading, 4):
-            expected = [word_degree(group, word[:i]) for i in range(len(word) + 1)]
-            assert prefix_degrees(group, word) == expected
+            expected = [(v, word_degree(group, word[:i])) for i, v in enumerate(word)]
+            assert prefix_pairs(group, word) == expected + [(None, word_degree(group, word))]
 
 
 def test_swaps_move_prefix_degrees_with_their_letters():
@@ -82,12 +84,12 @@ def test_swaps_move_prefix_degrees_with_their_letters():
     for grading in GRADINGS + partial_cayley_gradings():
         group = grading.group
         for word in _words(rng, grading, 8):
-            before = prefix_degrees(group, word)
+            before = prefix_pairs(group, word)
             for step in valid_rewrite_steps(group, word):
                 swapped = apply_step_by_blocks(group, word, step)
-                w, d = list(word), list(before)
-                apply_step(w, d, step)
-                assert (tuple(w), d) == (swapped, prefix_degrees(group, swapped))
+                pairs = list(before)
+                apply_step(pairs, step)
+                assert pairs == prefix_pairs(group, swapped)
                 swaps += 1
     assert swaps > 1000
 
@@ -107,10 +109,9 @@ def _outcome(apply, *args):
 
 
 def test_degree_form_accepts_exactly_the_steps_apply_step_accepts():
-    """On every cut tuple, `apply_step` rearranges the word and its prefix
-    degrees into the block-degree oracle's swapped word and that word's
-    prefix degrees, or raises the oracle's exact error and leaves both lists
-    as they were."""
+    """On every cut tuple, `apply_step` rearranges a word's `prefix_pairs`
+    into those of the block-degree oracle's swapped word, or raises the
+    oracle's exact error and leaves the list as it was."""
     rng = random.Random(2021)
     accepted = {NEUTRAL_SWAP: 0, CONJUGATE_SWAP: 0}
     conditions: set = set()  # the side-condition messages met
@@ -118,21 +119,21 @@ def test_degree_form_accepts_exactly_the_steps_apply_step_accepts():
         group = grading.group
         for _ in range(4):
             for word in (random_word(rng, grading, 5, 2), _two_row_walk(rng, grading, 5)):
-                d = prefix_degrees(group, word)
+                before = prefix_pairs(group, word)
                 for rule, count in ((NEUTRAL_SWAP, 3), (CONJUGATE_SWAP, 4)):
                     for cuts in _cut_points(len(word), count):
                         step = RewriteStep(rule, cuts)
-                        w, ds = list(word), list(d)
-                        got = _outcome(apply_step, w, ds, step)
+                        pairs = list(before)
+                        got = _outcome(apply_step, pairs, step)
                         expected = _outcome(apply_step_by_blocks, group, word, step)
                         if isinstance(expected, str):
                             assert got == expected, (word, step)
-                            assert (tuple(w), ds) == (word, d), (word, step)
+                            assert pairs == before, (word, step)
                             if expected.startswith("side condition"):
                                 conditions.add(expected)
                         else:
                             assert got is None, (word, step)
-                            assert (tuple(w), ds) == (expected, prefix_degrees(group, expected))
+                            assert pairs == prefix_pairs(group, expected)
                             accepted[rule] += 1
     assert min(accepted.values()) > 50, accepted
     assert len(conditions) == 5, conditions
@@ -234,7 +235,7 @@ def _group_ops(monkeypatch) -> list:
 
 
 def test_checker_makes_one_group_operation_per_start_letter(monkeypatch):
-    """The checker computes the start's prefix degrees once and carries
+    """The checker computes the start's `prefix_pairs` once and carries
     them through the replay, so its group operations do not grow with the
     step count."""
     cases = _cyclic_derivations(2022)
@@ -246,7 +247,7 @@ def test_checker_makes_one_group_operation_per_start_letter(monkeypatch):
 
 
 def test_derivation_makes_one_group_operation_per_letter(monkeypatch):
-    """A derivation computes each word's prefix degrees once, and its
+    """A derivation computes each word's `prefix_pairs` once, and its
     steps, applied through `apply_step`, make no group operation."""
     cases = _cyclic_derivations(2023)
     ops = _group_ops(monkeypatch)

@@ -15,7 +15,7 @@ from matident import (
 from matident.commpoly import Poly, YVar
 from matident.freealg import GVar, parse_polynomial, parse_word
 from matident import rewrite
-from matident.generic import prefix_degrees
+from matident.generic import prefix_pairs
 from matident.rewrite import (
     CONJUGATE_SWAP,
     NEUTRAL_SWAP,
@@ -65,32 +65,33 @@ def test_apply_neutral_swap_example():
     w = parse_word("x[1;1]*x[1;2]*x[1;3]*x[1;4]", Z2)
     step = RewriteStep(NEUTRAL_SWAP, (0, 2, 4))
     swapped = parse_word("x[1;3]*x[1;4]*x[1;1]*x[1;2]", Z2)
-    word, degrees = list(w), prefix_degrees(Z2, w)
-    assert apply_step(word, degrees, step) is None
-    assert (tuple(word), degrees) == (swapped, [0, 1, 0, 1, 0])
+    pairs = prefix_pairs(Z2, w)
+    assert apply_step(pairs, step) is None
+    assert pairs == list(zip(swapped + (None,), [0, 1, 0, 1, 0]))
 
 
 def test_apply_conjugate_swap_example():
     w = parse_word("x[1;1]*x[1;3]*x[1;2]", Z2)
     step = RewriteStep(CONJUGATE_SWAP, (0, 1, 2, 3))
     swapped = parse_word("x[1;2]*x[1;3]*x[1;1]", Z2)
-    word, degrees = list(w), prefix_degrees(Z2, w)
-    assert apply_step(word, degrees, step) is None
-    assert (tuple(word), degrees) == (swapped, [0, 1, 0, 1])
+    pairs = prefix_pairs(Z2, w)
+    assert apply_step(pairs, step) is None
+    assert pairs == list(zip(swapped + (None,), [0, 1, 0, 1]))
 
 
 def test_apply_step_side_condition_errors():
     w = parse_word("x[1;1]*x[1;2]*x[1;3]*x[1;4]", Z2)
-    d = prefix_degrees(Z2, w)
+    pairs = prefix_pairs(Z2, w)
     with pytest.raises(StepError, match="neutral degree"):
-        apply_step(w, d, RewriteStep(NEUTRAL_SWAP, (0, 1, 2)))
+        apply_step(pairs, RewriteStep(NEUTRAL_SWAP, (0, 1, 2)))
+    with pytest.raises(StepError, match="outside word of length 4"):
+        apply_step(pairs, RewriteStep(NEUTRAL_SWAP, (0, 2, 5)))
     with pytest.raises(StepError, match="factorization mismatch"):
-        apply_step(w, d, RewriteStep(NEUTRAL_SWAP, (0, 2, 5)))
-    with pytest.raises(StepError, match="factorization mismatch"):
-        apply_step(w, d, RewriteStep(NEUTRAL_SWAP, (2, 2, 4)))
+        apply_step(pairs, RewriteStep(NEUTRAL_SWAP, (2, 2, 4)))
     # conjugate swap needs non-neutral outer blocks
     with pytest.raises(StepError, match="non-neutral"):
-        apply_step(w, d, RewriteStep(CONJUGATE_SWAP, (0, 2, 3, 4)))
+        apply_step(pairs, RewriteStep(CONJUGATE_SWAP, (0, 2, 3, 4)))
+    assert pairs == prefix_pairs(Z2, w)
 
 
 def test_conjugate_step_failing_both_block_conditions_reports_the_middle_block():
@@ -99,7 +100,7 @@ def test_conjugate_step_failing_both_block_conditions_reports_the_middle_block()
     # one comparison d[k] == d[i] of prefix degrees [0, 1, 2, 0]
     w = parse_word("x[1;1]*x[1;2]*x[2;3]", Z4)
     with pytest.raises(StepError) as exc:
-        apply_step(w, prefix_degrees(Z4, w), RewriteStep(CONJUGATE_SWAP, (0, 1, 2, 3)))
+        apply_step(prefix_pairs(Z4, w), RewriteStep(CONJUGATE_SWAP, (0, 1, 2, 3)))
     assert str(exc.value) == "side condition failed: middle block must have the inverse degree"
 
 
@@ -108,13 +109,13 @@ def test_step_inverse_round_trip():
     for grading in suite_gradings()[:3]:
         for _ in range(20):
             w = random_swappable_word(rng, grading)
-            d = prefix_degrees(grading.group, w)
+            before = prefix_pairs(grading.group, w)
             for step in valid_rewrite_steps(grading.group, w):
-                word, ds = list(w), list(d)
-                apply_step(word, ds, step)
-                assert ds == prefix_degrees(grading.group, word)
-                apply_step(word, ds, step.inverse())
-                assert (tuple(word), ds) == (w, d)
+                pairs = list(before)
+                apply_step(pairs, step)
+                assert pairs == prefix_pairs(grading.group, [v for v, _ in pairs[:-1]])
+                apply_step(pairs, step.inverse())
+                assert pairs == before
 
 
 def test_steps_preserve_generic_evaluation():
@@ -123,11 +124,11 @@ def test_steps_preserve_generic_evaluation():
         for _ in range(15):
             w = random_swappable_word(rng, grading)
             before = word_product_closed(grading, w)
-            d = prefix_degrees(grading.group, w)
+            pairs = prefix_pairs(grading.group, w)
             for step in valid_rewrite_steps(grading.group, w):
-                word = list(w)
-                apply_step(word, list(d), step)
-                assert word_product_closed(grading, tuple(word)) == before
+                swapped = list(pairs)
+                apply_step(swapped, step)
+                assert word_product_closed(grading, tuple(v for v, _ in swapped[:-1])) == before
 
 
 def test_check_certificate_empty_steps():
@@ -160,9 +161,8 @@ def test_checkers_reject_a_step_that_changes_the_evaluation(monkeypatch):
     # A swap preserves the generic evaluation only under its side
     # conditions.  With them gone, the replay reaches the recorded end and
     # only the comparison of the two end evaluations rejects.
-    def unchecked_swap(word, degrees, step):
-        word[:] = swap_blocks(word, step)
-        degrees[:] = swap_blocks(degrees, step)
+    def unchecked_swap(pairs, step):
+        pairs[:] = swap_blocks(pairs, step)
 
     monkeypatch.setattr(rewrite, "apply_step", unchecked_swap)
     grading = Grading(Z4, 4, (0, 1, 2, 3))
@@ -213,6 +213,23 @@ def test_derive_requires_matching_entry():
     n = parse_word("x[1;2]*x[1;1]", Z2)
     with pytest.raises(ValueError, match="share a nonzero entry"):
         derive_equivalence(GR_Z2, m, n)
+
+
+@pytest.mark.parametrize(
+    "m,n",
+    [
+        # the same letters, but x[0;2] has prefix degree 1 in m and 0 in n
+        ("x[1;1]*x[0;2]*x[1;3]", "x[0;2]*x[1;1]*x[1;3]"),
+        # the pair of x[0;2] twice in m's suffix, once in n's
+        ("x[0;2]*x[0;2]*x[0;1]", "x[0;1]*x[0;2]*x[0;1]"),
+    ],
+)
+def test_align_refuses_words_whose_pairs_differ(m, n):
+    # `_align` trusts that the words share an entry; the slots keyed by
+    # (letter, prefix degree) pairs still catch a pair that n lacks
+    m, n = parse_word(m, Z2), parse_word(n, Z2)
+    with pytest.raises(AssertionError, match="shared entry lost while stripping aligned letters"):
+        rewrite._align(m, n, prefix_pairs(Z2, m), prefix_pairs(Z2, n))
 
 
 def test_derive_random_pairs_all_gradings():
