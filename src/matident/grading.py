@@ -91,8 +91,12 @@ class Grading:
 
     @cached_property
     def _support(self) -> tuple[Element, ...]:
-        seen = {self.unit_degree(i, j) for i in range(1, self.n + 1) for j in range(1, self.n + 1)}
-        return tuple(sorted(seen))
+        """Every g_a^-1 * g_b over the distinct entry values a, b, sorted:
+        the degrees of the units E_ij, with one group operation per pair of
+        values and no index check; `__init__` validated the entries."""
+        values = set(self.entries)
+        op = self.group.op
+        return tuple(sorted({op(a, b) for a in map(self.group.inverse, values) for b in values}))
 
     def support(self) -> list[Element]:
         """Degrees with a nonzero homogeneous component, sorted."""

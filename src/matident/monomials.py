@@ -7,15 +7,16 @@ entry, where d_i are the prefix degrees, so `generic` decides a word from
 one survivor mask per prefix degree (`Grading.survivors`), with no chain
 walk; only `Grading.walk` follows chains, for `lset` and the certificate
 checkers.  The set of surviving rows evolves under a finite subset
-automaton (state: set of current rows, transition by one degree, read
-from the same step tables), which yields exact
-shortest-identity answers by breadth-first search.  The exhaustive
-enumerator walks the same automaton depth-first and flags each identity seq
-it emits as minimal (no proper factor and no coarsening inside the support
-is an identity) when, as for minimal forbidden words (Crochemore, Mignosi,
-Restivo 1998), neither seq[:-1] (by construction) nor seq[1:] (its state is
-carried along) is an identity and, for q >= 3 letters, no AND of prefix
-masks that leaves out one of the first q-1 is 0.
+automaton (state: set of current rows; its one step rule, `successors`,
+advances a state through every support degree at once, from the same step
+tables), which yields exact shortest-identity answers by breadth-first
+search.  The exhaustive enumerator walks the same automaton depth-first,
+and needs that search only when its cap outgrows the stack.  It flags each
+identity seq it emits as minimal (no proper factor and no coarsening
+inside the support is an identity) when, as for minimal forbidden words
+(Crochemore, Mignosi, Restivo 1998), neither seq[:-1] (by construction)
+nor seq[1:] (its state is carried along) is an identity and, for q >= 3
+letters, no AND of prefix masks that leaves out one of the first q-1 is 0.
 """
 
 from __future__ import annotations
@@ -30,10 +31,13 @@ from .groups import Element
 State = frozenset  # frozenset[int], current 1-based rows
 
 
-def transition(grading: Grading, state: State, h: Element) -> State:
-    """One automaton step: advance every surviving row through degree h."""
-    table = grading.step(grading.group.check(h))[0]
-    return frozenset({table[pos] for pos in state} - {0})
+def successors(grading: Grading, state: State) -> list[State]:
+    """The automaton's one step rule: the state's successor through each
+    support degree, in `support()` order, each advancing every surviving
+    row through that degree's step table.  Support degrees are products of
+    validated entries, so nothing is checked."""
+    tables = [grading.step(h)[0] for h in grading.support()]
+    return [frozenset({table[pos] for pos in state} - {0}) for table in tables]
 
 
 def enumerate_monomial_identities(
@@ -46,17 +50,18 @@ def enumerate_monomial_identities(
     identity prefix subsumes all of its extensions.  Beside the prefix's state
     the walk carries `tail`, the state of the prefix without its first letter,
     its product degree and its degrees' survivor masks, for `_merges_survive`.
-    Each state's row of transitions, and each degree's row of extensions by
-    one letter, is built on its first use.  `barren` keeps, per state, the
-    largest number of steps left under which its subtree emitted nothing, so
-    the state is skipped whenever it recurs with at most that many.  Only
-    states within max_len steps of the full row set are built.  A grading
-    with no identity returns [] at once, whatever the cap.
+    Each state's row of `successors`, and each degree's row of extensions by
+    one letter, is built on its first use and kept for this call only.
+    `barren` keeps, per state, the largest number of steps left under which
+    its subtree emitted nothing, so the state is skipped whenever it recurs
+    with at most that many.  Only states within max_len steps of the full
+    row set are built.  The shortest-identity search runs only when the walk
+    outgrows the interpreter's stack: a grading with no identity then
+    returns [], whatever the cap, and one with an identity refuses the cap
+    as too deep to enumerate.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    if shortest_monomial_identity(grading) is None:
-        return []
     alphabet = grading.support()
     op = grading.group.op
     singles = [(h,) for h in alphabet]
@@ -69,7 +74,7 @@ def enumerate_monomial_identities(
     def row_of(state: State) -> list[State]:
         row = rows.get(state)
         if row is None:
-            row = rows[state] = [transition(grading, state, h) for h in alphabet]
+            row = rows[state] = successors(grading, state)
         return row
 
     def extensions_of(degree: Element) -> list[tuple[Element, tuple[int]]]:
@@ -101,6 +106,8 @@ def enumerate_monomial_identities(
     try:
         walk(full, full, (), grading.group.identity(), (), max_len)
     except RecursionError:
+        if shortest_monomial_identity(grading) is None:
+            return []
         # once an identity exists, the neutral degree keeps the walk alive max_len deep
         raise ValueError(f"max_len {max_len} is too deep to enumerate") from None
     return out
@@ -144,26 +151,21 @@ def shortest_monomial_identity(
     """
     alphabet = grading.support()
     start = frozenset(range(1, grading.n + 1))
-    parent: dict[State, tuple[State, Element]] = {}
-    seen = {start}
+    # reached state -> (state it was first reached from, degree); the start -> None
+    parent: dict[State, Optional[tuple[State, Element]]] = {start: None}
     queue = deque([start])
     while queue:
         state = queue.popleft()
-        for h in alphabet:
-            nxt = transition(grading, state, h)
-            if nxt in seen:
+        for h, nxt in zip(alphabet, successors(grading, state)):
+            if nxt in parent:
                 continue
             parent[nxt] = (state, h)
             if not nxt:
                 witness: list[Element] = []
-                cur: State = nxt
-                while cur != start:
-                    prev, sym = parent[cur]
-                    witness.append(sym)
-                    cur = prev
-                witness.reverse()
-                return len(witness), tuple(witness)
-            seen.add(nxt)
+                while parent[nxt] is not None:
+                    nxt, h = parent[nxt]
+                    witness.append(h)
+                return len(witness), tuple(reversed(witness))
             queue.append(nxt)
     return None
 

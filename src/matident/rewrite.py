@@ -407,6 +407,9 @@ def check_membership_certificate(
     require_distinct(grading)
     if cert.input != f:
         return CheckResult(False, "certificate was issued for a different polynomial")
+    if () in f.terms:
+        # the empty word evaluates to a nonzero scalar matrix, so f is no identity
+        return CheckResult(False, "input has a term with the empty word")
     # Group arithmetic trusts its arguments, and a residual justified by one
     # letter outside the support never evaluates the others: validate them all.
     check_letters(grading.group, f.terms)

@@ -13,7 +13,7 @@ from matident.monomials import (
     enumerate_monomial_identities,
     length_bounds,
     shortest_monomial_identity,
-    transition,
+    successors,
 )
 
 from helpers import (
@@ -211,7 +211,7 @@ def test_automaton_state_matches_lset_endpoints():
             hseq = tuple(rng.choice(support) for _ in range(rng.randint(1, 6)))
             state = frozenset(range(1, grading.n + 1))
             for h in hseq:
-                state = transition(grading, state, h)
+                state = successors(grading, state)[support.index(h)]
             assert state == frozenset(path[-1] for path in grading.lset(hseq).values())
 
 
@@ -290,16 +290,17 @@ def test_shortest_witness_is_first_enumerated():
 
 
 def test_enumeration_builds_only_states_within_the_cap(monkeypatch):
-    calls = 0
+    transitions = 0
 
-    def counted(grading, state, h):
-        nonlocal calls
-        calls += 1
-        return transition(grading, state, h)
+    def counted(grading, state):
+        nonlocal transitions
+        row = successors(grading, state)
+        transitions += len(row)
+        return row
 
-    monkeypatch.setattr("matident.monomials.transition", counted)
+    monkeypatch.setattr("matident.monomials.successors", counted)
     assert enumerate_monomial_identities(Z64_DENSE, 1) == []
-    assert calls < 10_000
+    assert transitions < 10_000
 
 
 def test_enumeration_without_identities_returns_at_once_at_any_cap():
@@ -312,3 +313,50 @@ def test_cap_deeper_than_the_recursion_limit_is_a_value_error():
     cap = 2 * sys.getrecursionlimit()
     with pytest.raises(ValueError, match=f"max_len {cap} is too deep to enumerate"):
         enumerate_monomial_identities(GR_Z4, cap)
+
+
+# the suites, a repeated tuple, a full support with no identity at all, and
+# the interval tuples 0..n-1 over Z(n+1), whose shortest identity has n letters
+BFS_GRADINGS = suite_gradings() + partial_cayley_gradings() + [
+    GR_Z4,
+    Grading(CyclicGroup(4), 3, (0, 0, 1)),
+    Grading(CyclicGroup(3), 3, (0, 1, 2)),
+    Grading(CyclicGroup(5), 4, (0, 1, 2, 3)),
+    Grading(CyclicGroup(6), 5, (0, 1, 2, 3, 4)),
+]
+
+
+def test_shortest_identity_is_the_first_hit_in_lexicographic_order():
+    # the oracle reads prefix-degree masks and never builds an automaton state
+    for grading in BFS_GRADINGS:
+        answer = shortest_monomial_identity(grading)
+        support = grading.support()
+        for length in range(1, 5):
+            hit = next(
+                (seq for seq in itertools.product(support, repeat=length)
+                 if is_monomial_identity(grading, seq)),
+                None,
+            )
+            if hit is not None:
+                assert answer == (length, hit), grading
+                break
+        else:
+            assert answer is None or answer[0] > 4, grading
+
+
+def test_enumeration_searches_for_a_shortest_identity_only_past_the_stack(monkeypatch):
+    calls = 0
+
+    def counted(grading):
+        nonlocal calls
+        calls += 1
+        return shortest_monomial_identity(grading)
+
+    monkeypatch.setattr("matident.monomials.shortest_monomial_identity", counted)
+    assert enumerate_monomial_identities(GR_Z4, 3)
+    assert calls == 0
+    assert enumerate_monomial_identities(Grading(CyclicGroup(3), 3, (0, 1, 2)), 10**6) == []
+    assert calls == 1
+    with pytest.raises(ValueError, match="too deep to enumerate"):
+        enumerate_monomial_identities(GR_Z4, 2 * sys.getrecursionlimit())
+    assert calls == 2

@@ -484,3 +484,30 @@ def test_derive_nonabelian_case_rotating_first_word():
         cert = derive_equivalence(grading, m, n)
         assert check_equivalence_certificate(grading, cert)
         assert cert.start == n and cert.end == m
+
+
+def test_membership_checkers_refuse_an_input_with_the_empty_word():
+    # the empty word evaluates to the identity matrix, a nonzero scalar, so
+    # no certificate of an input holding it can be valid
+    x = (GVar(0, 1),)
+    f = free_poly(RATIONALS, ((), 1), (x, -1))
+    empty = Justification("empty-lset")
+    refused = CheckResult(False, "input has a term with the empty word")
+    residual = MembershipCertificate(
+        f, (), (ResidualTerm((), Fraction(1), empty), ResidualTerm(x, Fraction(-1), empty))
+    )
+    pairing = MembershipCertificate(f, (Pairing(1, 0, EquivalenceCertificate((), (), x)),), ())
+    for cert in (residual, pairing):
+        assert check_membership_certificate(GR_Z4, f, cert) == refused
+    parts = [free_poly(RATIONALS, ((), 1)), free_poly(RATIONALS, (x, -1))]
+    bundle = MembershipBundle(
+        f,
+        tuple(
+            BundleComponent(part, MembershipCertificate(part, (), (ResidualTerm(w, c, empty),)))
+            for part in parts
+            for w, c in part.terms.items()
+        ),
+    )
+    assert check_membership_bundle(GR_Z4, bundle) == CheckResult(
+        False, f"component 0: {refused.reason}"
+    )
