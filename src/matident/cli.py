@@ -28,6 +28,7 @@ import functools
 import json
 import os
 import sys
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -70,7 +71,8 @@ def _dumps(obj, nl: str = "\n") -> str:
     json skips its C encoder whenever `indent` is set, so this writes the
     same text directly, for the types handler payloads hold: dicts with str
     keys, lists and tuples, str, int, bool and None.  Anything else raises
-    TypeError.  A `_Rows` value is written as its list of name lists.
+    TypeError.  A `_Rows` value is written as its list of name lists, with
+    one C-level join over all of its rows.
     `nl` is the newline plus the indent of `obj`'s own level.  Within one
     dict, a value that is the same object as an earlier value (as
     `sequences` and `unfiltered_sequences` can be) is encoded once.  Str and
@@ -110,8 +112,10 @@ def _dumps(obj, nl: str = "\n") -> str:
             return "[]"
         get = obj.quoted.__getitem__
         start, stop, comma = "[" + inner + "  ", inner + "]", "," + inner + "  "
-        body = sep.join([start + comma.join(map(get, seq)) + stop for seq in obj.seqs])
-        return f"[{inner}{body}{nl}]"
+        # one C-level join: each row's names are joined by `comma`, and the
+        # rows by `stop + sep + start`, so no row text is concatenated in Python
+        body = (stop + sep + start).join(map(comma.join, map(map, repeat(get), obj.seqs)))
+        return f"[{inner}{start}{body}{stop}{nl}]"
     raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 

@@ -51,7 +51,9 @@ def enumerate_monomial_identities(
     the walk carries `tail`, the state of the prefix without its first letter,
     its product degree and its degrees' survivor masks, for `_merges_survive`.
     Each state's row of `successors`, and each degree's row of extensions by
-    one letter, is built on its first use and kept for this call only.
+    one letter, is built on its first use and kept for this call only:
+    reference counting frees these memos when the call returns or raises,
+    which needs the walk to hold no reference to itself on any exit.
     `barren` keeps, per state, the largest number of steps left under which
     its subtree emitted nothing, so the state is skipped whenever it recurs
     with at most that many.  Only states within max_len steps of the full
@@ -110,6 +112,10 @@ def enumerate_monomial_identities(
             return []
         # once an identity exists, the neutral degree keeps the walk alive max_len deep
         raise ValueError(f"max_len {max_len} is too deep to enumerate") from None
+    finally:
+        # `walk` calls itself through its own closure cell, a cycle that holds
+        # the memos and `out`; cut it so reference counting frees them on every exit
+        walk = None
     return out
 
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import sys
@@ -360,3 +361,28 @@ def test_enumeration_searches_for_a_shortest_identity_only_past_the_stack(monkey
     with pytest.raises(ValueError, match="too deep to enumerate"):
         enumerate_monomial_identities(GR_Z4, 2 * sys.getrecursionlimit())
     assert calls == 2
+
+
+def test_enumeration_leaves_no_cyclic_garbage_on_any_exit():
+    """Reference counting frees each enumeration's memos and result on all
+    three exits: a normal return, the empty return past the stack and the
+    "too deep" refusal.  The error is caught with try/except, so that no
+    pytest bookkeeping is counted."""
+    exits = [
+        ("return", GR_Z4, 4),
+        ("empty", Grading(CyclicGroup(3), 3, (0, 1, 2)), 10**6),
+        ("too deep", GR_Z4, 2 * sys.getrecursionlimit()),
+    ]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name, grading, cap in exits:
+            gc.collect()
+            try:
+                outcome = "return" if enumerate_monomial_identities(grading, cap) else "empty"
+            except ValueError:
+                outcome = "too deep"
+            assert (outcome, gc.collect()) == (name, 0), name
+    finally:
+        if enabled:
+            gc.enable()
