@@ -28,7 +28,7 @@ import functools
 import json
 import os
 import sys
-from itertools import repeat
+from itertools import compress
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -38,11 +38,7 @@ from .freealg import multihomogeneous_components, parse_polynomial, parse_word
 from .generic import DistinctTupleError, evaluate, is_graded_identity
 from .grading import Grading, grading_from_config
 from .groups import split_top_level
-from .monomials import (
-    enumerate_monomial_identities,
-    length_bounds,
-    shortest_monomial_identity,
-)
+from .monomials import length_bounds, monomial_identity_runs, shortest_monomial_identity
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -57,12 +53,14 @@ _quote = json.encoder.encode_basestring_ascii
 
 
 class _Rows:
-    """A payload list of nonempty sequences that `_dumps` writes as the
-    list of their name lists; `quoted` maps each element to its name's
-    JSON text, so every name is quoted once, not once per occurrence."""
+    """A payload list of sequences, given as runs that share all but their
+    last letter (`monomials.Run`, flags unread: a nonempty prefix and at
+    least one last letter), which `_dumps` writes as the list of their name
+    lists; `quoted` maps each element to its name's JSON text, so every name
+    is quoted once, not once per occurrence."""
 
-    def __init__(self, seqs: list[tuple], quoted: dict[object, str]):
-        self.seqs, self.quoted = seqs, quoted
+    def __init__(self, runs: list, quoted: dict[object, str]):
+        self.runs, self.quoted = runs, quoted
 
 
 def _dumps(obj, nl: str = "\n") -> str:
@@ -72,7 +70,8 @@ def _dumps(obj, nl: str = "\n") -> str:
     same text directly, for the types handler payloads hold: dicts with str
     keys, lists and tuples, str, int, bool and None.  Anything else raises
     TypeError.  A `_Rows` value is written as its list of name lists, with
-    one C-level join over all of its rows.
+    one C-level join per run of rows that share a prefix, whose names are
+    joined once for the whole run.
     `nl` is the newline plus the indent of `obj`'s own level.  Within one
     dict, a value that is the same object as an earlier value (as
     `sequences` and `unfiltered_sequences` can be) is encoded once.  Str and
@@ -108,14 +107,18 @@ def _dumps(obj, nl: str = "\n") -> str:
             parts.append(f"{_quote(key)}: {text}")
         return f"{{{inner}{sep.join(parts)}{nl}}}"
     if isinstance(obj, _Rows):
-        if not obj.seqs:
+        if not obj.runs:
             return "[]"
         get = obj.quoted.__getitem__
         start, stop, comma = "[" + inner + "  ", inner + "]", "," + inner + "  "
-        # one C-level join: each row's names are joined by `comma`, and the
-        # rows by `stop + sep + start`, so no row text is concatenated in Python
-        body = (stop + sep + start).join(map(comma.join, map(map, repeat(get), obj.seqs)))
-        return f"[{inner}{start}{body}{stop}{nl}]"
+        between = stop + sep + start  # from one row's last name to the next row's first
+        # one join per run: its rows are the prefix's names, each followed by
+        # `comma`, then one last name, so only the prefix text is built in Python
+        parts = []
+        for run in obj.runs:
+            head = comma.join(map(get, run[0])) + comma
+            parts.append(head + (between + head).join(map(get, run[1])))
+        return f"[{inner}{start}{between.join(parts)}{stop}{nl}]"
     raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
@@ -214,34 +217,42 @@ def cmd_is_identity(args: argparse.Namespace, grading: Grading) -> Reply:
 
 
 def cmd_enumerate(args: argparse.Namespace, grading: Grading) -> Reply:
-    flagged = enumerate_monomial_identities(grading, args.max_len)
-    every = [seq for seq, _ in flagged]
-    found = [seq for seq, minimal in flagged if minimal] if args.minimal else every
+    runs = monomial_identity_runs(grading, args.max_len)
+    unfiltered_count = sum(len(run[1]) for run in runs)
+    if args.minimal:
+        # each run keeps its flagged letters; a run left with none is dropped
+        found = [(run[0], kept) for run in runs if (kept := list(compress(run[1], run[2])))]
+        count = sum(len(run[1]) for run in found)
+    else:
+        found, count = runs, unfiltered_count
     bounds = length_bounds(grading)
     names = {h: grading.group.format(h) for h in grading.support()}
     # each name is formatted, and quoted for --json, once: the lists can be long
     if args.json:
         quoted = {h: _quote(name) for h, name in names.items()}
-        unfiltered = _Rows(every, quoted)
+        unfiltered = _Rows(runs, quoted)
         payload = {
             "max_len": args.max_len,
             "minimal": args.minimal,
             "sequences": _Rows(found, quoted) if args.minimal else unfiltered,
-            "count": len(found),
+            "count": count,
             "unfiltered_sequences": unfiltered,
-            "unfiltered_count": len(flagged),
+            "unfiltered_count": unfiltered_count,
             "support_bound": bounds.support_bound,
             "size_bound": bounds.size_bound,
         }
-        return payload, "", not found
+        return payload, "", not count
     get = names.__getitem__
-    lines = [",".join(map(get, seq)) for seq in found]
+    lines = []
+    for prefix, lasts, *_ in found:  # one join per run, as `_dumps` writes `_Rows`
+        head = ",".join(map(get, prefix)) + ","
+        lines.append(head + ("\n" + head).join(map(get, lasts)))
     lines.append(
-        f"count={len(found)} unfiltered={len(flagged)} max_len={args.max_len} "
+        f"count={count} unfiltered={unfiltered_count} max_len={args.max_len} "
         f"minimal={str(args.minimal).lower()} "
         f"support_bound={bounds.support_bound} size_bound={bounds.size_bound}"
     )
-    return {}, "\n".join(lines), not found
+    return {}, "\n".join(lines), not count
 
 
 def cmd_shortest(args: argparse.Namespace, grading: Grading) -> Reply:

@@ -11,19 +11,20 @@ automaton (state: set of current rows; its one step rule, `successors`,
 advances a state through every support degree at once, from the same step
 tables), which yields exact shortest-identity answers by breadth-first
 search.  The exhaustive enumerator walks the same automaton depth-first,
-and needs that search only when its cap outgrows the stack.  It flags each
-identity seq it emits as minimal (no proper factor and no coarsening
-inside the support is an identity) when, as for minimal forbidden words
-(Crochemore, Mignosi, Restivo 1998), neither seq[:-1] (by construction)
-nor seq[1:] (its state is carried along) is an identity and, for q >= 3
-letters, no AND of prefix masks that leaves out one of the first q-1 is 0.
+and needs that search only when its cap outgrows the stack.  It emits the
+identities in runs that share all but their last letter, and flags each
+identity seq as minimal (no proper factor and no coarsening inside the
+support is an identity) when, as for minimal forbidden words (Crochemore,
+Mignosi, Restivo 1998), neither seq[:-1] (by construction) nor seq[1:]
+(its state is carried along) is an identity and, for q >= 3 letters, no
+AND of prefix masks that leaves out one of the first q-1 is 0.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .grading import Grading
 from .groups import Element
@@ -40,20 +41,28 @@ def successors(grading: Grading, state: State) -> list[State]:
     return [frozenset({table[pos] for pos in state} - {0}) for table in tables]
 
 
-def enumerate_monomial_identities(
-    grading: Grading, max_len: int
-) -> list[tuple[tuple[Element, ...], bool]]:
-    """Identity degree sequences over the support up to max_len, in
-    lexicographic order, each with its minimality flag.
+# a run of identities that share all but their last letter: the shared
+# prefix, the last letters in support order and their minimality flags
+Run = tuple[tuple[Element, ...], Sequence[Element], Sequence[bool]]
 
-    Depth-first over the support alphabet, so no identity has length 1; an
-    identity prefix subsumes all of its extensions.  Beside the prefix's state
-    the walk carries `tail`, the state of the prefix without its first letter,
-    its product degree and its degrees' survivor masks, for `_merges_survive`.
-    Each state's row of `successors`, and each degree's row of extensions by
-    one letter, is built on its first use and kept for this call only:
-    reference counting frees these memos when the call returns or raises,
-    which needs the walk to hold no reference to itself on any exit.
+
+def monomial_identity_runs(grading: Grading, max_len: int) -> list[Run]:
+    """Identity degree sequences over the support up to max_len, in
+    lexicographic order, as runs `(prefix, last letters, flags)`: each run
+    stands for the sequences prefix + (h,), for h among its last letters,
+    with their minimality flags, and no two consecutive runs share a prefix.
+
+    Depth-first over the support alphabet, so no identity has length 1 and
+    every prefix is nonempty; an identity prefix subsumes all of its
+    extensions.  Beside the prefix's state the walk carries `tail`, the
+    state of the prefix without its first letter, its product degree and its
+    degrees' survivor masks, for `_merges_survive`.  Each state's row of
+    `successors`, and each degree's row of extensions by one letter, is
+    built on its first use and kept for this call only; so is, at the last
+    step, each (state, tail) pair's run of dead letters with the positions
+    whose tail successor survives, the only ones `_merges_survive` is asked
+    about.  Reference counting frees these memos when the call returns or
+    raises, which needs the walk to hold no reference to itself on any exit.
     `barren` keeps, per state, the largest number of steps left under which
     its subtree emitted nothing, so the state is skipped whenever it recurs
     with at most that many.  Only states within max_len steps of the full
@@ -66,12 +75,14 @@ def enumerate_monomial_identities(
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     alphabet = grading.support()
     op = grading.group.op
-    singles = [(h,) for h in alphabet]
     full = frozenset(range(1, grading.n + 1))
     rows: dict[State, list[State]] = {}
     extensions: dict[Element, list[tuple[Element, tuple[int]]]] = {}
+    # (state, tail) -> (dead letters, their flags when none is minimal,
+    # (position in the run, letter index) for each whose tail successor survives)
+    last_runs: dict[tuple[State, State], tuple[tuple, tuple, tuple]] = {}
     barren: dict[State, int] = {}
-    out: list[tuple[tuple[Element, ...], bool]] = []
+    out: list[Run] = []
 
     def row_of(state: State) -> list[State]:
         row = rows.get(state)
@@ -88,20 +99,48 @@ def enumerate_monomial_identities(
             ]
         return row
 
+    def last_run_of(state: State, tail: State) -> tuple[tuple, tuple, tuple]:
+        dead = [i for i, nxt in enumerate(row_of(state)) if not nxt]
+        tail_row = row_of(tail)
+        found = last_runs[state, tail] = (
+            tuple(alphabet[i] for i in dead),
+            (False,) * len(dead),
+            tuple((pos, i) for pos, i in enumerate(dead) if tail_row[i]),
+        )
+        return found
+
     def walk(
         state: State, tail: State, prefix: tuple, degree: Element, masks: tuple, remaining: int
     ) -> None:
         if remaining <= barren.get(state, 0):
             return
         emitted = len(out)
-        for single, nxt, tail_nxt, (d, mask) in zip(
-            singles, row_of(state), row_of(tail), extensions_of(degree)
-        ):
-            if not nxt:
-                out.append((prefix + single, bool(tail_nxt) and _merges_survive(masks + mask)))
-            elif remaining > 1:
-                walk(nxt, tail_nxt if prefix else full, prefix + single, d, masks + mask,
-                     remaining - 1)
+        if remaining == 1:
+            lasts, flags, candidates = last_runs.get((state, tail)) or last_run_of(state, tail)
+            if lasts:
+                if candidates:
+                    ext = extensions_of(degree)
+                    flags = list(flags)
+                    for pos, i in candidates:
+                        flags[pos] = _merges_survive(masks + ext[i][1])
+                out.append((prefix, lasts, flags))
+        else:
+            lasts = None  # the open run of this prefix, while no subtree emits after it
+            for h, nxt, tail_nxt, (d, mask) in zip(
+                alphabet, row_of(state), row_of(tail), extensions_of(degree)
+            ):
+                if not nxt:
+                    if lasts is None:
+                        lasts, flags = [], []
+                        out.append((prefix, lasts, flags))
+                    lasts.append(h)
+                    flags.append(bool(tail_nxt) and _merges_survive(masks + mask))
+                else:
+                    before = len(out)
+                    walk(nxt, tail_nxt if prefix else full, prefix + (h,), d, masks + mask,
+                         remaining - 1)
+                    if len(out) != before:
+                        lasts = None
         if len(out) == emitted:
             barren[state] = remaining
 
@@ -117,6 +156,19 @@ def enumerate_monomial_identities(
         # the memos and `out`; cut it so reference counting frees them on every exit
         walk = None
     return out
+
+
+def enumerate_monomial_identities(
+    grading: Grading, max_len: int
+) -> list[tuple[tuple[Element, ...], bool]]:
+    """Identity degree sequences over the support up to max_len, in
+    lexicographic order, each with its minimality flag: the runs of
+    `monomial_identity_runs`, one pair per sequence."""
+    return [
+        (prefix + (h,), flag)
+        for prefix, lasts, flags in monomial_identity_runs(grading, max_len)
+        for h, flag in zip(lasts, flags)
+    ]
 
 
 def _merges_survive(masks: tuple[int, ...]) -> bool:

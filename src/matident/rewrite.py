@@ -426,8 +426,10 @@ def check_membership_certificate(
 
     for idx, pairing in enumerate(cert.pairings):
         t, s = pairing.target, pairing.source
-        if not (0 <= t < len(work) and 0 <= s < len(work)) or t == s:
+        if not (0 <= t < len(work) and 0 <= s < len(work)):
             return CheckResult(False, f"pairing {idx}: term indexes out of range")
+        if t == s:
+            return CheckResult(False, f"pairing {idx}: target and source are the same term")
         eq = pairing.certificate
         start, end = work[s][0], work[t][0]
         if tuple(eq.start) != start or tuple(eq.end) != end:

@@ -502,6 +502,35 @@ def test_standalone_membership_certificate_is_read_over_the_field_option(capsys,
     )
 
 
+# membership documents for x[0;1]*x[0;2] + x[0;3] over F2, whose terms sort
+# as (x[0;3], x[0;1]*x[0;2]): one pairing (target, source) that names one
+# term twice, no steps and no residual.  Merging a term with itself gives
+# c + c = 0 over F2, so a guard that lets any of them through deletes both
+# terms and answers valid for a polynomial that is no identity.
+FORGED_PAIRINGS = {
+    "self_pairing": ((0, 0), "target and source are the same term"),
+    "negative_target": ((-1, 1), "term indexes out of range"),
+    "negative_source": ((1, -1), "term indexes out of range"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORGED_PAIRINGS))
+def test_pairing_that_names_one_term_twice_is_invalid(capsys, tmp_path, name):
+    inputs = GOLDEN / "inputs"
+    z4 = str(inputs / "z4.json")
+    path = inputs / f"z4_forged_{name}.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    pairing = doc["pairings"][0]
+    indexes, reason = FORGED_PAIRINGS[name]
+    assert (pairing["target"], pairing["source"]) == indexes
+    poly = tmp_path / "poly.txt"
+    poly.write_text(doc["input"], encoding="utf-8")
+    argv = ["is-identity", z4, str(poly), "--field", "fp:2"]
+    assert run(capsys, argv) == (0, "not an identity\n", "")
+    code, out, err = run(capsys, ["check-cert", z4, str(path), "--field", "fp:2", "--strict"])
+    assert (code, out, err) == (1, f"invalid: pairing 0: {reason}\n", "")
+
+
 def _malformed(kind: str, edit):
     return pytest.param(kind, edit, id=edit.__name__)
 

@@ -1,9 +1,13 @@
 """The --json writer `cli._dumps` against `json.dumps(sort_keys=True, indent=2)`.
 
 The writer must give the same text byte for byte on every payload shape the
-handlers can build, `enumerate-monomials`' sequence lists (`cli._Rows`)
-included, and refuse (TypeError) anything json would write in a form the
-handlers never produce, such as floats and non-str keys.
+handlers can build, and refuse (TypeError) anything json would write in a
+form the handlers never produce, such as floats and non-str keys.  That
+includes `enumerate-monomials`' sequence lists (`cli._Rows`), which the
+enumeration hands over as runs of rows that share all but their last
+letter: drawn runs must give json.dumps of their rows' name lists, and the
+command's whole --json text must match json.dumps of the payload built from
+the flat `enumerate_monomial_identities` list.
 """
 
 import json
@@ -77,20 +81,34 @@ def test_floats_and_non_str_keys_are_refused(doc):
         _dumps(doc)
 
 
+# runs as the enumeration emits them: a nonempty prefix and one or more
+# last letters, as indexes into the drawn names
+RUNS = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple),
+        st.lists(st.integers(0, 3), min_size=1, max_size=4),
+    ),
+    max_size=5,
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(st.text(st.sampled_from(SPECIAL), max_size=4), min_size=1, max_size=4, unique=True),
-    st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=4).map(tuple), max_size=5),
+    RUNS,
     st.integers(0, 2),
 )
 @example(["\u03c3"], [], 0)
 @example(["\u03c3"], [], 2)
-def test_rows_match_json_dumps_of_their_name_lists(names, seqs, depth):
-    """At depth 0, 1 and 2, each level holding the same object under two
-    keys; labels are drawn from the characters json must escape."""
-    seqs = [tuple(i % len(names) for i in seq) for seq in seqs]
-    doc = _Rows(seqs, {i: _quote(name) for i, name in enumerate(names)})
-    plain = [[names[i] for i in seq] for seq in seqs]
+@example(["a", "b"], [((0,), [0, 1]), ((1,), [0]), ((1, 0), [1, 0, 1])], 1)
+def test_rows_match_json_dumps_of_their_name_lists(names, runs, depth):
+    """Runs drawn at depth 0, 1 and 2, each level holding the same object
+    under two keys, against json.dumps of the name lists of their rows;
+    labels are drawn from the characters json must escape."""
+    k = len(names)
+    runs = [(tuple(i % k for i in prefix), [i % k for i in lasts]) for prefix, lasts in runs]
+    doc = _Rows(runs, {i: _quote(name) for i, name in enumerate(names)})
+    plain = [[names[i] for i in prefix + (h,)] for prefix, lasts in runs for h in lasts]
     for _ in range(depth):
         doc, plain = {"a": doc, "b": doc}, {"a": plain, "b": plain}
     assert _dumps(doc) == reference(plain)

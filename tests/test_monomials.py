@@ -13,6 +13,7 @@ from matident.monomials import (
     _four_times_power,
     enumerate_monomial_identities,
     length_bounds,
+    monomial_identity_runs,
     shortest_monomial_identity,
     successors,
 )
@@ -270,6 +271,51 @@ def test_enumeration_matches_brute_force():
             assert enumerate_monomial_identities(grading, cap) == _flagged_brute_force(
                 grading, cap
             ), (grading, cap)
+
+
+def _check_runs(grading, cap):
+    """The runs flatten to the brute-force list, and they are its maximal
+    blocks of consecutive rows that share all but their last letter."""
+    runs = monomial_identity_runs(grading, cap)
+    flat = [(prefix + (h,), flag) for prefix, lasts, flags in runs for h, flag in zip(lasts, flags)]
+    expected = _flagged_brute_force(grading, cap)
+    assert flat == expected, (grading, cap)
+    support = grading.support()
+    for prefix, lasts, flags in runs:
+        # every row of a run shares its prefix: one row per last letter, in support order
+        assert prefix and lasts and len(flags) == len(lasts)
+        positions = [support.index(h) for h in lasts]
+        assert positions == sorted(set(positions))
+    for before, after in zip(runs, runs[1:]):
+        assert before[0] != after[0], (grading, cap, before[0])
+    blocks = [(key, len(list(rows))) for key, rows in
+              itertools.groupby((seq for seq, _ in expected), key=lambda seq: seq[:-1])]
+    assert [(prefix, len(lasts)) for prefix, lasts, _ in runs] == blocks
+
+
+def test_runs_match_brute_force():
+    for grading in FILTER_GRADINGS:
+        for cap in range(1, _cap_for(grading) + 1):
+            _check_runs(grading, cap)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_runs_match_brute_force_on_drawn_tuples(data):
+    grading = data.draw(random_gradings())
+    _check_runs(grading, data.draw(st.integers(1, _cap_for(grading))))
+
+
+def test_a_subtree_that_emits_nothing_does_not_split_a_run(monkeypatch):
+    """On every grading the tests above meet, a live child of a state with a
+    dead letter emits, so this automaton is forged: from the full row set
+    the middle letter leads to a state that never dies, between two dead
+    letters, and the two make one run."""
+    full, alive, dead = frozenset({1, 2}), frozenset({1}), frozenset()
+    table = {full: [dead, alive, dead], alive: [alive] * 3, dead: [dead] * 3}
+    monkeypatch.setattr("matident.monomials.successors", lambda grading, state: table[state])
+    runs = monomial_identity_runs(GR_Z4, 3)
+    assert [(prefix, list(lasts)) for prefix, lasts, _ in runs] == [((), [0, 3])]
 
 
 # a dense Z64 grading whose subset automaton has some 50,000 reachable
